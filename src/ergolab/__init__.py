@@ -59,9 +59,11 @@ from .observed import (
 from .points import FloatPoint, FractionPoint, ReservoirPoint, torus_distance
 from .returns import (
     ReturnCurve,
+    ReturnSample,
     TrivialityIndicator,
     exp_law_distance,
     return_curve,
+    return_sample,
     sample_conditioned,
     triviality_indicator,
 )
@@ -70,7 +72,6 @@ from .systems import (
     CircleRotation,
     Doubling,
     MannevillePomeau,
-    OrbitBudget,
     ToralAutomorphism,
     system_from_id,
 )

@@ -138,6 +138,16 @@ class ExperimentConfig:
         return flat
 
 
+def _experiment_int(exp, key):
+    """Integer value of an optional [experiment] key, None when absent."""
+    if key not in exp:
+        return None
+    try:
+        return int(exp[key])
+    except ValueError:
+        raise ConfigError(f"experiment.{key}", f"not an integer: {exp[key]!r}") from None
+
+
 def parse_config_text(text, overrides=None):
     parser = configparser.ConfigParser()
     try:
@@ -176,15 +186,12 @@ def parse_config_text(text, overrides=None):
 
     if "seed" not in exp:
         raise ConfigError("experiment.seed", "required; no implicit entropy")
-    try:
-        seed = int(exp["seed"])
-    except ValueError:
-        raise ConfigError("experiment.seed", "not an integer") from None
+    seed = _experiment_int(exp, "seed")
 
     system_id = exp.get("system")
     if not system_id:
         raise ConfigError("experiment.system", "required")
-    precision_bits = int(exp["precision_bits"]) if "precision_bits" in exp else None
+    precision_bits = _experiment_int(exp, "precision_bits")
     try:
         system_from_id(system_id, precision_bits)
     except (KeyError, ValueError) as exc:
@@ -194,7 +201,7 @@ def parse_config_text(text, overrides=None):
     if not output:
         raise ConfigError("experiment.output", "required")
 
-    workers = int(exp["workers"]) if "workers" in exp else None
+    workers = _experiment_int(exp, "workers")
 
     config = ExperimentConfig(
         kind=kind,

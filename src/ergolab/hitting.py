@@ -119,7 +119,8 @@ def estimate_R(system, x, f, ladder, cap, window=None, point_id=0, records=None)
     taus = [rec.tau for rec in records]
     # nesting makes tau non-increasing in r; violations would be a scan bug
     usable_taus = [t for t in taus if t is not None]
-    assert all(a <= b for a, b in zip(usable_taus, usable_taus[1:]))
+    if any(a > b for a, b in zip(usable_taus, usable_taus[1:])):
+        raise ValueError(f"hitting times must be non-decreasing along the ladder: {taus}")
     usable = [(rec.radius, rec.tau) for rec in records if rec.tau is not None]
     if not usable:
         raise AllCensoredError("every rung censored at the cap")

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError, NoDecayFitError
-from .observables import estimate_measure, fit_line, z_value
+from .observables import (
+    MeasureEstimate,
+    binomial_half_width,
+    estimate_measure,
+    fit_line,
+    z_value,
+)
 from .rand import master_rng, subseed
 from .reservoir import bulk_window_floats
 from .systems import Doubling
@@ -265,8 +271,6 @@ def intersection_bound_check(system, f, ladder, k, j, seed, n_samples, decay):
 
 
 def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
-    from .observables import MeasureEstimate
-
     hits = 0
     if isinstance(system, Doubling) and system.engine == "reservoir":
         rng = master_rng(subseed(seed, "joint-bytes"))
@@ -286,7 +290,5 @@ def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
             if (f.values(vals[k:k + 1])[0] <= r_k
                     and f.values(vals[j:j + 1])[0] <= r_j):
                 hits += 1
-    p_hat = hits / n_samples
-    smoothed = (hits + 0.5) / (n_samples + 1.0)
-    hw = z_value(0.95) * math.sqrt(smoothed * (1.0 - smoothed) / n_samples)
-    return MeasureEstimate(p_hat, hw, n_samples)
+    return MeasureEstimate(hits / n_samples, binomial_half_width(hits, n_samples),
+                           n_samples)

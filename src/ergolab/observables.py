@@ -22,6 +22,12 @@ def z_value(level):
     return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
+def binomial_half_width(hits, n, level=0.95):
+    """Normal-approximation half-width for hits/n, smoothed away from 0 and 1."""
+    smoothed = (hits + 0.5) / (n + 1.0)
+    return z_value(level) * math.sqrt(smoothed * (1.0 - smoothed) / n)
+
+
 # ---------------------------------------------------------------------------
 # observable catalog
 
@@ -347,10 +353,8 @@ def estimate_measure(f, r, system, seed, n_samples, level=0.95):
         raise ValueError("need at least 100 samples")
     coords = invariant_sample_floats(system, seed, n_samples)
     hits = int(np.count_nonzero(f.values(coords) <= r))
-    p = hits / n_samples
-    smoothed = (hits + 0.5) / (n_samples + 1.0)
-    hw = z_value(level) * math.sqrt(smoothed * (1.0 - smoothed) / n_samples)
-    return MeasureEstimate(p, hw, n_samples)
+    return MeasureEstimate(hits / n_samples,
+                           binomial_half_width(hits, n_samples, level), n_samples)
 
 
 def measure_profile(f, ladder, system, seed, n_samples, level=0.95):
@@ -364,17 +368,15 @@ def measure_profile(f, ladder, system, seed, n_samples, level=0.95):
         return [MeasureEstimate(v, 0.0, 0, exact=True) for v in exact_vals]
     coords = invariant_sample_floats(system, seed, n_samples)
     vals = f.values(coords)
-    z = z_value(level)
     out = []
     for r, closed in zip(ladder, exact_vals):
         if closed is not None:
             out.append(MeasureEstimate(closed, 0.0, 0, exact=True))
             continue
         hits = int(np.count_nonzero(vals <= r))
-        p = hits / n_samples
-        smoothed = (hits + 0.5) / (n_samples + 1.0)
-        hw = z * math.sqrt(smoothed * (1.0 - smoothed) / n_samples)
-        out.append(MeasureEstimate(p, hw, n_samples))
+        out.append(MeasureEstimate(hits / n_samples,
+                                   binomial_half_width(hits, n_samples, level),
+                                   n_samples))
     return out
 
 

@@ -2,7 +2,8 @@
 
 Starts are drawn from the invariant measure conditioned on the target
 (direct draws where the target has closed form, rejection sampling
-otherwise); their first-return times feed the rescaled survival curve
+otherwise) and scanned once into a ReturnSample; its first-return times
+feed the rescaled survival curve
 g(t) = fraction of starts with tau >= t / mu(S_r), the sup distance of that
 curve from exp(-t), and the long-return indicator
 mu{x in S_r : tau > l / mu(S_r)} / mu(S_r).
@@ -17,12 +18,13 @@ exp(-100) under an exponential law.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import RejectionStallError
 from .hitting import ladder_hitting_times
-from .observables import DistToPoint, estimate_measure, z_value
+from .observables import DistToPoint, binomial_half_width, estimate_measure
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_rng, subseed
 from .reservoir import BitReservoir
@@ -104,14 +106,8 @@ def _interval_dyadic_points(center, r, bits, seed, count):
         rng = point_rng(subseed(seed, "conditioned"), i)
         raw = int.from_bytes(rng.bytes((bits + 7) // 8 + 8), "big")
         num = (lo + raw % span) % scale
-        points.append(FractionPoint((_frac(num, scale),)))
+        points.append(FractionPoint((Fraction(num, scale),)))
     return points
-
-
-def _frac(num, den):
-    from fractions import Fraction
-
-    return Fraction(num, den)
 
 
 def _disc_dyadic_points(center, r, bits, seed, count):
@@ -132,7 +128,7 @@ def _disc_dyadic_points(center, r, bits, seed, count):
             tail = int.from_bytes(rng.bytes((low_bits + 7) // 8), "big") >> (
                 ((low_bits + 7) // 8) * 8 - low_bits
             ) if low_bits > 0 else 0
-            coords.append(_frac((head << max(low_bits, 0)) | tail, scale))
+            coords.append(Fraction((head << max(low_bits, 0)) | tail, scale))
         points.append(FractionPoint(tuple(coords)))
     return points
 
@@ -164,12 +160,6 @@ def _rejection_sample(system, f, r, seed, count, max_attempts):
     return accepted
 
 
-def target_measure(system, f, r, seed, n_samples=200_000):
-    """mu(S_r) for curve scaling: exact when available, else Monte Carlo."""
-    est = estimate_measure(f, r, system, subseed(seed, "target-measure"), n_samples)
-    return est
-
-
 def _scan_block(mean_return):
     """Orbit block size ~4 mean returns: one block usually settles a point."""
     return int(min(max(64, 4 * mean_return), 1 << 14))
@@ -194,6 +184,40 @@ def conditioned_return_times(system, f, r, seed, count, cap, block=None):
         else:
             taus[i] = rec.tau
     return taus, censored
+
+
+@dataclass(frozen=True, eq=False)
+class ReturnSample:
+    """First-return times of the conditioned starts in one target.
+
+    Every return statistic (curve, Kac product, long-return indicators) is a
+    pure function of one sample, so a run draws and scans its starts once.
+    """
+
+    radius: float
+    measure: float
+    cap: int
+    taus: np.ndarray  # int64; censored entries hold cap
+    censored: np.ndarray  # bool, index-aligned with taus
+
+
+def return_sample(system, f, r, seed, count, cap=None, measure=None):
+    """Draw ``count`` starts conditioned on {f <= r} and scan their returns.
+
+    mu(S_r) defaults to estimate_measure (exact when available, else Monte
+    Carlo); the cap defaults to 100 mean return times.
+    """
+    mu = measure
+    if mu is None:
+        mu = estimate_measure(f, r, system, subseed(seed, "target-measure"),
+                              200_000).estimate
+    if mu <= 0:
+        raise ValueError("target has vanishing measure estimate")
+    cap = cap or default_cap(mu)
+    taus, censored = conditioned_return_times(system, f, r, seed, count, cap,
+                                              block=_scan_block(1.0 / mu))
+    return ReturnSample(radius=float(r), measure=float(mu), cap=int(cap),
+                        taus=taus, censored=censored)
 
 
 @dataclass(frozen=True)
@@ -222,15 +246,9 @@ class ReturnCurve:
         return self.g_values[self.t_grid.index(t)]
 
 
-def return_curve(system, f, r, seed, count, t_grid=DEFAULT_T_GRID,
-                 cap=None, measure=None):
+def return_curve(sample, t_grid=DEFAULT_T_GRID):
     """Empirical g(t) = fraction of conditioned starts with tau >= t/mu."""
-    mu = measure if measure is not None else target_measure(system, f, r, seed).estimate
-    if mu <= 0:
-        raise ValueError("target has vanishing measure estimate")
-    cap = cap or default_cap(mu)
-    taus, censored = conditioned_return_times(system, f, r, seed, count, cap,
-                                              block=_scan_block(1.0 / mu))
+    taus, censored, mu = sample.taus, sample.censored, sample.measure
     grid = tuple(float(t) for t in t_grid)
     g = []
     flagged = []
@@ -239,14 +257,14 @@ def return_curve(system, f, r, seed, count, t_grid=DEFAULT_T_GRID,
         threshold = t / mu
         hits = int(np.count_nonzero((taus >= threshold) | censored))
         g.append(hits / len(taus))
-        flagged.append(threshold > cap and n_censored > 0)
+        flagged.append(threshold > sample.cap and n_censored > 0)
     return ReturnCurve(
-        radius=float(r),
-        measure=float(mu),
+        radius=sample.radius,
+        measure=mu,
         t_grid=grid,
         g_values=tuple(g),
-        sample_count=count,
-        cap=int(cap),
+        sample_count=len(taus),
+        cap=sample.cap,
         censored_count=n_censored,
         flagged=tuple(flagged),
     )
@@ -273,42 +291,29 @@ class TrivialityIndicator:
             raise ValueError("indicator is a probability")
 
 
-def triviality_indicator(system, f, r, l_value, seed, count, cap=None,
-                         measure=None, level=0.95):
+def triviality_indicator(sample, l_value, level=0.95):
     """Empirical mu{x in S_r : tau > l/mu} / mu(S_r).
 
-    Shares its samples with return_curve for equal (seed, count, cap), so
-    the indicator at l equals the curve at t = l whenever l/mu is not an
-    attained integer.
+    Reads the same sample as return_curve, so the indicator at l equals the
+    curve at t = l whenever l/mu is not an attained integer.
     """
-    mu = measure if measure is not None else target_measure(system, f, r, seed).estimate
-    if mu <= 0:
-        raise ValueError("target has vanishing measure estimate")
-    cap = cap or default_cap(mu)
-    taus, censored = conditioned_return_times(system, f, r, seed, count, cap,
-                                              block=_scan_block(1.0 / mu))
-    threshold = l_value / mu
-    hits = int(np.count_nonzero((taus > threshold) | censored))
-    p = hits / len(taus)
-    smoothed = (hits + 0.5) / (len(taus) + 1.0)
-    hw = z_value(level) * math.sqrt(smoothed * (1.0 - smoothed) / len(taus))
+    n = len(sample.taus)
+    threshold = l_value / sample.measure
+    hits = int(np.count_nonzero((sample.taus > threshold) | sample.censored))
     return TrivialityIndicator(
-        l_value=float(l_value), radius=float(r), value=p, half_width=hw
+        l_value=float(l_value), radius=sample.radius, value=hits / n,
+        half_width=binomial_half_width(hits, n, level),
     )
 
 
-def kac_statistic(system, f, r, seed, count, cap=None, measure=None):
+def kac_statistic(sample):
     """(mean return time * mu, stderr of that product) over the sample.
 
     Kac's lemma makes the expectation exactly 1 for ergodic systems;
     censored returns enter at the cap, biasing the mean down by at most the
     censored tail mass.
     """
-    mu = measure if measure is not None else target_measure(system, f, r, seed).estimate
-    cap = cap or default_cap(mu)
-    taus, _ = conditioned_return_times(system, f, r, seed, count, cap,
-                                       block=_scan_block(1.0 / mu))
-    scaled = taus * mu
+    scaled = sample.taus * sample.measure
     return float(scaled.mean()), float(scaled.std(ddof=1) / math.sqrt(len(scaled)))
 
 

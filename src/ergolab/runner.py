@@ -41,10 +41,10 @@ from .parallel import pmap, resolve_workers
 from .rand import subseed
 from .returns import (
     count_jump_clusters,
-    default_cap,
     exp_law_distance,
     kac_statistic,
     return_curve,
+    return_sample,
     triviality_indicator,
 )
 from .systems import catalog_entries
@@ -389,6 +389,8 @@ def _run_return_stats(config, workers):
     system = config.system
     f = config.observable()
     r = config.get_float("return-stats", "radius", required=True)
+    if not r > 0:
+        raise ConfigError("return-stats.radius", f"must be positive, got {r!r}")
     n_samples = config.get_int("return-stats", "samples", required=True)
     grid_max = config.get_float("return-stats", "grid_max", default=5.0)
     grid_step = config.get_float("return-stats", "grid_step", default=0.1)
@@ -396,20 +398,15 @@ def _run_return_stats(config, workers):
     t_grid = tuple(round(k * grid_step, 10) for k in range(steps + 1))
 
     measure_est = estimate_measure(f, r, system, subseed(config.seed, "measure"), 200_000)
-    mu = measure_est.estimate
-    cap = config.get_int("return-stats", "cap") or default_cap(mu)
-
-    curve = return_curve(system, f, r, config.seed, n_samples, t_grid=t_grid,
-                         cap=cap, measure=mu)
-    kac_product, kac_stderr = kac_statistic(system, f, r, config.seed, n_samples,
-                                            cap=cap, measure=mu)
+    sample = return_sample(system, f, r, config.seed, n_samples,
+                           cap=config.get_int("return-stats", "cap"),
+                           measure=measure_est.estimate)
+    curve = return_curve(sample, t_grid)
+    kac_product, kac_stderr = kac_statistic(sample)
     l_values = [
         float(v) for v in config.get("return-stats", "l_values", default="20").split(",")
     ]
-    indicators = [
-        triviality_indicator(system, f, r, l, config.seed, n_samples, cap=cap, measure=mu)
-        for l in l_values
-    ]
+    indicators = [triviality_indicator(sample, l) for l in l_values]
     curve_rows = [
         [t, g, int(flag)] for t, g, flag in zip(curve.t_grid, curve.g_values, curve.flagged)
     ]
@@ -419,9 +416,9 @@ def _run_return_stats(config, workers):
     }
     summary = {
         "radius": r,
-        "measure": mu,
+        "measure": sample.measure,
         "measure_exact": measure_est.exact,
-        "cap": cap,
+        "cap": sample.cap,
         "censored": curve.censored_count,
         "sup_distance_to_exponential": exp_law_distance(curve),
         "jump_clusters": count_jump_clusters(curve),

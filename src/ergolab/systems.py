@@ -40,26 +40,6 @@ MIXING_POLYNOMIAL = "polynomial"
 MIXING_NONE = "none"
 
 
-@dataclass(frozen=True)
-class OrbitBudget:
-    """Bounds on orbit length for precision-limited engines."""
-
-    max_steps: int
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    guard_bits: int = 0
-
-    def __post_init__(self):
-        if self.max_steps < 1 or self.precision_bits < 1 or self.guard_bits < 0:
-            raise ValueError("invalid orbit budget")
-
-    def check_doubling_fixed(self):
-        if self.max_steps > self.precision_bits - self.guard_bits:
-            raise BudgetExhaustedError(
-                f"max_steps {self.max_steps} exceeds {self.precision_bits} - "
-                f"{self.guard_bits} bits available to the fixed-point doubling engine"
-            )
-
-
 def _dyadic_bits_left(frac):
     """Remaining shifts before a dyadic fraction collapses to 0; None if never."""
     den = frac.denominator

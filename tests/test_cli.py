@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ergolab.cli import main
 
 
@@ -20,6 +22,21 @@ stop_exp = 10
 
 [dimension]
 samples_per_rung = 500
+"""
+
+RETURN_CONFIG = """
+[experiment]
+kind = return-stats
+system = doubling
+seed = 5
+output = {out}
+
+[observable]
+rule = dist:0.375
+
+[return-stats]
+radius = -0.1
+samples = 20
 """
 
 
@@ -58,6 +75,20 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err
+
+
+@pytest.mark.parametrize("text,field", [
+    (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = two\n"), "experiment.workers"),
+    (RETURN_CONFIG, "return-stats.radius"),
+], ids=["workers", "radius"])
+def test_bad_field_exits_2_without_traceback(tmp_path, capsys, text, field):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(text.format(out=tmp_path / "o.json"))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError]: {field}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_missing_file_exit_code(capsys):

@@ -50,6 +50,22 @@ stop_exp = 9
 points = 12
 """
 
+RETURN_STATS_CONFIG = """
+[experiment]
+kind = return-stats
+system = doubling
+seed = 5
+output = {out}
+
+[observable]
+rule = dist:0.375
+
+[return-stats]
+radius = {radius}
+samples = 20
+l_values = 0.5,20
+"""
+
 
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
@@ -92,6 +108,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert "hitting" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["workers", "precision_bits"])
+    def test_non_integer_experiment_field_named(self, tmp_path, key):
+        text = DIMENSION_CONFIG.format(out=tmp_path / "r.json").replace(
+            "seed = 77\n", f"seed = 77\n{key} = two\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == f"experiment.{key}"
+
+    @pytest.mark.parametrize("radius", ["-0.1", "0"])
+    def test_non_positive_return_radius_named(self, tmp_path, radius):
+        cfg = parse_config_text(RETURN_STATS_CONFIG.format(out=tmp_path / "r.json",
+                                                           radius=radius))
+        with pytest.raises(ConfigError) as err:
+            run(cfg, workers=1)
+        assert err.value.field == "return-stats.radius"
+        assert list(tmp_path.iterdir()) == []
 
     def test_overrides(self, tmp_path):
         cfg = parse_config_text(
@@ -150,6 +183,28 @@ class TestRunner:
             run(cfg, workers=1)
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_return_stats_samples_and_scans_once(self, tmp_path, monkeypatch):
+        # the curve, Kac and both indicators read one return sample
+        import ergolab.returns as returns_module
+
+        calls = {"sample_conditioned": 0, "conditioned_return_times": 0}
+
+        def counting(name):
+            original = getattr(returns_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(returns_module, name, counting(name))
+        cfg = parse_config_text(RETURN_STATS_CONFIG.format(out=tmp_path / "r.json",
+                                                           radius=0.03125))
+        result = run(cfg, workers=1)
+        assert calls == {"sample_conditioned": 1, "conditioned_return_times": 1}
+        assert len(result["data"]["indicators"]) == 2
 
     def test_float_serialization_round_trips(self, tmp_path):
         out = tmp_path / "dim.json"

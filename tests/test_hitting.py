@@ -133,6 +133,16 @@ class TestEstimateR:
                          RadiusLadder((0.4, 0.34, 0.05, 0.04)), cap=100)
         assert est.censor_fraction == pytest.approx(0.5)
 
+    def test_out_of_order_records_rejected(self):
+        # a shorter time at a smaller rung breaks nesting: a scan bug, not data
+        records = [
+            HittingRecord(point_id=0, radius=r, tau=t, cap=100, steps_used=t)
+            for r, t in ((0.1, 5), (0.05, 3), (0.01, 40))
+        ]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            estimate_R(None, None, None, [0.1, 0.05, 0.01], cap=100,
+                       records=records)
+
     def test_default_window_rule(self):
         assert default_window(12) == 11
         assert default_window(23) == 21

@@ -14,6 +14,7 @@ from ergolab.returns import (
     exp_law_distance,
     kac_statistic,
     return_curve,
+    return_sample,
     sample_conditioned,
     triviality_indicator,
 )
@@ -106,33 +107,47 @@ class TestReturnTimes:
             assert rec.tau == t
 
 
+class TestReturnSample:
+    def test_defaults_come_from_the_target_measure(self):
+        f = DistToPoint((0.375,))
+        sample = return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=200)
+        assert sample.measure == 2.0 ** -5
+        assert sample.cap == default_cap(2.0 ** -5)
+        assert len(sample.taus) == len(sample.censored) == 200
+
+    def test_vanishing_measure_rejected(self):
+        f = DistToPoint((0.375,))
+        with pytest.raises(ValueError):
+            return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=10, measure=0.0)
+
+
 class TestReturnCurve:
     def test_starts_at_one(self):
         f = DistToPoint((0.375,))
-        curve = return_curve(DOUBLING, f, 2.0 ** -6, seed=9, count=2_000)
+        curve = return_curve(return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=2_000))
         assert curve.g_values[0] == 1.0
         assert curve.t_grid[0] == 0.0
 
     def test_doubling_is_near_exponential(self):
         f = DistToPoint((0.375,))
-        curve = return_curve(DOUBLING, f, 2.0 ** -8, seed=10, count=4_000)
+        curve = return_curve(return_sample(DOUBLING, f, 2.0 ** -8, seed=10, count=4_000))
         assert exp_law_distance(curve) <= 0.1
         assert curve.measure == pytest.approx(2.0 ** -7)
 
     def test_golden_rotation_is_step_function(self):
         f = DistToPoint((0.375,))
-        curve = return_curve(GOLDEN, f, 0.05, seed=11, count=4_000)
+        sample = return_sample(GOLDEN, f, 0.05, seed=11, count=4_000)
+        curve = return_curve(sample)
         assert count_jump_clusters(curve) <= 3
         # three-gap structure: at most three distinct return times
-        taus, censored = conditioned_return_times(GOLDEN, f, 0.05, seed=11,
-                                                  count=4_000, cap=curve.cap)
-        assert not censored.any()
-        assert len(set(taus.tolist())) <= 3
+        assert not sample.censored.any()
+        assert len(set(sample.taus.tolist())) <= 3
 
     def test_censoring_flags(self):
         f = DistToPoint((0.375,))
         # cap of one step censors almost every return
-        curve = return_curve(DOUBLING, f, 2.0 ** -6, seed=12, count=500, cap=1)
+        curve = return_curve(return_sample(DOUBLING, f, 2.0 ** -6, seed=12,
+                                           count=500, cap=1))
         assert curve.censored_count > 0
         assert curve.flagged[-1]
         assert not curve.flagged[0]
@@ -161,20 +176,21 @@ class TestTrivialityIndicator:
     def test_matches_curve_at_same_seed(self):
         f = DistToPoint((0.375,))
         r = 0.11  # 0.5 / (2 r) is not an integer
-        curve = return_curve(GOLDEN, f, r, seed=13, count=2_000,
-                             t_grid=(0.0, 0.5, 1.0))
-        ind = triviality_indicator(GOLDEN, f, r, 0.5, seed=13, count=2_000,
-                                   cap=curve.cap)
+        sample = return_sample(GOLDEN, f, r, seed=13, count=2_000)
+        curve = return_curve(sample, t_grid=(0.0, 0.5, 1.0))
+        ind = triviality_indicator(sample, 0.5)
         assert ind.value == curve.value_at(0.5)
 
     def test_small_l_catches_everything(self):
         f = DistToPoint((0.375,))
-        ind = triviality_indicator(DOUBLING, f, 2.0 ** -6, 1e-9, seed=14, count=500)
+        ind = triviality_indicator(
+            return_sample(DOUBLING, f, 2.0 ** -6, seed=14, count=500), 1e-9)
         assert ind.value == 1.0
 
     def test_markov_bound_at_twenty(self):
         f = DistToPoint((0.375,))
-        ind = triviality_indicator(DOUBLING, f, 2.0 ** -7, 20.0, seed=15, count=3_000)
+        ind = triviality_indicator(
+            return_sample(DOUBLING, f, 2.0 ** -7, seed=15, count=3_000), 20.0)
         assert ind.value <= 0.05 + 3.0 * ind.half_width
 
 
@@ -186,7 +202,7 @@ class TestKac:
     ])
     def test_mean_return_times_measure_is_one(self, system, r):
         f = DistToPoint((0.375,)) if system.dim == 1 else DistToPoint((0.3, 0.7))
-        product, stderr = kac_statistic(system, f, r, seed=16, count=3_000)
+        product, stderr = kac_statistic(return_sample(system, f, r, seed=16, count=3_000))
         assert abs(product - 1.0) <= 4.0 * max(stderr, 1e-9)
 
 

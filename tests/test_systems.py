@@ -9,7 +9,6 @@ from ergolab.systems import (
     CircleRotation,
     Doubling,
     MannevillePomeau,
-    OrbitBudget,
     ToralAutomorphism,
     catalog_entries,
     invariant_sample_floats,
@@ -106,11 +105,6 @@ class TestExactness:
 
 
 class TestBudget:
-    def test_orbit_budget_invariant(self):
-        OrbitBudget(max_steps=500, precision_bits=512, guard_bits=12).check_doubling_fixed()
-        with pytest.raises(BudgetExhaustedError):
-            OrbitBudget(max_steps=505, precision_bits=512, guard_bits=12).check_doubling_fixed()
-
     def test_dyadic_doubling_exhausts(self):
         sys = Doubling(engine="fraction")
         p = frac_point("3/8")  # three fractional bits
