@@ -221,15 +221,13 @@ def _measures_for(system, f, radii, measures, seed, n_samples):
     if callable(measures):
         return np.array([min(max(measures(r), 0.0), 1.0) for r in radii])
     if measures == "exact":
-        out = np.empty(len(radii))
-        for i, r in enumerate(radii):
-            m = exact_measure(system, f, r)
-            if m is None:
-                raise InvalidBetaError(
-                    f"no closed-form measure at r={r}; use measures='mc'"
-                )
-            out[i] = m
-        return out
+        mu = exact_measure(system, f, radii)
+        if mu is None:
+            raise InvalidBetaError(
+                f"no closed-form measure for some r in [{radii.min()}, {radii.max()}]; "
+                "use measures='mc'"
+            )
+        return mu
     if measures == "mc":
         coords = invariant_sample_floats(system, seed, n_samples)
         vals = np.sort(f.values(coords))

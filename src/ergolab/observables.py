@@ -9,6 +9,7 @@ exponents (the lim sup / lim inf analogues of local dimension).
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -275,26 +276,57 @@ def exact_measure(system, f, r):
 
     Covers distance balls (r <= 1/2 in dimension >= 2; any r in dimension 1),
     coordinate strips, slack-fattened versions of those, and observation maps
-    that publish their own sublevel law.
+    that publish their own sublevel law.  Negative radii have measure 0.
+
+    ``r`` is one radius or a 1-d array of radii.  A scalar gives a float; an
+    array gives a float64 array, or None when any radius has no closed form.
+    The closed form is resolved once per call, and every array entry equals
+    the scalar call on that radius bit for bit.
     """
-    if r < 0:
-        return 0.0
-    if not is_lebesgue(system):
-        return None
-    return _lebesgue_sublevel(f, r)
+    radii = np.asarray(r, dtype=float)
+    live = ~(radii < 0)
+    out = np.zeros(radii.shape)
+    if live.any():
+        law = _lebesgue_sublevel(f) if is_lebesgue(system) else None
+        vals = law(radii[live]) if law is not None else None
+        if vals is None:
+            return None
+        out[live] = vals
+    return float(out) if out.ndim == 0 else out
 
 
-def _lebesgue_sublevel(f, r):
+def _lebesgue_sublevel(f):
+    """Law radii -> mu{f <= r} over an array of radii r >= 0, or None.
+
+    A law returns a float64 array, or None when some radius has no closed
+    form.
+    """
     if isinstance(f, DistToPoint):
-        return _ball_measure(f.dim, r)
+        return partial(_ball_measures, f.dim)
     if isinstance(f, DistToProjectedPoint):
-        return _ball_measure(len(f.axes), r)
+        return partial(_ball_measures, len(f.axes))
     if isinstance(f, Slack):
-        return _lebesgue_sublevel(f.inner, r + f.margin)
+        inner = _lebesgue_sublevel(f.inner)
+        return None if inner is None else lambda radii: inner(radii + f.margin)
     if isinstance(f, PushforwardDist):
         law = getattr(f.image_map, "sublevel_measure", None)
-        return law(r) if law is not None else None
+        return None if law is None else partial(_pointwise, law)
     return None
+
+
+def _pointwise(law, radii):
+    # scalar Python arithmetic per radius: numpy's array ** rounds
+    # differently from scalar ** in some last bits
+    vals = [law(r) for r in radii.tolist()]
+    if any(v is None for v in vals):
+        return None
+    return np.array(vals, dtype=float)
+
+
+def _ball_measures(k, radii):
+    if k == 1:
+        return np.minimum(2.0 * radii, 1.0)
+    return _pointwise(partial(_ball_measure, k), radii)
 
 
 def _ball_measure(k, r):
@@ -316,7 +348,7 @@ def exact_dimension(system, f):
     if isinstance(f, DistToProjectedPoint):
         return float(len(f.axes))
     if isinstance(f, Slack):
-        inner = _lebesgue_sublevel(f.inner, f.margin)
+        inner = exact_measure(system, f.inner, f.margin)
         if inner is not None and inner > 0:
             return 0.0
         return None

@@ -111,6 +111,13 @@ def _cap_for(config, system, f, smallest_r, section):
     return int(math.ceil(50.0 / est.estimate))
 
 
+def _positive_int(config, section, key, **kwargs):
+    value = config.get_int(section, key, **kwargs)
+    if value < 1:
+        raise ConfigError(f"{section}.{key}", f"must be >= 1, got {value}")
+    return value
+
+
 def _quartiles(values):
     vals = sorted(values)
     return {
@@ -272,10 +279,13 @@ def _run_borel_cantelli(config, workers):
     system = config.system
     f = config.observable()
     beta = config.get_float("borel-cantelli", "beta", required=True)
-    k_max = config.get_int("borel-cantelli", "k_max", required=True)
-    n_points = config.get_int("borel-cantelli", "points", required=True)
+    k_max = _positive_int(config, "borel-cantelli", "k_max", required=True)
+    n_points = _positive_int(config, "borel-cantelli", "points", required=True)
     measures = config.get("borel-cantelli", "measures", default="exact")
-    mc_samples = config.get_int("borel-cantelli", "mc_samples", default=200_000)
+    if measures not in ("exact", "mc"):
+        raise ConfigError("borel-cantelli.measures",
+                          f"must be 'exact' or 'mc', got {measures!r}")
+    mc_samples = _positive_int(config, "borel-cantelli", "mc_samples", default=200_000)
     d_upper = exact_dimension(system, f)
     if d_upper is None:
         from .observables import RadiusLadder

@@ -13,6 +13,7 @@ from .observables import (
     RadiusLadder,
     estimate_measure,
     evaluate,
+    exact_measure,
     mollifier,
 )
 from .hitting import hitting_time, power_law_radii
@@ -26,6 +27,7 @@ def _checks():
     doubling = Doubling(engine="fraction")
     cat = ToralAutomorphism(CAT_MATRIX)
     quarter = CircleRotation.from_fraction("1/4")
+    radii = 0.6 - power_law_radii(0.5, 1000)  # from -0.4 up past the clamp at 1/2
 
     yield "doubling step 3/8 -> 3/4", lambda: (
         doubling.step(FractionPoint(("3/8",))).coords[0] == Fraction(3, 4)
@@ -46,6 +48,10 @@ def _checks():
     yield "disc measure = pi r^2", lambda: (
         abs(estimate_measure(DistToPoint((0.0, 0.0)), 0.1, cat, 0, 100).estimate
             - math.pi * 0.01) < 1e-12
+    )
+    yield "interval measures over a radius array equal the scalar values", lambda: (
+        exact_measure(doubling, DistToPoint((0.5,)), radii).tolist()
+        == [exact_measure(doubling, DistToPoint((0.5,)), r) for r in radii.tolist()]
     )
     yield "mollifier midpoint value 1/2", lambda: (
         abs(mollifier(DistToPoint((0.0,)), 0.2, 0.1, FloatPoint((0.15,))) - 0.5) < 1e-12

@@ -77,10 +77,29 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "ConfigError" in err
 
 
+BC_CONFIG = """
+[experiment]
+kind = borel-cantelli
+system = doubling
+seed = 5
+output = {out}
+
+[observable]
+rule = dist:0.375
+
+[borel-cantelli]
+beta = 0.5
+k_max = 100
+points = 2
+measures = foo
+"""
+
+
 @pytest.mark.parametrize("text,field", [
     (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = two\n"), "experiment.workers"),
     (RETURN_CONFIG, "return-stats.radius"),
-], ids=["workers", "radius"])
+    (BC_CONFIG, "borel-cantelli.measures"),
+], ids=["workers", "radius", "bc-measures"])
 def test_bad_field_exits_2_without_traceback(tmp_path, capsys, text, field):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(text.format(out=tmp_path / "o.json"))

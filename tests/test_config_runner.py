@@ -67,6 +67,28 @@ l_values = 0.5,20
 """
 
 
+BC_CONFIG = """
+[experiment]
+kind = borel-cantelli
+system = doubling
+seed = 3
+output = {out}
+
+[observable]
+rule = dist:0.375
+
+[borel-cantelli]
+{fields}
+"""
+BC_FIELDS = {"beta": "0.5", "k_max": "100", "points": "2", "measures": "mc",
+             "mc_samples": "1000"}
+
+
+def bc_config_text(out, **changes):
+    fields = {**BC_FIELDS, **changes}
+    return BC_CONFIG.format(out=out, fields="\n".join(f"{k} = {v}" for k, v in fields.items()))
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "res.json"
@@ -124,6 +146,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             run(cfg, workers=1)
         assert err.value.field == "return-stats.radius"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_borel_cantelli_fields_accepted(self, tmp_path):
+        run(parse_config_text(bc_config_text(tmp_path / "r.json")), workers=1)
+        assert (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("measures", "foo"), ("k_max", "0"), ("points", "0"), ("mc_samples", "0"),
+    ])
+    def test_bad_borel_cantelli_field_named(self, tmp_path, key, value):
+        cfg = parse_config_text(bc_config_text(tmp_path / "r.json", **{key: value}))
+        with pytest.raises(ConfigError) as err:
+            run(cfg, workers=1)
+        assert err.value.field == f"borel-cantelli.{key}"
         assert list(tmp_path.iterdir()) == []
 
     def test_overrides(self, tmp_path):

@@ -230,6 +230,24 @@ class TestBorelCantelliCounter:
         assert mc[-1].z == exact[-1].z
         assert mc[-1].expected == pytest.approx(exact[-1].expected, rel=0.05)
 
+    def test_exact_measures_come_from_one_call(self, monkeypatch):
+        import ergolab.hitting as hitting
+
+        calls = []
+        real = hitting.exact_measure
+
+        def counting(system, f, r):
+            calls.append(np.shape(r))
+            return real(system, f, r)
+
+        monkeypatch.setattr(hitting, "exact_measure", counting)
+        sys = Doubling()
+        x = sys.sample_invariant(seed=6, count=1)[0]
+        series = bc_counter_series(sys, x, DistToPoint((0.375,)), beta=0.5, k_max=500)
+        assert calls == [(501,)]
+        radii = power_law_radii(0.5, 500)
+        assert series[-1].expected == float(np.cumsum(np.minimum(2.0 * radii, 1.0))[-1])
+
     def test_counter_bounds_validated(self):
         with pytest.raises(ValueError):
             BCCounter(k=3, z=5, expected=1.0, ratio=5.0)

@@ -7,6 +7,7 @@ from ergolab.errors import DegenerateLadderError
 from ergolab.observables import (
     DistToPoint,
     DistToProjectedPoint,
+    PushforwardDist,
     RadiusLadder,
     Slack,
     WeightedSum,
@@ -22,12 +23,15 @@ from ergolab.observables import (
     parse_observable,
     sliding_slopes,
 )
+from ergolab.hitting import power_law_radii
+from ergolab.observed import CircleWave, Constant, CoordinateProjection
 from ergolab.points import FloatPoint
 from ergolab.systems import Doubling, MannevillePomeau, ToralAutomorphism, CAT_MATRIX
 
 
 CIRCLE = Doubling()
 TORUS = ToralAutomorphism(CAT_MATRIX)
+TORUS3 = ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1)))
 
 
 def fpt(*coords):
@@ -144,6 +148,76 @@ class TestExactMeasure:
         assert exact_dimension(TORUS, DistToPoint((0.5, 0.5))) == 2.0
         assert exact_dimension(TORUS, DistToProjectedPoint((1,), (0.5,))) == 1.0
         assert exact_dimension(CIRCLE, Slack(DistToPoint((0.5,)), 0.05)) == 0.0
+
+
+class TestExactMeasureArray:
+    # negative radii, the k >= 2 ball cut-offs, radii past every clamp, and
+    # the power-law radii of the shrinking-target counter
+    RADII = np.concatenate([np.linspace(-0.25, 2.5, 5_501), power_law_radii(0.5, 2_000)])
+
+    FAMILIES = {
+        "dist-1d": (CIRCLE, DistToPoint((0.375,))),
+        "dist-2d": (TORUS, DistToPoint((0.5, 0.5))),
+        "dist-3d": (TORUS3, DistToPoint((0.1, 0.2, 0.3))),
+        "projdist": (TORUS, DistToProjectedPoint((1,), (0.25,))),
+        "slack-1d": (CIRCLE, Slack(DistToPoint((0.5,)), 0.05)),
+        "slack-2d": (TORUS, Slack(DistToPoint((0.5, 0.5)), 0.1)),
+        "pushdist-proj": (TORUS, PushforwardDist(CoordinateProjection((0,), 2), (0.5,))),
+        "pushdist-wave": (TORUS, PushforwardDist(CircleWave(3), (1.0, 0.0))),
+        "pushdist-const": (TORUS, PushforwardDist(Constant((0.5,)), (0.5,))),
+    }
+
+    @staticmethod
+    def _scalars(system, f, radii, cast):
+        return [exact_measure(system, f, cast(r)) for r in radii]
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_array_is_bytewise_the_scalar_calls(self, family):
+        system, f = self.FAMILIES[family]
+        by_float = self._scalars(system, f, self.RADII, float)
+        # the np.float64 elements the counter's measure vector once passed one by one
+        by_np = self._scalars(system, f, self.RADII, np.float64)
+        assert all(type(v) is float or v is None for v in by_float + by_np)
+        gap = np.array([v is None for v in by_float])
+        assert gap.tolist() == [v is None for v in by_np]
+        if gap.any():
+            assert exact_measure(system, f, self.RADII) is None
+        arr = exact_measure(system, f, self.RADII[~gap])
+        assert arr.dtype == np.float64 and arr.shape == (int((~gap).sum()),)
+        for scalars in (by_float, by_np):
+            kept = np.array([v for v in scalars if v is not None], dtype=float)
+            assert arr.tobytes() == kept.tobytes()
+        assert np.all(arr[self.RADII[~gap] < 0] == 0.0)
+
+    @pytest.mark.parametrize("k,system", [(2, TORUS), (3, TORUS3)])
+    def test_ball_gap_is_none_and_edges_close(self, k, system):
+        f = DistToPoint((0.5,) * k)
+        half_diag = math.sqrt(k) / 2.0
+        inside = self.RADII[self.RADII <= 0.5]
+        outside = self.RADII[self.RADII >= half_diag]
+        between = self.RADII[(self.RADII > 0.5) & (self.RADII < half_diag)]
+        assert len(inside) and len(outside) and len(between)
+        assert exact_measure(system, f, np.concatenate([inside, outside])) is not None
+        for r in between[::50]:
+            assert exact_measure(system, f, np.array([r])) is None
+            assert exact_measure(system, f, np.array([0.1, r, 0.9])) is None
+        # the per-radius power, not numpy's array power, which rounds
+        # differently in the last bit for some radii
+        volume = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+        live = inside[inside >= 0]
+        expected = np.array([volume * r ** k for r in live])  # r is np.float64
+        assert exact_measure(system, f, live).tobytes() == expected.tobytes()
+
+    def test_no_closed_form_system(self):
+        mp = MannevillePomeau(0.5)
+        f = DistToPoint((0.5,))
+        assert exact_measure(mp, f, np.array([0.1, 0.2])) is None
+        assert exact_measure(mp, f, np.array([-0.2, -0.1])).tolist() == [0.0, 0.0]
+        assert exact_measure(mp, f, -0.1) == 0.0
+
+    def test_empty_array(self):
+        out = exact_measure(CIRCLE, DistToPoint((0.5,)), np.array([]))
+        assert out.dtype == np.float64 and out.shape == (0,)
 
 
 class TestMonteCarloMeasure:
