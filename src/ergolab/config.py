@@ -3,59 +3,41 @@
 The format is INI (configparser): diff-friendly, hand-editable, no nesting.
 Every config names its experiment kind, a catalog system, a seed (no
 implicit entropy, ever) and an output path; the kind decides which further
-sections apply.  Unknown sections or keys are errors, as are ladders that
-violate the gap condition or ids that do not resolve.
+sections apply.  The kind table (``ergolab.kinds``) names the sections and
+keys each kind reads; every value is parsed and checked here, at load time,
+and any bad value raises a ConfigError naming its section.key.  Unknown
+sections or keys are errors, as are ladders that violate the gap condition
+or ids that do not resolve.
 """
 
 import configparser
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import ConfigError
-from .observables import RadiusLadder, parse_observable
+from .kinds import KINDS, REQUIRED, SHARED, Field, choice, count, nonempty
+from .observables import RadiusLadder
 from .systems import system_from_id
 
-EXPERIMENT_KINDS = (
-    "dimension",
-    "hitting",
-    "borel-cantelli",
-    "correlation",
-    "intersection-bound",
-    "return-stats",
-    "observed",
-    "flow-analogue",
-)
-
-_KNOWN_KEYS = {
-    "experiment": {"kind", "system", "seed", "output", "workers", "precision_bits"},
-    "observable": {"rule"},
-    "ladder": {"kind", "start_exp", "stop_exp", "per_octave", "radii", "gap_constant"},
-    "dimension": {"samples_per_rung", "window"},
-    "hitting": {"points", "cap", "window"},
-    "borel-cantelli": {"beta", "k_max", "points", "measures", "mc_samples"},
-    "correlation": {"phi", "psi", "lags", "samples"},
-    "intersection-bound": {
-        "pairs", "samples", "decay_phi", "decay_lags", "decay_samples",
-    },
-    "return-stats": {"radius", "samples", "cap", "l_values", "grid_max", "grid_step"},
-    "observed": {"map", "mode", "points", "cap", "image_point", "samples_per_rung", "window"},
-    "flow-analogue": {"projection", "points", "n_max", "target", "tail_decades"},
-}
-
-_SECTION_FOR_KIND = {
-    "dimension": {"observable", "ladder", "dimension"},
-    "hitting": {"observable", "ladder", "hitting"},
-    "borel-cantelli": {"observable", "borel-cantelli"},
-    "correlation": {"correlation"},
-    "intersection-bound": {"observable", "ladder", "intersection-bound"},
-    "return-stats": {"observable", "return-stats"},
-    "observed": {"observed", "ladder"},
-    "flow-analogue": {"flow-analogue"},
+_EXPERIMENT = {
+    "kind": Field(choice(*KINDS)),
+    "system": Field(nonempty),
+    "seed": Field(int),  # required: no implicit entropy
+    "output": Field(nonempty),
+    "workers": Field(int, None),
+    "precision_bits": Field(count, None),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description.
+
+    ``sections`` keeps the raw text of every section but [experiment] for
+    the result echo.  ``system`` is the resolved (immutable) system;
+    ``params`` holds the kind's own section parsed; ``observable`` and
+    ``ladder`` the shared sections, None when unused.
+    """
 
     kind: str
     system_id: str
@@ -63,65 +45,11 @@ class ExperimentConfig:
     output: str
     workers: int | None
     precision_bits: int | None
+    system: object
     sections: dict = field(default_factory=dict)
-
-    @property
-    def system(self):
-        return system_from_id(self.system_id, self.precision_bits)
-
-    def observable(self):
-        rule = self.get("observable", "rule")
-        return parse_observable(rule, self.system.dim)
-
-    def ladder(self):
-        section = self.sections.get("ladder", {})
-        kind = section.get("kind", "dyadic")
-        if kind == "dyadic":
-            try:
-                start = float(section["start_exp"])
-                stop = float(section["stop_exp"])
-            except KeyError as missing:
-                raise ConfigError(f"ladder.{missing.args[0]}", "required") from None
-            per_octave = int(section.get("per_octave", 1))
-            try:
-                return RadiusLadder.dyadic(start, stop, per_octave)
-            except ValueError as exc:
-                raise ConfigError("ladder", str(exc)) from None
-        if kind == "explicit":
-            try:
-                radii = tuple(float(v) for v in section["radii"].split(","))
-            except KeyError:
-                raise ConfigError("ladder.radii", "required") from None
-            gap = section.get("gap_constant")
-            try:
-                return RadiusLadder(radii, float(gap) if gap else None)
-            except ValueError as exc:
-                raise ConfigError("ladder.radii", str(exc)) from None
-        raise ConfigError("ladder.kind", f"unknown ladder kind {kind!r}")
-
-    def get(self, section, key, default=None, required=None):
-        value = self.sections.get(section, {}).get(key, default)
-        if value is None and required:
-            raise ConfigError(f"{section}.{key}", "required")
-        return value
-
-    def get_int(self, section, key, default=None, required=None):
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{section}.{key}", f"not an integer: {value!r}") from None
-
-    def get_float(self, section, key, default=None, required=None):
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{section}.{key}", f"not a number: {value!r}") from None
+    params: SimpleNamespace = None
+    observable: object = None
+    ladder: RadiusLadder = None
 
     def echo(self):
         """Flat section.key -> value mapping for result reproduction."""
@@ -138,14 +66,26 @@ class ExperimentConfig:
         return flat
 
 
-def _experiment_int(exp, key):
-    """Integer value of an optional [experiment] key, None when absent."""
-    if key not in exp:
-        return None
-    try:
-        return int(exp[key])
-    except ValueError:
-        raise ConfigError(f"experiment.{key}", f"not an integer: {exp[key]!r}") from None
+def _parse_fields(section, fields, raw, dim):
+    """Every field of a section parsed, defaults filled in; ConfigError names it."""
+    values = {}
+    for key, spec in fields.items():
+        value = raw.get(key, spec.default)
+        if value is REQUIRED:
+            raise ConfigError(f"{section}.{key}", "required")
+        if value is not None:
+            try:
+                value = spec.parse(value, dim) if spec.dim else spec.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}", str(exc)) from None
+        values[key] = value
+    return SimpleNamespace(**values)
+
+
+def _check_keys(section, fields, raw):
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"{section}.{sorted(unknown)[0]}", "unknown key")
 
 
 def parse_config_text(text, overrides=None):
@@ -161,65 +101,46 @@ def parse_config_text(text, overrides=None):
     sections = {
         name: dict(parser[name]) for name in parser.sections()
     }
-    exp = sections.pop("experiment")
+    raw_exp = sections.pop("experiment")
     for key, value in (overrides or {}).items():
         if value is not None:
-            exp[key] = str(value)
+            raw_exp[key] = str(value)
+    _check_keys("experiment", _EXPERIMENT, raw_exp)
+    exp = _parse_fields("experiment", _EXPERIMENT, raw_exp, None)
 
+    kind = KINDS[exp.kind]
+    used = {exp.kind: kind.fields}
+    used.update((name, SHARED[name][0]) for name in kind.shared + kind.optional)
     for name, keys in sections.items():
-        if name not in _KNOWN_KEYS:
-            raise ConfigError(name, "unknown section")
-        unknown = set(keys) - _KNOWN_KEYS[name]
-        if unknown:
-            raise ConfigError(f"{name}.{sorted(unknown)[0]}", "unknown key")
-    unknown = set(exp) - _KNOWN_KEYS["experiment"]
-    if unknown:
-        raise ConfigError(f"experiment.{sorted(unknown)[0]}", "unknown key")
+        if name not in used:
+            known = name in KINDS or name in SHARED
+            raise ConfigError(name, f"section not used by kind {exp.kind!r}" if known
+                              else "unknown section")
+        _check_keys(name, used[name], keys)
 
-    kind = exp.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError("experiment.kind", f"must be one of {EXPERIMENT_KINDS}")
-    allowed = _SECTION_FOR_KIND[kind]
-    stray = set(sections) - allowed
-    if stray:
-        raise ConfigError(sorted(stray)[0], f"section not used by kind {kind!r}")
-
-    if "seed" not in exp:
-        raise ConfigError("experiment.seed", "required; no implicit entropy")
-    seed = _experiment_int(exp, "seed")
-
-    system_id = exp.get("system")
-    if not system_id:
-        raise ConfigError("experiment.system", "required")
-    precision_bits = _experiment_int(exp, "precision_bits")
     try:
-        system_from_id(system_id, precision_bits)
+        system = system_from_id(exp.system, exp.precision_bits)
     except (KeyError, ValueError) as exc:
         raise ConfigError("experiment.system", str(exc)) from None
 
-    output = exp.get("output")
-    if not output:
-        raise ConfigError("experiment.output", "required")
-
-    workers = _experiment_int(exp, "workers")
-
+    shared = {}
+    for name in kind.shared + tuple(n for n in kind.optional if n in sections):
+        fields, build = SHARED[name]
+        shared[name] = build(_parse_fields(name, fields, sections.get(name, {}), system.dim))
     config = ExperimentConfig(
-        kind=kind,
-        system_id=system_id,
-        seed=seed,
-        output=output,
-        workers=workers,
-        precision_bits=precision_bits,
+        kind=exp.kind,
+        system_id=exp.system,
+        seed=exp.seed,
+        output=exp.output,
+        workers=exp.workers,
+        precision_bits=exp.precision_bits,
+        system=system,
         sections=sections,
+        params=_parse_fields(exp.kind, kind.fields, sections.get(exp.kind, {}), system.dim),
+        **shared,
     )
-    # surface ladder/observable problems at load time
-    if "ladder" in sections:
-        config.ladder()
-    if "observable" in sections:
-        try:
-            config.observable()
-        except ValueError as exc:
-            raise ConfigError("observable.rule", str(exc)) from None
+    if kind.check:
+        kind.check(config)
     return config
 
 

@@ -163,33 +163,54 @@ def evaluate(f, point):
     return float(f.values(point.float_coords().reshape(1, -1))[0])
 
 
+def parse_numbers(text):
+    """Comma-separated finite floats."""
+    numbers = tuple(float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValueError(f"must be finite: {text!r}")
+    return numbers
+
+
+def _torus_target(text):
+    target = parse_numbers(text)
+    if not all(0.0 <= t < 1.0 for t in target):
+        raise ValueError(f"target coordinates must lie in [0, 1): {text!r}")
+    return target
+
+
 def parse_observable(spec, dim):
     """Observable from a config string: dist:…, projdist:…, slack:…, pushdist:…
 
-    Projected coordinates are 1-based in config strings.
+    Projected coordinates are 1-based in config strings.  Targets on the
+    torus must lie in [0, 1); a pushdist image point (after the last ':')
+    only needs finite coordinates, one per image axis.
     """
     kind, _, rest = spec.partition(":")
     if kind == "dist":
-        target = tuple(float(v) for v in rest.split(","))
+        target = _torus_target(rest)
         if len(target) != dim:
             raise ValueError(f"dist target needs {dim} coordinates")
         return DistToPoint(target)
     if kind == "projdist":
         axes_part, _, target_part = rest.partition(":")
         axes = tuple(int(a) - 1 for a in axes_part.split(","))
-        target = tuple(float(v) for v in target_part.split(","))
+        target = _torus_target(target_part)
         if any(not 0 <= a < dim for a in axes):
             raise ValueError("projected coordinate out of range")
         return DistToProjectedPoint(axes, target)
     if kind == "slack":
         margin_part, _, inner_part = rest.partition(":")
-        return Slack(parse_observable(inner_part, dim), float(margin_part))
+        (margin,) = parse_numbers(margin_part)
+        return Slack(parse_observable(inner_part, dim), margin)
     if kind == "pushdist":
         from .observed import parse_observation_map
 
-        map_part, _, image_part = rest.partition(":")
+        map_part, _, image_part = rest.rpartition(":")
         image_map = parse_observation_map(map_part, dim)
-        image = tuple(float(v) for v in image_part.split(","))
+        image = parse_numbers(image_part)
+        if len(image) != image_map.codomain_dim:
+            raise ValueError(f"pushdist image point needs {image_map.codomain_dim} "
+                             f"coordinates")
         return PushforwardDist(image_map, image)
     raise ValueError(f"unknown observable rule: {spec}")
 

@@ -79,6 +79,8 @@ class LinearMap:
 
     def __post_init__(self):
         mat = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        if mat != tuple(tuple(row) for row in self.matrix):
+            raise ValueError("matrix entries must be integers")
         if not mat or any(len(row) != len(mat[0]) for row in mat):
             raise ValueError("matrix rows must have equal length")
         object.__setattr__(self, "matrix", mat)
@@ -191,8 +193,10 @@ def parse_observation_map(spec, dim):
         axes = tuple(int(ch) - 1 for ch in kind[4:])
         return CoordinateProjection(axes, dim)
     if kind == "linear":
-        rows = ast.literal_eval(rest)
-        lin = LinearMap(tuple(tuple(row) for row in rows))
+        try:
+            lin = LinearMap(tuple(tuple(row) for row in ast.literal_eval(rest)))
+        except (SyntaxError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"linear map needs an integer matrix [[..], ..]: {exc}") from None
         if lin.dim != dim:
             raise ValueError(f"linear map expects domain dimension {lin.dim}")
         return lin
@@ -200,6 +204,8 @@ def parse_observation_map(spec, dim):
         parts = rest.split(":")
         freq = int(parts[0])
         axis = int(parts[1]) - 1 if len(parts) > 1 else 0
+        if not 0 <= axis < dim:
+            raise ValueError("wave axis out of range")
         return CircleWave(freq, axis)
     if kind == "const":
         return Constant(tuple(float(v) for v in rest.split(",")))

@@ -95,11 +95,95 @@ measures = foo
 """
 
 
-@pytest.mark.parametrize("text,field", [
-    (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = two\n"), "experiment.workers"),
-    (RETURN_CONFIG, "return-stats.radius"),
-    (BC_CONFIG, "borel-cantelli.measures"),
-], ids=["workers", "radius", "bc-measures"])
+CORRELATION_CONFIG = """
+[experiment]
+kind = correlation
+system = doubling
+seed = 5
+output = {out}
+
+[correlation]
+phi = cos:1
+lags = 1..3
+samples = 1000
+"""
+
+FLOW_CONFIG = """
+[experiment]
+kind = flow-analogue
+system = cat
+seed = 5
+output = {out}
+
+[flow-analogue]
+projection = identity
+points = 2
+n_max = 100
+target = 0.31,0.77
+"""
+
+OBSERVED_CONFIG = """
+[experiment]
+kind = observed
+system = cat
+seed = 5
+output = {out}
+
+[observed]
+mode = hitting-exponent
+map = proj:1
+image_point = 0.5
+points = 2
+
+[ladder]
+kind = dyadic
+start_exp = 3
+stop_exp = 6
+"""
+
+HITTING_CONFIG = CONFIG.replace("kind = dimension", "kind = hitting").replace(
+    "[dimension]\nsamples_per_rung = 500", "[hitting]\npoints = 2")
+
+INTERSECTION_CONFIG = CONFIG.replace("kind = dimension", "kind = intersection-bound").replace(
+    "[dimension]\nsamples_per_rung = 500", "[intersection-bound]\npairs = 8:2")
+
+BAD_FIELDS = {
+    "workers": (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = two\n"),
+                "experiment.workers"),
+    "precision-bits": (CONFIG.replace("seed = 5\n", "seed = 5\nprecision_bits = -5\n"),
+                       "experiment.precision_bits"),
+    "radius": (RETURN_CONFIG, "return-stats.radius"),
+    "bc-measures": (BC_CONFIG, "borel-cantelli.measures"),
+    "per-octave": (CONFIG.replace("stop_exp = 10", "stop_exp = 10\nper_octave = x"),
+                   "ladder.per_octave"),
+    "start-exp": (CONFIG.replace("start_exp = 3", "start_exp = two"), "ladder.start_exp"),
+    "psi": (CORRELATION_CONFIG + "psi = bogus:1\n", "correlation.psi"),
+    "lags": (CORRELATION_CONFIG.replace("lags = 1..3", "lags = 1..x"), "correlation.lags"),
+    "correlation-samples": (CORRELATION_CONFIG.replace("samples = 1000", "samples = 100"),
+                            "correlation.samples"),
+    "dist-nan": (CONFIG.replace("dist:0.25,0.75", "dist:nan,0.75"), "observable.rule"),
+    "dist-outside": (CONFIG.replace("dist:0.25,0.75", "dist:0.25,1.0"), "observable.rule"),
+    "projdist-nan": (CONFIG.replace("dist:0.25,0.75", "projdist:1:nan"), "observable.rule"),
+    "pushdist-nan": (CONFIG.replace("dist:0.25,0.75", "pushdist:proj12:nan,0.5"),
+                     "observable.rule"),
+    "flow-projection": (FLOW_CONFIG.replace("identity", "linear:[[1,0],[0,1]]"),
+                        "flow-analogue.projection"),
+    "linear-fraction": (CONFIG.replace("dist:0.25,0.75", "pushdist:linear:[[1.5,0]]:0.5"),
+                        "observable.rule"),
+    "flow-target": (FLOW_CONFIG.replace("0.31,0.77", "x"), "flow-analogue.target"),
+    "flow-target-axes": (FLOW_CONFIG.replace("0.31,0.77", "0.31"), "flow-analogue.target"),
+    "cap-0": (HITTING_CONFIG + "cap = 0\n", "hitting.cap"),
+    "window-0": (HITTING_CONFIG + "window = 0\n", "hitting.window"),
+    "image-point": (OBSERVED_CONFIG.replace("image_point = 0.5\n", ""),
+                    "observed.image_point"),
+    "image-point-axes": (OBSERVED_CONFIG.replace("image_point = 0.5", "image_point = 0.5,0.5"),
+                         "observed.image_point"),
+    "observed-ladder": (OBSERVED_CONFIG.split("[ladder]")[0], "ladder"),
+    "pairs": (INTERSECTION_CONFIG, "intersection-bound.pairs"),
+}
+
+
+@pytest.mark.parametrize("text,field", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
 def test_bad_field_exits_2_without_traceback(tmp_path, capsys, text, field):
     cfg_path = tmp_path / "bad.ini"
     cfg_path.write_text(text.format(out=tmp_path / "o.json"))

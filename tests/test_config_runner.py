@@ -5,6 +5,7 @@ import pytest
 from ergolab.config import parse_config_text
 from ergolab.errors import ConfigError, SchemaMismatchError
 from ergolab.runner import (
+    _atomic_write_text,
     catalog_listing,
     data_section_bytes,
     load_result,
@@ -95,8 +96,8 @@ class TestConfigParsing:
         cfg = parse_config_text(DIMENSION_CONFIG.format(out=out))
         assert cfg.kind == "dimension"
         assert cfg.seed == 77
-        assert len(cfg.ladder()) == 10
-        assert cfg.observable().target == (0.5,)
+        assert len(cfg.ladder) == 10
+        assert cfg.observable.target == (0.5,)
 
     def test_missing_seed(self, tmp_path):
         text = DIMENSION_CONFIG.format(out=tmp_path / "r.json").replace("seed = 77\n", "")
@@ -141,12 +142,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("radius", ["-0.1", "0"])
     def test_non_positive_return_radius_named(self, tmp_path, radius):
-        cfg = parse_config_text(RETURN_STATS_CONFIG.format(out=tmp_path / "r.json",
-                                                           radius=radius))
         with pytest.raises(ConfigError) as err:
-            run(cfg, workers=1)
+            parse_config_text(RETURN_STATS_CONFIG.format(out=tmp_path / "r.json",
+                                                         radius=radius))
         assert err.value.field == "return-stats.radius"
-        assert list(tmp_path.iterdir()) == []
 
     def test_borel_cantelli_fields_accepted(self, tmp_path):
         run(parse_config_text(bc_config_text(tmp_path / "r.json")), workers=1)
@@ -156,11 +155,9 @@ class TestConfigParsing:
         ("measures", "foo"), ("k_max", "0"), ("points", "0"), ("mc_samples", "0"),
     ])
     def test_bad_borel_cantelli_field_named(self, tmp_path, key, value):
-        cfg = parse_config_text(bc_config_text(tmp_path / "r.json", **{key: value}))
         with pytest.raises(ConfigError) as err:
-            run(cfg, workers=1)
+            parse_config_text(bc_config_text(tmp_path / "r.json", **{key: value}))
         assert err.value.field == f"borel-cantelli.{key}"
-        assert list(tmp_path.iterdir()) == []
 
     def test_overrides(self, tmp_path):
         cfg = parse_config_text(
@@ -209,16 +206,38 @@ class TestRunner:
     def test_no_partial_file_on_failure(self, tmp_path, monkeypatch):
         out = tmp_path / "fail.json"
         cfg = parse_config_text(HITTING_CONFIG.format(out=out))
-        import ergolab.runner as runner_module
+        import dataclasses
+
+        from ergolab.kinds import KINDS
 
         def boom(config, workers):
             raise RuntimeError("midway failure")
 
-        monkeypatch.setitem(runner_module._RUNNERS, "hitting", boom)
+        monkeypatch.setitem(KINDS, "hitting", dataclasses.replace(KINDS["hitting"], run=boom))
         with pytest.raises(RuntimeError):
             run(cfg, workers=1)
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_stale_temp_names_do_not_block_a_run(self, tmp_path):
+        # the fixed temp names of an older writer, left as directories
+        (tmp_path / ".dim.json.tmp").mkdir()
+        (tmp_path / ".dim.rungs.csv.tmp").mkdir()
+        run(parse_config_text(DIMENSION_CONFIG.format(out=tmp_path / "dim.json")), workers=1)
+        assert (tmp_path / "dim.json").exists()
+        assert (tmp_path / "dim.rungs.csv").exists()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write_text(tmp_path / "x.txt", "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_written_after_companions(self, tmp_path):
+        (tmp_path / "dim.rungs.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            run(parse_config_text(DIMENSION_CONFIG.format(out=tmp_path / "dim.json")),
+                workers=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dim.rungs.csv"]
 
     def test_return_stats_samples_and_scans_once(self, tmp_path, monkeypatch):
         # the curve, Kac and both indicators read one return sample

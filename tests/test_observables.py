@@ -24,7 +24,7 @@ from ergolab.observables import (
     sliding_slopes,
 )
 from ergolab.hitting import power_law_radii
-from ergolab.observed import CircleWave, Constant, CoordinateProjection
+from ergolab.observed import CircleWave, Constant, CoordinateProjection, LinearMap
 from ergolab.points import FloatPoint
 from ergolab.systems import Doubling, MannevillePomeau, ToralAutomorphism, CAT_MATRIX
 
@@ -348,6 +348,27 @@ class TestParsing:
     def test_pushdist(self):
         f = parse_observable("pushdist:proj1:0.5", 2)
         assert evaluate(f, fpt(0.5, 0.2)) == 0.0
+
+    @pytest.mark.parametrize("spec,expected", [
+        ("pushdist:proj1:0.5", PushforwardDist(CoordinateProjection((0,), 2), (0.5,))),
+        ("pushdist:identity:0.5,0.25",
+         PushforwardDist(CoordinateProjection((0, 1), 2), (0.5, 0.25))),
+        ("pushdist:wave:3:1,0", PushforwardDist(CircleWave(3), (1.0, 0.0))),
+        ("pushdist:wave:2:2:0,-1", PushforwardDist(CircleWave(2, 1), (0.0, -1.0))),
+        ("pushdist:const:0.4:0.5", PushforwardDist(Constant((0.4,)), (0.5,))),
+        ("pushdist:linear:[[1,0],[2,0]]:0.5,0.25",
+         PushforwardDist(LinearMap(((1, 0), (2, 0))), (0.5, 0.25))),
+    ])
+    def test_pushdist_map_specs(self, spec, expected):
+        assert parse_observable(spec, 2) == expected
+
+    @pytest.mark.parametrize("spec", [
+        "dist:nan,0.5", "dist:0.5,1.0", "dist:-0.25,0.5", "projdist:1:nan",
+        "projdist:2:1.5", "pushdist:proj12:nan,0.5", "pushdist:proj12:0.5",
+    ])
+    def test_rejects_bad_target(self, spec):
+        with pytest.raises(ValueError):
+            parse_observable(spec, 2)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
