@@ -50,8 +50,7 @@ class ApproachSeries:
             raise ValueError("approach exponent cannot be negative")
 
 
-def approach_series(system, projection, x, p, n_grid, tail_decades=DEFAULT_TAIL_DECADES,
-                    block=1 << 14):
+def approach_series(system, projection, x, p, n_grid, tail_decades=DEFAULT_TAIL_DECADES):
     """Minimal approach distances d_n at the grid points, with tail slopes.
 
     ``projection`` is a CoordinateProjection; ``p`` the projected target
@@ -68,7 +67,7 @@ def approach_series(system, projection, x, p, n_grid, tail_decades=DEFAULT_TAIL_
     d_at_grid = np.empty(n_grid.size)
     best = np.inf
     next_mark = 0
-    for n0, coords in system.orbit_blocks(x, 1, n_max + 1, block=block):
+    for n0, coords in system.orbit_blocks(x, 1, n_max + 1, block=1 << 14):
         deltas = wrap_deltas(coords[:, axes] - target)
         dist2 = (deltas * deltas).sum(axis=1)
         running = np.minimum.accumulate(dist2)

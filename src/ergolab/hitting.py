@@ -77,9 +77,9 @@ def ladder_hitting_times(system, x, f, ladder, cap, point_id=0, block=DEFAULT_SC
     ]
 
 
-def hitting_time(system, x, f, r, cap, point_id=0, block=DEFAULT_SCAN_BLOCK):
+def hitting_time(system, x, f, r, cap, point_id=0):
     """First n in [1, cap] with f(T^n x) <= r, else a censored record."""
-    return ladder_hitting_times(system, x, f, [float(r)], cap, point_id, block)[0]
+    return ladder_hitting_times(system, x, f, [float(r)], cap, point_id)[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def power_law_radii(beta, k_max):
 
 def bc_counter_series(
     system, x, f, beta, k_max, measures="exact", seed=0, n_samples=200_000,
-    d_upper=None, checkpoints=None, block=DEFAULT_SCAN_BLOCK,
+    d_upper=None, checkpoints=None,
 ):
     """Cumulative counter Z_k of orbit entries into the shrinking targets
     {f <= i^-beta} at time i, with E(Z_k) = sum of target measures.
@@ -195,7 +195,7 @@ def bc_counter_series(
     mu = _measures_for(system, f, radii, measures, seed, n_samples)
 
     hits = np.empty(k_max + 1, dtype=bool)
-    for n0, coords in system.orbit_blocks(x, 0, k_max + 1, block=block):
+    for n0, coords in system.orbit_blocks(x, 0, k_max + 1, block=DEFAULT_SCAN_BLOCK):
         vals = f.values(coords)
         hits[n0:n0 + len(vals)] = vals <= radii[n0:n0 + len(vals)]
     z = np.cumsum(hits)

@@ -60,6 +60,8 @@ from .returns import (
 EXPONENT_FLOOR_SLACK = 0.15
 # bounds what a typo in per_octave or the exponents makes loading allocate
 MAX_DYADIC_RUNGS = 10_000
+# bounds the lags x samples orbit-value matrix a correlation run builds
+MAX_LAG = 1000
 
 REQUIRED = object()
 
@@ -127,7 +129,7 @@ def choice(*options):
 
 
 def parse_lag_spec(spec):
-    """Lags "lo..hi" (inclusive) or "n1,n2,...": non-negative, increasing."""
+    """Lags "lo..hi" (inclusive) or "n1,n2,...": increasing, in 0..MAX_LAG."""
     if ".." in spec:
         lo, hi = (int(v) for v in spec.split(".."))
         lags = range(lo, hi + 1)
@@ -137,6 +139,8 @@ def parse_lag_spec(spec):
             raise ValueError(f"lags must be strictly increasing: {spec!r}")
     if not lags or lags[0] < 0:
         raise ValueError(f"lags must be a non-empty range of integers >= 0: {spec!r}")
+    if lags[-1] > MAX_LAG:
+        raise ValueError(f"lags must not exceed {MAX_LAG}: {spec!r}")
     return lags
 
 

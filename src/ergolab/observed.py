@@ -212,7 +212,7 @@ def parse_observation_map(spec, dim):
     raise ValueError(f"unknown observation map: {spec}")
 
 
-def observed_hitting_time(system, x, x0_image, image_map, r, cap, block=1 << 12):
+def observed_hitting_time(system, x, x0_image, image_map, r, cap):
     """First k in [1, cap] with dist(F(T^k x), y0) <= r.
 
     ``x0_image`` is the target's image y0 = F(x0).  Scans the orbit applying
@@ -223,7 +223,7 @@ def observed_hitting_time(system, x, x0_image, image_map, r, cap, block=1 << 12)
     if isinstance(image_map, Constant):
         return HittingRecord(point_id=0, radius=r, tau=1, cap=cap, steps_used=1)
     y0 = np.asarray(x0_image, dtype=float)
-    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=block):
+    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=1 << 12):
         dists = image_map.image_distances(coords, y0)
         hits = np.flatnonzero(dists <= r)
         if hits.size:

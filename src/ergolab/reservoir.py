@@ -14,6 +14,21 @@ from .rand import point_rng
 WINDOW_BITS = 64
 _CHUNK_BYTES = 1 << 12
 _INV64 = 2.0 ** -64
+_BELOW_ONE = 1.0 - 2.0 ** -53
+
+
+def _unit_floats(words):
+    """uint64 words w as floats w * 2^-64 in [0, 1).
+
+    Rounds to nearest, except the top 2^10 words, which would round to 1.0:
+    they read 1 - 2^-53, their truncation.
+    """
+    return np.minimum(words * _INV64, _BELOW_ONE)
+
+
+def _big_endian_words(rows):
+    """uint64 of each row of an (n, 8) uint8 array, its first byte most significant."""
+    return np.ascontiguousarray(rows).view(">u8")[:, 0].astype(np.uint64)
 
 
 class BitReservoir:
@@ -59,7 +74,7 @@ class BitReservoir:
 
     def window_float(self, offset):
         """The 64-bit window at ``offset`` as a float in [0, 1)."""
-        return self.window(offset) * _INV64
+        return float(_unit_floats(self.window(offset)))
 
     def window_floats(self, offset, count):
         """Vector of window_float at offsets offset..offset+count-1."""
@@ -73,26 +88,23 @@ class BitReservoir:
         shift = (offs & 7).astype(np.uint64)
         span_lo = int(byte_idx[0])
         span_hi = int(byte_idx[-1]) + 9
-        span = buf[span_lo:span_hi + 1].astype(np.uint64)
-        word = np.zeros(span.size - 8, dtype=np.uint64)
-        for i in range(8):
-            word |= span[i:i + word.size] << np.uint64(8 * (7 - i))
-        rel = (byte_idx - span_lo).astype(np.int64)
-        w = (word[rel] << shift) | (span[rel + 8] >> (np.uint64(8) - shift))
-        return w.astype(np.float64) * _INV64
+        span = buf[span_lo:span_hi + 1]
+        # row k is span[k:k + 8]: a strided view over the span, no copy
+        word = _big_endian_words(np.ndarray((span.size - 8, 8), np.uint8, span, strides=(1, 1)))
+        rel = byte_idx - span_lo
+        nxt = span[rel + 8].astype(np.uint64)
+        return _unit_floats((word[rel] << shift) | (nxt >> (np.uint64(8) - shift)))
 
 
 def bulk_window_floats(byte_rows, bit_offset):
     """Window floats at one bit offset across rows of a byte matrix.
 
-    ``byte_rows`` has shape (n, m) with 8*m >= bit_offset + 64; used by the
-    vectorized estimators that need many short independent bit streams.
+    ``byte_rows`` is a uint8 array of shape (n, m) with 8*m >= bit_offset + 64;
+    used by the vectorized estimators that need many short independent bit
+    streams.
     """
     b = bit_offset >> 3
     s = np.uint64(bit_offset & 7)
-    cols = byte_rows[:, b:b + 9].astype(np.uint64)
-    word = np.zeros(byte_rows.shape[0], dtype=np.uint64)
-    for i in range(8):
-        word |= cols[:, i] << np.uint64(8 * (7 - i))
-    w = (word << s) | (cols[:, 8] >> (np.uint64(8) - s))
-    return w.astype(np.float64) * _INV64
+    word = _big_endian_words(byte_rows[:, b:b + 8])
+    nxt = byte_rows[:, b + 8].astype(np.uint64)
+    return _unit_floats((word << s) | (nxt >> (np.uint64(8) - s)))

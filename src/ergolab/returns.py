@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RejectionStallError
-from .hitting import ladder_hitting_times
+from .hitting import DEFAULT_SCAN_BLOCK, ladder_hitting_times
 from .observables import DistToPoint, binomial_half_width, estimate_measure
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_rng, subseed
@@ -165,7 +165,7 @@ def _scan_block(mean_return):
     return int(min(max(64, 4 * mean_return), 1 << 14))
 
 
-def conditioned_return_times(system, f, r, seed, count, cap, block=None):
+def conditioned_return_times(system, f, r, seed, count, cap, block=DEFAULT_SCAN_BLOCK):
     """First-return times of conditioned starts; censored entries hold cap.
 
     Returns (taus, censored): int64 array and boolean mask, index-aligned
@@ -174,10 +174,9 @@ def conditioned_return_times(system, f, r, seed, count, cap, block=None):
     points = sample_conditioned(system, f, r, seed, count)
     taus = np.empty(count, dtype=np.int64)
     censored = np.zeros(count, dtype=bool)
-    scan_block = block or min(max(256, 4 * cap // 100), 1 << 14)
     for i, p in enumerate(points):
         rec = ladder_hitting_times(system, p, f, [float(r)], cap,
-                                   point_id=i, block=scan_block)[0]
+                                   point_id=i, block=block)[0]
         if rec.tau is None:
             taus[i] = cap
             censored[i] = True

@@ -19,8 +19,20 @@ from .observables import (
 from .hitting import hitting_time, power_law_radii
 from .observed import Constant, CoordinateProjection, LinearMap, jacobian_rank
 from .points import FloatPoint, FractionPoint, torus_distance
+from .reservoir import BitReservoir
 from .returns import ReturnCurve, exp_law_distance
 from .systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
+
+
+def _cat_blocks_are_truncated(cat):
+    """Blocks of 4 over steps 0..9 against the exact orbit's top 53 bits."""
+    bits = cat.precision_bits
+    p = cat.sample_invariant(0, 1)[0]
+    got = [row for _, blk in cat.orbit_blocks(p, 0, 10, block=4) for row in blk.tolist()]
+    return got == [
+        [(int(c * (1 << bits)) >> (bits - 53)) * 2.0 ** -53 for c in cat.orbit_window(p, n).coords]
+        for n in range(10)
+    ]
 
 
 def _checks():
@@ -38,6 +50,12 @@ def _checks():
     )
     yield "rotation step 7/8 + 1/4 -> 1/8", lambda: (
         quarter.step(FractionPoint(("7/8",))).coords[0] == Fraction(1, 8)
+    )
+    yield "cat blocks at B = 512 are the exact orbit truncated to 53 bits", lambda: (
+        _cat_blocks_are_truncated(cat)
+    )
+    yield "all-ones reservoir window reads below 1", lambda: (
+        max(BitReservoir(0, 0, prefix=b"\xff" * 9).window_floats(0, 9)) < 1.0
     )
     yield "quotient metric dist(0.9, 0) = 0.1", lambda: (
         abs(torus_distance([0.9], [0.0]) - 0.1) < 1e-12

@@ -7,7 +7,7 @@ Engines
   position n is an O(1) window read and orbits are unbounded.  The exact
   fraction engine iterates rationals instead; dyadic points lose one
   fractional bit per step and hit the representation floor after B steps,
-  which is policed by the orbit budget.
+  and requests past it raise ``BudgetExhaustedError``.
 * Hyperbolic (or any unimodular) toral automorphisms: integer matrix action
   on B-bit dyadic fractions, exact and invertible.
 * Circle rotations by a B-bit fixed-point angle, exact and invertible.
@@ -17,8 +17,9 @@ Engines
 
 Bulk orbit evaluation (`orbit_blocks`) yields float coordinate arrays for
 the estimators; the underlying state stays exact for the exact engines.
-Floats carry the usual 2^-53 conversion error, negligible against every
-radius used by the estimators.
+Floats carry at most a 2^-53 conversion error, negligible against every
+radius used by the estimators: 2-d automorphisms on a dyadic lattice of at
+least 53 bits truncate to 53 bits, other exact coordinates round to nearest.
 """
 
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ def _dyadic_bits_left(frac):
 
 
 class _SystemBase:
-    """Shared helpers; concrete systems define the dynamics."""
+    """Shared orbit access; concrete systems define the dynamics."""
 
     exact = True
     caveats = ()
@@ -66,13 +67,22 @@ class _SystemBase:
         """One application of the map, exactly for the exact engines."""
         return self._advance(p, 1)
 
+    # Every engine re-binds orbit_blocks and defines sample_invariant in its
+    # own class body: perfbench/tracing.py wraps vars(cls)[name] per engine,
+    # and without them the per-engine layer metrics are lost.
     def orbit_blocks(self, p, start, stop, block=DEFAULT_BLOCK):
         """Yield (n0, coords) with coords[i] = float coords of T^(n0+i)(p).
 
         Covers n = start..stop-1 in blocks; used by every scanning
-        estimator.  Exact engines advance exact state between blocks.
+        estimator.  The one block loop: an engine supplies its state at
+        ``start`` (``_block_start``) and a step ``_block_step(state, size)``
+        giving the next ``size`` coordinates as a (size, d) array and the
+        state after them.  No work happens before the first block is drawn.
         """
-        raise NotImplementedError
+        state = self._block_start(p, start, stop)
+        for n in range(start, stop, block):
+            coords, state = self._block_step(state, min(block, stop - n))
+            yield n, coords
 
     def orbit_values(self, p, start, stop):
         """Float coordinates of T^n(p) for n in [start, stop) as one array."""
@@ -114,27 +124,25 @@ class Doubling(_SystemBase):
         num = (x.numerator * pow(2, n, x.denominator)) % x.denominator
         return FractionPoint((Fraction(num, x.denominator),))
 
-    def orbit_blocks(self, p, start, stop, block=DEFAULT_BLOCK):
+    orbit_blocks = _SystemBase.orbit_blocks
+
+    def _block_start(self, p, start, stop):
         if isinstance(p, ReservoirPoint):
-            n = start
-            while n < stop:
-                size = min(block, stop - n)
-                vals = p.bits.window_floats(p.offset + n, size)
-                yield n, vals.reshape(-1, 1)
-                n += size
-            return
+            return self.orbit_window(p, start)
         self._check_budget(p, max(stop - 1, 0))
         x = self.orbit_window(p, start).coords[0]
-        num, den = x.numerator, x.denominator
-        n = start
-        while n < stop:
-            size = min(block, stop - n)
-            out = np.empty((size, 1))
-            for i in range(size):
-                out[i, 0] = num / den
-                num = (num * 2) % den
-            yield n, out
-            n += size
+        return x.numerator, x.denominator
+
+    def _block_step(self, state, size):
+        if isinstance(state, ReservoirPoint):
+            vals = state.bits.window_floats(state.offset, size)
+            return vals.reshape(-1, 1), self._advance(state, size)
+        num, den = state
+        vals = []
+        for _ in range(size):
+            vals.append(num / den)
+            num = num * 2 % den
+        return np.array(vals).reshape(-1, 1), (num, den)
 
     def sample_invariant(self, seed, count):
         """Reservoir points (or B-bit dyadics) distributed per Lebesgue."""
@@ -233,42 +241,33 @@ class ToralAutomorphism(_SystemBase):
         ]
         return FractionPoint(tuple(Fraction(v, modulus) for v in out))
 
-    def orbit_blocks(self, p, start, stop, block=DEFAULT_BLOCK):
-        state, modulus = self._state(self.orbit_window(p, start) if start else p)
-        mat = self.matrix
-        d = self.dim
-        n = start
-        dyadic_shift = modulus.bit_length() - 1 - 53
-        fast = modulus & (modulus - 1) == 0 and dyadic_shift >= 0
-        if fast and d == 2 and mat == ((2, 1), (1, 1)):
+    orbit_blocks = _SystemBase.orbit_blocks
+
+    def _block_start(self, p, start, stop):
+        return self._state(self.orbit_window(p, start))
+
+    def _block_step(self, state, size):
+        nums, modulus = state
+        shift = modulus.bit_length() - 54
+        if self.dim == 2 and shift >= 0 and modulus & (modulus - 1) == 0:
+            # dyadic lattice of >= 53 bits: each coordinate's top 53 bits
+            (p, q), (r, s) = self.matrix
             mask = modulus - 1
-            inv = 2.0 ** -53
-            a, b = state
-            while n < stop:
-                size = min(block, stop - n)
-                out = np.empty((size, 2))
-                for i in range(size):
-                    out[i, 0] = (a >> dyadic_shift) * inv
-                    out[i, 1] = (b >> dyadic_shift) * inv
-                    s = a + b
-                    a = (a + s) & mask
-                    b = s & mask
-                yield n, out
-                n += size
-            return
-        state = list(state)
-        while n < stop:
-            size = min(block, stop - n)
-            out = np.empty((size, d))
-            for i in range(size):
-                for j in range(d):
-                    out[i, j] = state[j] / modulus
-                state = [
-                    sum(mat[r][c] * state[c] for c in range(d)) % modulus
-                    for r in range(d)
-                ]
-            yield n, out
-            n += size
+            a, b = nums
+            xs, ys = [], []
+            for _ in range(size):
+                xs.append(a >> shift)
+                ys.append(b >> shift)
+                a, b = (p * a + q * b) & mask, (r * a + s * b) & mask
+            out = np.empty((size, 2))
+            out[:, 0] = xs
+            out[:, 1] = ys
+            return out * 2.0 ** -53, ((a, b), modulus)
+        rows = []
+        for _ in range(size):
+            rows.append([v / modulus for v in nums])
+            nums = [sum(m * v for m, v in zip(row, nums)) % modulus for row in self.matrix]
+        return np.array(rows), (nums, modulus)
 
     def sample_invariant(self, seed, count):
         if count < 1:
@@ -350,20 +349,20 @@ class CircleRotation(_SystemBase):
     def step_back(self, p):
         return FractionPoint(((p.coords[0] - self.alpha) % 1,))
 
-    def orbit_blocks(self, p, start, stop, block=DEFAULT_BLOCK):
+    orbit_blocks = _SystemBase.orbit_blocks
+
+    def _block_start(self, p, start, stop):
+        # x = num / den and alpha = step / den over one common denominator
+        x = self.orbit_window(p, start).coords[0]
+        bits = self.precision_bits
+        return x.numerator << bits, self.alpha_numerator * x.denominator, x.denominator << bits
+
+    def _block_step(self, state, size):
         # Per block: exact rational anchor, then float offsets j * alpha.
         # Within-block error <= block * 2^-53 ~ 7e-12, far below any radius.
-        alpha = self.alpha
-        alpha_f = float(alpha)
-        state = (p.coords[0] + start * alpha) % 1
-        n = start
-        while n < stop:
-            size = min(block, stop - n)
-            anchor = state.numerator / state.denominator
-            vals = (anchor + np.arange(size) * alpha_f) % 1.0
-            yield n, vals.reshape(-1, 1)
-            state = (state + size * alpha) % 1
-            n += size
+        num, step, den = state
+        vals = (num / den + np.arange(size) * (step / den)) % 1.0
+        return vals.reshape(-1, 1), ((num + size * step) % den, step, den)
 
     def sample_invariant(self, seed, count):
         if count < 1:
@@ -401,20 +400,18 @@ class MannevillePomeau(_SystemBase):
             x = self._map(x)
         return FloatPoint((x,))
 
-    def orbit_blocks(self, p, start, stop, block=DEFAULT_BLOCK):
-        x = p.coords[0]
-        for _ in range(start):
-            x = self._map(x)
+    orbit_blocks = _SystemBase.orbit_blocks
+
+    def _block_start(self, p, start, stop):
+        return float(self.orbit_window(p, start).coords[0])
+
+    def _block_step(self, x, size):
         step = self._map
-        n = start
-        while n < stop:
-            size = min(block, stop - n)
-            out = np.empty((size, 1))
-            for i in range(size):
-                out[i, 0] = x
-                x = step(x)
-            yield n, out
-            n += size
+        vals = []
+        for _ in range(size):
+            vals.append(x)
+            x = step(x)
+        return np.array(vals).reshape(-1, 1), x
 
     def sample_invariant(self, seed, count):
         """Points off one long orbit, after burn-in, spaced by the stride."""

@@ -90,6 +90,42 @@ def bc_config_text(out, **changes):
     return BC_CONFIG.format(out=out, fields="\n".join(f"{k} = {v}" for k, v in fields.items()))
 
 
+# the two lag fields, by name, in configs that load with any lags up to MAX_LAG
+LAG_CONFIGS = {
+    "correlation.lags": """
+[experiment]
+kind = correlation
+system = doubling
+seed = 5
+output = {out}
+
+[correlation]
+phi = cos:1
+lags = {lags}
+samples = 1000
+""",
+    "intersection-bound.decay_lags": """
+[experiment]
+kind = intersection-bound
+system = doubling
+seed = 5
+output = {out}
+
+[observable]
+rule = dist:0.375
+
+[ladder]
+kind = dyadic
+start_exp = 1
+stop_exp = 8
+
+[intersection-bound]
+pairs = 7:2
+decay_lags = {lags}
+""",
+}
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "res.json"
@@ -158,6 +194,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(bc_config_text(tmp_path / "r.json", **{key: value}))
         assert err.value.field == f"borel-cantelli.{key}"
+
+    @pytest.mark.parametrize("field", sorted(LAG_CONFIGS))
+    @pytest.mark.parametrize("lags", ["1..99999999999", "0..1001", "5,1001"])
+    def test_lags_bounded_above(self, tmp_path, field, lags):
+        text = LAG_CONFIGS[field].format(out=tmp_path / "r.json", lags=lags)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field", sorted(LAG_CONFIGS))
+    def test_lags_up_to_the_bound_load(self, tmp_path, field):
+        text = LAG_CONFIGS[field].format(out=tmp_path / "r.json", lags="998,1000")
+        params = parse_config_text(text).params
+        assert list(params.lags if field == "correlation.lags" else params.decay_lags) \
+            == [998, 1000]
 
     def test_overrides(self, tmp_path):
         cfg = parse_config_text(

@@ -106,3 +106,22 @@ class TestReservoir:
             got = bulk_window_floats(rows, off)
             want = res.window_float(off)
             assert np.allclose(got, want)
+
+    def test_all_ones_window_reads_below_one(self):
+        # 2^64 - 1 rounds to 2^64 in float64; it reads 1 - 2^-53, its truncation
+        res = BitReservoir(seed=0, index=0, prefix=b"\xff" * 9)
+        below_one = 1.0 - 2.0 ** -53
+        rows = np.frombuffer(b"\xff" * 9, dtype=np.uint8).reshape(1, 9)
+        assert res.window_float(0) == below_one
+        assert res.window_floats(0, 1).tolist() == [below_one]
+        assert bulk_window_floats(rows, 0).tolist() == [below_one]
+
+    def test_other_windows_round_to_nearest(self):
+        # 2^63 + 2^10 + 1 rounds up to 2^63 + 2^11; truncation would give 1/2
+        word = (1 << 63) + (1 << 10) + 1
+        res = BitReservoir(seed=0, index=0, prefix=word.to_bytes(8, "big") + b"\0")
+        rows = np.frombuffer(word.to_bytes(8, "big") + b"\0", dtype=np.uint8).reshape(1, 9)
+        nearest = 0.5 + 2.0 ** -53
+        assert res.window_float(0) == nearest
+        assert res.window_floats(0, 1).tolist() == [nearest]
+        assert bulk_window_floats(rows, 0).tolist() == [nearest]

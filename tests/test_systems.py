@@ -119,6 +119,12 @@ class TestBudget:
         # period-4 orbit: 1/5 -> 2/5 -> 4/5 -> 3/5 -> 1/5
         assert q.coords[0] == Fraction(2, 5)
 
+    def test_blocks_check_the_whole_request_at_the_first_block(self):
+        sys = Doubling(engine="fraction")
+        blocks = sys.orbit_blocks(frac_point("3/8"), 0, 10, block=2)  # no work yet
+        with pytest.raises(BudgetExhaustedError):
+            next(blocks)
+
     def test_guard_bits_shrink_budget(self):
         sys = Doubling(engine="fraction", guard_bits=2)
         with pytest.raises(BudgetExhaustedError):
@@ -150,6 +156,48 @@ class TestOrbitBlocks:
         vals = sys.orbit_values(p, 0, 3000)
         exact = sys.orbit_window(p, 2999).float_coords()
         assert abs(vals[2999, 0] - exact[0]) < 1e-10
+
+
+def _rounded(q):
+    return [float(c) for c in q.coords]
+
+
+def _truncated(bits):
+    # the top 53 of the coordinate's B lattice bits
+    return lambda q: [(int(c * (1 << bits)) >> (bits - 53)) * 2.0 ** -53 for c in q.coords]
+
+
+# engine, start point (None: sample_invariant), float rule on the exact point T^n p
+BIT_FOR_BIT = {
+    "cat-512": (ToralAutomorphism(CAT_MATRIX), None, _truncated(512)),
+    "cat-inverse-512": (ToralAutomorphism(CAT_MATRIX).inverse(), None, _truncated(512)),
+    "cat-32": (ToralAutomorphism(CAT_MATRIX, precision_bits=32), None, _rounded),
+    "torus-3d": (ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1))), None, _rounded),
+    "doubling-fraction": (Doubling(engine="fraction"),
+                          frac_point(Fraction(123456789, 1000000007)), _rounded),
+    "doubling-reservoir": (Doubling(), None, lambda q: [q.bits.window_float(q.offset)]),
+    "mp": (MannevillePomeau(0.5), None, lambda q: list(q.coords)),
+}
+
+
+class TestBitForBit:
+    """orbit_values against each engine's float rule on the exact orbit_window."""
+
+    @pytest.mark.parametrize("case", sorted(BIT_FOR_BIT))
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("start", [0, 17])
+    def test_blocks_equal_the_float_rule(self, case, block, start):
+        sys, p, rule = BIT_FOR_BIT[case]
+        p = p or sys.sample_invariant(seed=13, count=1)[0]
+        stop = start + 40
+        if block is None:
+            vals = sys.orbit_values(p, start, stop)
+        else:
+            blocks = list(sys.orbit_blocks(p, start, stop, block=block))
+            assert [n0 for n0, _ in blocks] == list(range(start, stop, block))
+            vals = np.concatenate([blk for _, blk in blocks])
+        expected = [rule(sys.orbit_window(p, n)) for n in range(start, stop)]
+        assert vals.tolist() == expected
 
 
 class TestSampling:
