@@ -120,7 +120,7 @@ def parse_config_text(text, overrides=None):
 
     try:
         system = system_from_id(exp.system, exp.precision_bits)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("experiment.system", str(exc)) from None
 
     shared = {}

@@ -10,6 +10,7 @@ typed values from ``config.params``, ``config.observable`` and
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 from typing import Callable
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeriesError
 from .flow import approach_series, log_grid
+from .grammar import Rule, parse_numbers, parse_spec
 from .hitting import bc_counter_series, estimate_R, hitting_time, ladder_hitting_times
 from .mixing import (
     cosine_wave,
@@ -33,12 +35,10 @@ from .observables import (
     estimate_dimension,
     estimate_measure,
     exact_dimension,
-    measure_profile,
-    parse_numbers,
     parse_observable,
 )
 from .observed import (
-    CoordinateProjection,
+    OBSERVATION_MAPS,
     jacobian_rank,
     observed_hitting_time,
     parse_observation_map,
@@ -144,21 +144,24 @@ def parse_lag_spec(spec):
     return lags
 
 
+# correlation test functions, all of the first coordinate but obs:
+FUNCTION_SPECS = {
+    "cos:": Rule(lambda text, dim: cosine_wave(int(text)), "<k>", "cos(2 pi k x)"),
+    "dyadicmix:": Rule(lambda text, dim: dyadic_harmonic_mix(int(text)), "<depth>",
+                       "sum of 2^-j cos(2 pi 2^j x) over j = 0..depth (depth <= 52)"),
+    "const:": Rule(lambda text, dim: constant_function(finite(text)), "<c>", "the constant c"),
+    "obs:": Rule(lambda text, dim: from_observable(parse_observable(text, dim), text),
+                 "<rule>", "an observable rule"),
+}
+
+
 def parse_function_spec(spec, dim):
-    kind, _, rest = spec.partition(":")
-    if kind == "cos":
-        return cosine_wave(int(rest))
-    if kind == "dyadicmix":
-        depth = int(rest)
-        # float64 coordinates carry 53 bits; higher octaves are constant
-        if not 0 <= depth <= 52:
-            raise ValueError(f"dyadicmix depth must lie in 0..52, got {depth}")
-        return dyadic_harmonic_mix(depth)
-    if kind == "const":
-        return constant_function(finite(rest))
-    if kind == "obs":
-        return from_observable(parse_observable(rest, dim), rest)
-    raise ValueError(f"unknown function spec {spec!r}")
+    """The correlation function a config spec names (see ``FUNCTION_SPECS``)."""
+    return parse_spec(FUNCTION_SPECS, "function spec", spec, dim)
+
+
+# flow-analogue projections: the coordinate projections among the observation maps
+PROJECTIONS = {prefix: OBSERVATION_MAPS[prefix] for prefix in ("identity", "proj:", "proj")}
 
 
 def _pairs(value):
@@ -166,13 +169,6 @@ def _pairs(value):
     if not all(len(pair) == 2 and pair[0] > pair[1] >= 1 for pair in pairs):
         raise ValueError(f"need k:j pairs with k > j >= 1, got {value!r}")
     return pairs
-
-
-def _projection(value, dim):
-    projection = parse_observation_map(value, dim)
-    if not isinstance(projection, CoordinateProjection):
-        raise ValueError(f"must be identity or proj:<axes>, got {value!r}")
-    return projection
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +339,9 @@ def _run_dimension(config, workers):
     n_per_rung = config.params.samples_per_rung
     est = estimate_dimension(f, ladder, system, config.seed, n_per_rung,
                              window=config.params.window)
-    profile = measure_profile(f, ladder, system, config.seed, n_per_rung)
     rows = [
         [k, r, m.estimate, m.half_width, int(m.exact)]
-        for k, (r, m) in enumerate(zip(ladder, profile))
+        for k, (r, m) in enumerate(zip(ladder, est.profile))
     ]
     data = {"rungs": rows}
     summary = {
@@ -728,7 +723,7 @@ KINDS = {
     ),
     "flow-analogue": Kind(
         {
-            "projection": Field(_projection, "identity", dim=True),
+            "projection": Field(partial(parse_spec, PROJECTIONS, "projection"), "identity", True),
             "points": Field(count),
             "n_max": Field(count),
             "target": Field(parse_numbers),

@@ -77,6 +77,9 @@ def dyadic_harmonic_mix(depth=10, axis=0):
     (2/3) 2^-n (1 - 4^(n-depth-1)) for n <= depth, a clean exponential with
     a closed form to test against.
     """
+    # float64 coordinates carry 53 bits; higher octaves are constant
+    if not 0 <= depth <= 52:
+        raise ValueError(f"dyadicmix depth must lie in 0..52, got {depth}")
     freqs = 2 ** np.arange(depth + 1)
     weights = 2.0 ** -np.arange(depth + 1)
 
@@ -86,13 +89,6 @@ def dyadic_harmonic_mix(depth=10, axis=0):
 
     lip = float(2.0 * math.pi * (depth + 1))
     return LipschitzFunction(fn, float(weights.sum()), lip, f"dyadicmix:{depth}")
-
-
-def doubling_autocovariance_mix(depth, n):
-    """Exact autocovariance of dyadic_harmonic_mix under the doubling map."""
-    if n > depth:
-        return 0.0
-    return (2.0 / 3.0) * 2.0 ** -n * (1.0 - 4.0 ** (n - depth - 1))
 
 
 @dataclass(frozen=True)

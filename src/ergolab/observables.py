@@ -15,6 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateLadderError
+from .grammar import Rule, parse_axes, parse_numbers, parse_spec
 from .points import torus_distances
 from .systems import invariant_sample_floats, is_lebesgue
 
@@ -66,8 +67,8 @@ class DistToProjectedPoint:
     def __post_init__(self):
         axes = tuple(int(a) for a in self.axes)
         target = tuple(float(t) for t in self.target)
-        if len(axes) != len(target):
-            raise ValueError("one target value per projected coordinate")
+        if len(axes) != len(target) or len(set(axes)) != len(axes):
+            raise ValueError("one target value per projected coordinate, each distinct")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "target", target)
 
@@ -163,56 +164,50 @@ def evaluate(f, point):
     return float(f.values(point.float_coords().reshape(1, -1))[0])
 
 
-def parse_numbers(text):
-    """Comma-separated finite floats."""
-    numbers = tuple(float(v) for v in text.split(","))
-    if not all(math.isfinite(v) for v in numbers):
-        raise ValueError(f"must be finite: {text!r}")
-    return numbers
-
-
-def _torus_target(text):
+def _torus_target(text, dim):
     target = parse_numbers(text)
-    if not all(0.0 <= t < 1.0 for t in target):
-        raise ValueError(f"target coordinates must lie in [0, 1): {text!r}")
+    if len(target) != dim or not all(0.0 <= t < 1.0 for t in target):
+        raise ValueError(f"target needs {dim} coordinates in [0, 1): {text!r}")
     return target
 
 
+def _projdist(text, dim):
+    axes, _, target = text.partition(":")
+    axes = parse_axes(axes, dim)
+    return DistToProjectedPoint(axes, _torus_target(target, len(axes)))
+
+
+def _slack(text, dim):
+    margin, _, inner = text.partition(":")
+    (margin,) = parse_numbers(margin)
+    return Slack(parse_observable(inner, dim), margin)
+
+
+def _pushdist(text, dim):
+    from .observed import parse_observation_map
+
+    map_spec, _, image = text.rpartition(":")
+    image_map = parse_observation_map(map_spec, dim)
+    image = parse_numbers(image)
+    if len(image) != image_map.codomain_dim:
+        raise ValueError(f"pushdist image point needs {image_map.codomain_dim} coordinates")
+    return PushforwardDist(image_map, image)
+
+
+OBSERVABLE_RULES = {
+    "dist:": Rule(lambda text, dim: DistToPoint(_torus_target(text, dim)), "<c1,..,cd>",
+                  "distance to a point of [0, 1)^d"),
+    "projdist:": Rule(_projdist, "<axes>:<coords>",
+                      "distance in the listed coordinates (1-based, distinct)"),
+    "slack:": Rule(_slack, "<m>:<rule>", "max(0, f - m) for the inner rule f"),
+    "pushdist:": Rule(_pushdist, "<map>:<image>",
+                      "distance of F(x) to a finite image point, F an observation map"),
+}
+
+
 def parse_observable(spec, dim):
-    """Observable from a config string: dist:…, projdist:…, slack:…, pushdist:…
-
-    Projected coordinates are 1-based in config strings.  Targets on the
-    torus must lie in [0, 1); a pushdist image point (after the last ':')
-    only needs finite coordinates, one per image axis.
-    """
-    kind, _, rest = spec.partition(":")
-    if kind == "dist":
-        target = _torus_target(rest)
-        if len(target) != dim:
-            raise ValueError(f"dist target needs {dim} coordinates")
-        return DistToPoint(target)
-    if kind == "projdist":
-        axes_part, _, target_part = rest.partition(":")
-        axes = tuple(int(a) - 1 for a in axes_part.split(","))
-        target = _torus_target(target_part)
-        if any(not 0 <= a < dim for a in axes):
-            raise ValueError("projected coordinate out of range")
-        return DistToProjectedPoint(axes, target)
-    if kind == "slack":
-        margin_part, _, inner_part = rest.partition(":")
-        (margin,) = parse_numbers(margin_part)
-        return Slack(parse_observable(inner_part, dim), margin)
-    if kind == "pushdist":
-        from .observed import parse_observation_map
-
-        map_part, _, image_part = rest.rpartition(":")
-        image_map = parse_observation_map(map_part, dim)
-        image = parse_numbers(image_part)
-        if len(image) != image_map.codomain_dim:
-            raise ValueError(f"pushdist image point needs {image_map.codomain_dim} "
-                             f"coordinates")
-        return PushforwardDist(image_map, image)
-    raise ValueError(f"unknown observable rule: {spec}")
+    """The observable a config rule names on T^dim (see ``OBSERVABLE_RULES``)."""
+    return parse_spec(OBSERVABLE_RULES, "observable rule", spec, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +471,7 @@ class DimensionEstimate:
     slope: float
     slope_stderr: float
     window: tuple  # (first rung index used, last rung index used)
+    profile: tuple = ()  # the measure estimate of every rung
     agreement_tolerance: float = 0.1
 
     @property
@@ -514,4 +510,5 @@ def estimate_dimension(f, ladder, system, seed, n_per_rung, window=4, level=0.95
         slope=slope,
         slope_stderr=stderr,
         window=(usable[0], usable[-1]),
+        profile=tuple(estimates),
     )

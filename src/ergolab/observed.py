@@ -14,18 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grammar import Rule, parse_axes, parse_numbers, parse_spec
 from .hitting import HittingRecord
-from .observables import PushforwardDist, estimate_dimension
+from .observables import PushforwardDist, _ball_measure, estimate_dimension
 from .points import wrap_deltas
 
 
-def _flat_or_wrapped_distances(deltas, periodic):
-    d = wrap_deltas(deltas) if periodic else np.abs(deltas)
-    return np.sqrt((d * d).sum(axis=1))
+class _ObservationMap:
+    """Each map supplies apply() and whether its codomain is periodic."""
+
+    def image_distances(self, coords, image_point):
+        """Distances from F(coords) to image_point in the codomain's metric."""
+        deltas = self.apply(coords) - np.asarray(image_point)
+        d = wrap_deltas(deltas) if self.periodic_codomain else np.abs(deltas)
+        return np.sqrt((d * d).sum(axis=1))
 
 
 @dataclass(frozen=True)
-class CoordinateProjection:
+class CoordinateProjection(_ObservationMap):
     """Projection of T^d onto a subset of coordinates (periodic codomain)."""
 
     axes: tuple
@@ -52,21 +58,15 @@ class CoordinateProjection:
     def apply(self, coords):
         return np.asarray(coords, dtype=float)[:, list(self.axes)]
 
-    def image_distances(self, coords, image_point):
-        return _flat_or_wrapped_distances(self.apply(coords) - np.asarray(image_point), True)
-
     def sublevel_measure(self, r):
-        k = len(self.axes)
-        from .observables import _ball_measure
-
-        return _ball_measure(k, r)
+        return _ball_measure(len(self.axes), r)
 
     def sublevel_dimension(self):
         return float(len(self.axes))
 
 
 @dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_ObservationMap):
     """Integer-matrix map of the torus, y = M x mod 1 (periodic codomain).
 
     Integral entries keep the map continuous on the torus; the matrix need
@@ -104,12 +104,9 @@ class LinearMap:
     def apply(self, coords):
         return (np.asarray(coords, dtype=float) @ np.array(self.matrix, dtype=float).T) % 1.0
 
-    def image_distances(self, coords, image_point):
-        return _flat_or_wrapped_distances(self.apply(coords) - np.asarray(image_point), True)
-
 
 @dataclass(frozen=True)
-class CircleWave:
+class CircleWave(_ObservationMap):
     """Smooth embedding x -> (cos 2 pi k x_a, sin 2 pi k x_a) into flat R^2."""
 
     frequency: int
@@ -132,9 +129,6 @@ class CircleWave:
         angles = 2.0 * math.pi * self.frequency * np.asarray(coords, dtype=float)[:, self.axis]
         return np.column_stack([np.cos(angles), np.sin(angles)])
 
-    def image_distances(self, coords, image_point):
-        return _flat_or_wrapped_distances(self.apply(coords) - np.asarray(image_point), False)
-
     def sublevel_measure(self, r):
         # chord distance 2|sin(pi k u)| <= r has measure (2/pi) asin(r/2)
         if r >= 2.0:
@@ -146,7 +140,7 @@ class CircleWave:
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_ObservationMap):
     """Constant observation map; the degenerate rank-0 case."""
 
     value: tuple
@@ -166,9 +160,6 @@ class Constant:
         n = np.asarray(coords).shape[0]
         return np.tile(np.array(self.value), (n, 1))
 
-    def image_distances(self, coords, image_point):
-        return _flat_or_wrapped_distances(self.apply(coords) - np.asarray(image_point), False)
-
     def sublevel_measure(self, r):
         return 1.0 if r >= 0.0 else 0.0
 
@@ -176,40 +167,40 @@ class Constant:
         return 0.0
 
 
-def parse_observation_map(spec, dim):
-    """Observation map from a config string.
+def _linear(text, dim):
+    try:
+        lin = LinearMap(tuple(tuple(row) for row in ast.literal_eval(text)))
+    except (SyntaxError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"linear map needs an integer matrix [[..], ..]: {exc}") from None
+    if lin.dim != dim:
+        raise ValueError(f"linear map expects domain dimension {lin.dim}")
+    return lin
 
-    Grammar (coordinates 1-based): "proj:1,2" or compact "proj12",
-    "identity", "linear:[[1,0],[2,0]]", "wave:3" (optional ":axis"),
-    "const:0.5,0.5".
-    """
-    if spec == "identity":
-        return CoordinateProjection(tuple(range(dim)), dim)
-    kind, _, rest = spec.partition(":")
-    if kind == "proj":
-        axes = tuple(int(a) - 1 for a in rest.split(","))
-        return CoordinateProjection(axes, dim)
-    if kind.startswith("proj") and kind[4:].isdigit():
-        axes = tuple(int(ch) - 1 for ch in kind[4:])
-        return CoordinateProjection(axes, dim)
-    if kind == "linear":
-        try:
-            lin = LinearMap(tuple(tuple(row) for row in ast.literal_eval(rest)))
-        except (SyntaxError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"linear map needs an integer matrix [[..], ..]: {exc}") from None
-        if lin.dim != dim:
-            raise ValueError(f"linear map expects domain dimension {lin.dim}")
-        return lin
-    if kind == "wave":
-        parts = rest.split(":")
-        freq = int(parts[0])
-        axis = int(parts[1]) - 1 if len(parts) > 1 else 0
-        if not 0 <= axis < dim:
-            raise ValueError("wave axis out of range")
-        return CircleWave(freq, axis)
-    if kind == "const":
-        return Constant(tuple(float(v) for v in rest.split(",")))
-    raise ValueError(f"unknown observation map: {spec}")
+
+def _wave(text, dim):
+    freq, colon, axis = text.partition(":")
+    (axis,) = parse_axes(axis, dim) if colon else (0,)
+    return CircleWave(int(freq), axis)
+
+
+OBSERVATION_MAPS = {
+    "identity": Rule(lambda text, dim: CoordinateProjection(tuple(range(dim)), dim), "",
+                     "every coordinate"),
+    "proj:": Rule(lambda text, dim: CoordinateProjection(parse_axes(text, dim), dim),
+                  "<axes>", "the listed coordinates (1-based, distinct)"),
+    "proj": Rule(lambda text, dim: CoordinateProjection(parse_axes(",".join(text), dim), dim),
+                 "<digits>", "the same, one digit per coordinate: proj12"),
+    "linear:": Rule(_linear, "[[..],..]", "integer matrix acting mod 1"),
+    "wave:": Rule(_wave, "<k>[:<axis>]",
+                  "(cos, sin)(2 pi k x_axis) into flat R^2, axis 1 by default"),
+    "const:": Rule(lambda text, dim: Constant(parse_numbers(text)), "<values>",
+                   "constant map, rank 0"),
+}
+
+
+def parse_observation_map(spec, dim):
+    """The observation map a config spec names on T^dim (see ``OBSERVATION_MAPS``)."""
+    return parse_spec(OBSERVATION_MAPS, "observation map", spec, dim)
 
 
 def observed_hitting_time(system, x, x0_image, image_map, r, cap):

@@ -17,9 +17,11 @@ import time
 import numpy as np
 
 from .errors import SchemaMismatchError
-from .kinds import KINDS
+from .kinds import FUNCTION_SPECS, KINDS
+from .observables import OBSERVABLE_RULES
+from .observed import OBSERVATION_MAPS
 from .parallel import resolve_workers
-from .systems import catalog_entries
+from .systems import SYSTEMS, system_from_id
 
 SCHEMA_VERSION = "1"
 
@@ -174,22 +176,16 @@ def report(results, out_path=None):
 
 
 def catalog_listing():
-    """Text listing of systems, observable rules and observation maps."""
+    """Text listing of the config grammars, rendered from their rule tables."""
+    line = "  {:<34} {}".format
     lines = ["systems:"]
-    for entry in catalog_entries():
-        lines.append(
-            f"  {entry['id']:<36} dim={entry['dimension']} "
-            f"mixing={entry['mixing']}"
-        )
-        lines.append(f"      {entry['description']}")
-        lines.append(f"      notes: {entry['notes']}")
-    lines.append("")
-    lines.append("observable rules:")
-    lines.append("  dist:<c1,..,cd>            distance to a point")
-    lines.append("  projdist:<axes>:<coords>   distance in projected coordinates (1-based)")
-    lines.append("  slack:<m>:<rule>           max(0, f - m) for an inner rule")
-    lines.append("  pushdist:<map>:<image>     distance of F(x) to an image point")
-    lines.append("")
-    lines.append("observation maps:")
-    lines.append("  identity | proj:<axes> | linear:[[..]] | wave:<k> | const:<values>")
+    for prefix, rule in SYSTEMS.items():
+        system = system_from_id(prefix + rule.example)
+        caveats = "".join(f" caveat={c}" for c in system.caveats)
+        lines += [line(prefix + rule.syntax, rule.help),
+                  f"      dim={system.dim} mixing={system.mixing_class}{caveats}"]
+    for title, table in (("observable rules", OBSERVABLE_RULES),
+                         ("observation maps", OBSERVATION_MAPS),
+                         ("correlation functions", FUNCTION_SPECS)):
+        lines += ["", f"{title}:"] + [line(p + r.syntax, r.help) for p, r in table.items()]
     return "\n".join(lines) + "\n"

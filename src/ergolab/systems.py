@@ -24,21 +24,18 @@ least 53 bits truncate to 53 bits, other exact coordinates round to nearest.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt, lcm
 
 import numpy as np
 
 from .errors import BudgetExhaustedError
+from .grammar import Rule, parse_spec
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_rng
 from .reservoir import BitReservoir
 
 DEFAULT_PRECISION_BITS = 512
 DEFAULT_BLOCK = 1 << 14
-
-MIXING_EXPONENTIAL = "exponential"
-MIXING_POLYNOMIAL = "polynomial"
-MIXING_NONE = "none"
 
 
 def _dyadic_bits_left(frac):
@@ -101,7 +98,7 @@ class Doubling(_SystemBase):
     guard_bits: int = 0
 
     dim = 1
-    mixing_class = MIXING_EXPONENTIAL
+    mixing_class = "exponential"
 
     def __post_init__(self):
         if self.engine not in ("reservoir", "fraction"):
@@ -208,7 +205,7 @@ class ToralAutomorphism(_SystemBase):
     matrix: tuple
     precision_bits: int = DEFAULT_PRECISION_BITS
 
-    mixing_class = MIXING_EXPONENTIAL
+    mixing_class = "exponential"
 
     def __post_init__(self):
         mat = _int_matrix(self.matrix)
@@ -225,26 +222,23 @@ class ToralAutomorphism(_SystemBase):
 
     def _state(self, p):
         """Numerators over a common denominator; exact for any rational point."""
-        denoms = [c.denominator for c in p.coords]
-        modulus = denoms[0]
-        for d in denoms[1:]:
-            modulus = modulus * d // gcd(modulus, d)
-        nums = [c.numerator * (modulus // c.denominator) for c in p.coords]
-        return nums, modulus
+        modulus = lcm(*(c.denominator for c in p.coords))
+        return [c.numerator * (modulus // c.denominator) for c in p.coords], modulus
+
+    def _jump(self, nums, modulus, n):
+        """Numerators n steps on; a unimodular map keeps the least common modulus."""
+        mat = self.matrix if n == 1 else _matrix_power(self.matrix, n, modulus)
+        return [sum(m * v for m, v in zip(row, nums)) % modulus for row in mat]
 
     def _advance(self, p, n):
         nums, modulus = self._state(p)
-        mat = _matrix_power(self.matrix, n, modulus) if n > 1 else self.matrix
-        out = [
-            sum(mat[i][j] * nums[j] for j in range(self.dim)) % modulus
-            for i in range(self.dim)
-        ]
-        return FractionPoint(tuple(Fraction(v, modulus) for v in out))
+        return FractionPoint(tuple(Fraction(v, modulus) for v in self._jump(nums, modulus, n)))
 
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start, stop):
-        return self._state(self.orbit_window(p, start))
+        nums, modulus = self._state(p)
+        return self._jump(nums, modulus, start), modulus
 
     def _block_step(self, state, size):
         nums, modulus = state
@@ -266,7 +260,7 @@ class ToralAutomorphism(_SystemBase):
         rows = []
         for _ in range(size):
             rows.append([v / modulus for v in nums])
-            nums = [sum(m * v for m, v in zip(row, nums)) % modulus for row in self.matrix]
+            nums = self._jump(nums, modulus, 1)
         return np.array(rows), (nums, modulus)
 
     def sample_invariant(self, seed, count):
@@ -312,7 +306,7 @@ class CircleRotation(_SystemBase):
     precision_bits: int = DEFAULT_PRECISION_BITS
 
     dim = 1
-    mixing_class = MIXING_NONE
+    mixing_class = "none"
 
     def __post_init__(self):
         if not 0 <= self.alpha_numerator < (1 << self.precision_bits):
@@ -343,26 +337,27 @@ class CircleRotation(_SystemBase):
         alpha = sum(Fraction(1, 10 ** factorial(n)) for n in range(1, 7))
         return cls.from_fraction(alpha, precision_bits)
 
-    def _advance(self, p, n):
-        return FractionPoint(((p.coords[0] + n * self.alpha) % 1,))
+    def _jump(self, x, n):
+        """x + n alpha mod 1 as num / den, den = 2^B x.denominator, not reduced."""
+        den = x.denominator << self.precision_bits
+        return ((x.numerator << self.precision_bits)
+                + n * self.alpha_numerator * x.denominator) % den, den
 
-    def step_back(self, p):
-        return FractionPoint(((p.coords[0] - self.alpha) % 1,))
+    def _advance(self, p, n):
+        return FractionPoint((Fraction(*self._jump(p.coords[0], n)),))
 
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start, stop):
-        # x = num / den and alpha = step / den over one common denominator
-        x = self.orbit_window(p, start).coords[0]
-        bits = self.precision_bits
-        return x.numerator << bits, self.alpha_numerator * x.denominator, x.denominator << bits
+        return self._jump(p.coords[0], start)
 
     def _block_step(self, state, size):
         # Per block: exact rational anchor, then float offsets j * alpha.
         # Within-block error <= block * 2^-53 ~ 7e-12, far below any radius.
-        num, step, den = state
+        num, den = state
+        step = self.alpha_numerator * (den >> self.precision_bits)  # alpha = step / den
         vals = (num / den + np.arange(size) * (step / den)) % 1.0
-        return vals.reshape(-1, 1), ((num + size * step) % den, step, den)
+        return vals.reshape(-1, 1), ((num + size * step) % den, den)
 
     def sample_invariant(self, seed, count):
         if count < 1:
@@ -380,7 +375,7 @@ class MannevillePomeau(_SystemBase):
     stride: int = 10
 
     dim = 1
-    mixing_class = MIXING_POLYNOMIAL
+    mixing_class = "polynomial"
     exact = False
     caveats = ("float-engine",)
 
@@ -453,56 +448,27 @@ def is_lebesgue(system):
 CAT_MATRIX = ((2, 1), (1, 1))
 
 
+def _rotation(text, bits):
+    if text in ("golden", "liouville"):
+        return getattr(CircleRotation, text)(bits)
+    return CircleRotation.from_fraction(Fraction(text), bits)
+
+
+# the catalog's system ids; a parser takes the argument and the lattice bits
+SYSTEMS = {
+    "doubling": Rule(lambda text, bits: Doubling(precision_bits=bits), "",
+                     "doubling map 2x mod 1, bit-reservoir engine: exact, unbounded orbits"),
+    "cat": Rule(lambda text, bits: ToralAutomorphism(CAT_MATRIX, precision_bits=bits), "",
+                "cat map [[2,1],[1,1]] on T^2, exact on the B-bit dyadic lattice"),
+    "rotation:": Rule(_rotation, "<alpha|golden|liouville>",
+                      "rotation by a B-bit angle; liouville: sum of 10^-n! over n <= 6",
+                      example="golden"),
+    "mp:": Rule(lambda text, bits: MannevillePomeau(float(text)), "<s>",
+                "Manneville-Pomeau map x + x^(1+s) mod 1, s in (0, 1), double precision",
+                example="0.5"),
+}
+
+
 def system_from_id(system_id, precision_bits=None):
-    """Resolve a catalog id: 'doubling', 'cat', 'rotation:<spec>', 'mp:<s>'."""
-    bits = precision_bits or DEFAULT_PRECISION_BITS
-    if system_id == "doubling":
-        return Doubling(precision_bits=bits)
-    if system_id == "cat":
-        return ToralAutomorphism(CAT_MATRIX, precision_bits=bits)
-    if system_id.startswith("rotation:"):
-        spec = system_id.split(":", 1)[1]
-        if spec == "golden":
-            return CircleRotation.golden(bits)
-        if spec == "liouville":
-            return CircleRotation.liouville(bits)
-        return CircleRotation.from_fraction(Fraction(spec), bits)
-    if system_id.startswith("mp:"):
-        return MannevillePomeau(float(system_id.split(":", 1)[1]))
-    raise KeyError(f"unknown system id: {system_id}")
-
-
-def catalog_entries():
-    """Descriptive rows for the catalog listing."""
-    return [
-        {
-            "id": "doubling",
-            "description": "doubling map, bit-reservoir engine (exact shift dynamics)",
-            "dimension": 1,
-            "mixing": MIXING_EXPONENTIAL,
-            "notes": "O(1) random orbit access; unbounded orbit length",
-        },
-        {
-            "id": "cat",
-            "description": "hyperbolic toral automorphism [[2,1],[1,1]] on T^2, "
-                           "fixed-point engine",
-            "dimension": 2,
-            "mixing": MIXING_EXPONENTIAL,
-            "notes": "exact integer-matrix action on B-bit dyadic lattice",
-        },
-        {
-            "id": "rotation:<alpha|golden|liouville>",
-            "description": "circle rotation by a B-bit fixed-point angle",
-            "dimension": 1,
-            "mixing": MIXING_NONE,
-            "notes": "liouville uses sum of 10^(-n!) for n<=6, truncated to B bits",
-        },
-        {
-            "id": "mp:<s>",
-            "description": "Manneville-Pomeau intermittent map, s in (0,1)",
-            "dimension": 1,
-            "mixing": MIXING_POLYNOMIAL,
-            "notes": "float-engine caveat: double precision, non-rigorous orbits; "
-                     "Birkhoff burn-in sampler",
-        },
-    ]
+    """The system a catalog id names (see ``SYSTEMS``), at B = precision_bits."""
+    return parse_spec(SYSTEMS, "system", system_id, precision_bits or DEFAULT_PRECISION_BITS)

@@ -3,6 +3,10 @@ import json
 import pytest
 
 from ergolab.cli import main
+from ergolab.kinds import FUNCTION_SPECS, parse_function_spec
+from ergolab.observables import OBSERVABLE_RULES, parse_observable
+from ergolab.observed import OBSERVATION_MAPS, parse_observation_map
+from ergolab.systems import SYSTEMS, system_from_id
 
 
 CONFIG = """
@@ -180,6 +184,13 @@ BAD_FIELDS = {
                          "observed.image_point"),
     "observed-ladder": (OBSERVED_CONFIG.split("[ladder]")[0], "ladder"),
     "pairs": (INTERSECTION_CONFIG, "intersection-bound.pairs"),
+    "projdist-repeated-axes": (CONFIG.replace("dist:0.25,0.75", "projdist:1,1:0.5,0.5"),
+                               "observable.rule"),
+    "const-nan": (OBSERVED_CONFIG.replace("map = proj:1", "map = const:nan"), "observed.map"),
+    "rotation-zero-denominator": (CONFIG.replace("system = cat", "system = rotation:1/0"),
+                                  "experiment.system"),
+    "cos-overflow": (CORRELATION_CONFIG.replace("cos:1", "cos:" + "9" * 400),
+                     "correlation.phi"),
 }
 
 
@@ -192,6 +203,25 @@ def test_bad_field_exits_2_without_traceback(tmp_path, capsys, text, field):
     assert f"ConfigError]: {field}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.json").exists()
+
+
+GRAMMARS = {
+    "systems": (SYSTEMS, system_from_id),
+    "observable-rules": (OBSERVABLE_RULES, lambda spec: parse_observable(spec, 2)),
+    "observation-maps": (OBSERVATION_MAPS, lambda spec: parse_observation_map(spec, 2)),
+    "correlation-functions": (FUNCTION_SPECS, lambda spec: parse_function_spec(spec, 2)),
+}
+
+
+@pytest.mark.parametrize("table,parse", GRAMMARS.values(), ids=GRAMMARS.keys())
+def test_catalog_and_unknown_prefix_errors_list_every_rule(capsys, table, parse):
+    assert main(["catalog"]) == 0
+    out = capsys.readouterr().out
+    for prefix, rule in table.items():
+        assert f"  {prefix}{rule.syntax} " in out
+    with pytest.raises(ValueError) as err:
+        parse("mystery:1")
+    assert str(err.value).endswith("prefixes: " + ", ".join(table))
 
 
 def test_missing_file_exit_code(capsys):

@@ -11,7 +11,6 @@ from ergolab.mixing import (
     DecayFit,
     constant_function,
     cosine_wave,
-    doubling_autocovariance_mix,
     dyadic_harmonic_mix,
     estimate_correlation,
     fit_decay,
@@ -22,6 +21,13 @@ from ergolab.observables import DistToPoint, RadiusLadder
 from ergolab.systems import Doubling
 
 DOUBLING = Doubling()
+
+
+def doubling_autocovariance_mix(depth, n):
+    """Exact autocovariance of dyadic_harmonic_mix under the doubling map."""
+    if n > depth:
+        return 0.0
+    return (2.0 / 3.0) * 2.0 ** -n * (1.0 - 4.0 ** (n - depth - 1))
 
 
 def synthetic_series(values, lags=None, hw=1e-12):

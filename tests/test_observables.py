@@ -143,6 +143,12 @@ class TestExactMeasure:
         assert exact_measure(TORUS, DistToPoint((0.5, 0.5)), 0.6) is None
         assert exact_measure(MannevillePomeau(0.5), DistToPoint((0.5,)), 0.1) is None
 
+    def test_repeated_projection_axes_rejected(self):
+        # (0, 0) would take the closed form of a disc, pi r^2 and dimension 2,
+        # for a set of measure sqrt(2) r and dimension 1
+        with pytest.raises(ValueError):
+            DistToProjectedPoint((0, 0), (0.5, 0.5))
+
     def test_exact_dimension_catalog(self):
         assert exact_dimension(CIRCLE, DistToPoint((0.5,))) == 1.0
         assert exact_dimension(TORUS, DistToPoint((0.5, 0.5))) == 2.0
@@ -367,6 +373,11 @@ class TestParsing:
         "projdist:2:1.5", "pushdist:proj12:nan,0.5", "pushdist:proj12:0.5",
     ])
     def test_rejects_bad_target(self, spec):
+        with pytest.raises(ValueError):
+            parse_observable(spec, 2)
+
+    @pytest.mark.parametrize("spec", ["projdist:1,1:0.5,0.5", "projdist:3:0.5", "projdist:0:0.5"])
+    def test_rejects_bad_axes(self, spec):
         with pytest.raises(ValueError):
             parse_observable(spec, 2)
 

@@ -9,8 +9,8 @@ from ergolab.systems import (
     CircleRotation,
     Doubling,
     MannevillePomeau,
+    SYSTEMS,
     ToralAutomorphism,
-    catalog_entries,
     invariant_sample_floats,
     system_from_id,
 )
@@ -96,7 +96,7 @@ class TestExactness:
         for _ in range(200):
             q = sys.step(q)
         for _ in range(200):
-            q = sys.step_back(q)
+            q = FractionPoint(((q.coords[0] - sys.alpha) % 1,))  # one step back
         assert q.coords == p.coords
 
     def test_inverse_matrix_is_integral_unimodular(self):
@@ -199,6 +199,20 @@ class TestBitForBit:
         expected = [rule(sys.orbit_window(p, n)) for n in range(start, stop)]
         assert vals.tolist() == expected
 
+    @pytest.mark.parametrize("name", ["golden", "liouville"])
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("start", [0, 17])
+    def test_rotation_blocks_start_at_the_rounded_exact_point(self, name, block, start):
+        # within a block the rotation adds float offsets j * alpha, so only
+        # each block's first row is the exact point rounded to nearest
+        sys = getattr(CircleRotation, name)()
+        p = sys.sample_invariant(seed=13, count=1)[0]
+        kwargs = {} if block is None else {"block": block}
+        blocks = list(sys.orbit_blocks(p, start, start + 40, **kwargs))
+        assert [n0 for n0, _ in blocks] == list(range(start, start + 40, block or 40))
+        for n0, blk in blocks:
+            assert blk[0, 0] == float(sys.orbit_window(p, n0).coords[0])
+
 
 class TestSampling:
     def test_doubling_mean(self):
@@ -258,7 +272,7 @@ class TestCatalog:
         assert system_from_id("rotation:0.25").alpha == Fraction(1, 4)
 
     def test_unknown_id(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="doubling, cat, rotation:, mp:"):
             system_from_id("solenoid")
 
     def test_golden_and_liouville_values(self):
@@ -268,9 +282,10 @@ class TestCatalog:
         assert abs(float(liou.alpha) - 0.110001) < 1e-17
 
     def test_catalog_listing_metadata(self):
-        entries = {e["id"]: e for e in catalog_entries()}
-        assert entries["doubling"]["mixing"] == "exponential"
-        assert "float-engine" in entries["mp:<s>"]["notes"]
+        entries = {prefix + rule.syntax: system_from_id(prefix + rule.example)
+                   for prefix, rule in SYSTEMS.items()}
+        assert entries["doubling"].mixing_class == "exponential"
+        assert "float-engine" in entries["mp:<s>"].caveats
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
