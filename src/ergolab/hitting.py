@@ -18,6 +18,7 @@ from .observables import exact_dimension, exact_measure, fit_line, sliding_slope
 from .systems import invariant_sample_floats
 
 DEFAULT_SCAN_BLOCK = 1 << 13
+SCAN_BATCH_ROWS = 1 << 14  # orbit rows a first_hits step holds, whatever the start count
 WINDOW_FRACTION = 0.9
 
 
@@ -75,6 +76,38 @@ def ladder_hitting_times(system, x, f, ladder, cap, point_id=0, block=DEFAULT_SC
                       steps_used=t if t is not None else cap)
         for r, t in zip(radii, taus)
     ]
+
+
+def first_hits(system, points, f, r, cap, block=DEFAULT_SCAN_BLOCK):
+    """First n in [1, cap] with f(T^n x) <= r for every start x, scanned together.
+
+    Returns (taus, censored); censored taus hold cap.  Unresolved starts step
+    in lockstep by chunks of an eighth of a block (at least 64 steps) that stay
+    inside the blocks of ``orbit_blocks(x, 1, cap + 1, block)``, so the taus
+    equal ``ladder_hitting_times``'s; each start retires at its first hit.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    taus = np.zeros(len(points), dtype=np.int64)
+    chunk = min(block, max(64, block // 8))
+    group = max(1, SCAN_BATCH_ROWS // chunk)
+    for lo in range(0, len(points), group):
+        active = np.arange(lo, min(lo + group, len(points)))
+        states = [system._block_start(points[i], 1, cap + 1) for i in active]
+        n = 1
+        while active.size and n <= cap:
+            into = (n - 1) % block
+            size = min(chunk, block - into, cap + 1 - n)
+            coords, states = system._batch_step(states, size, into)
+            hit = f.values(coords.reshape(active.size * size, -1)).reshape(-1, size) <= r
+            done = hit.any(axis=1)
+            taus[active[done]] = n + hit[done].argmax(axis=1)
+            active = active[~done]
+            states = [state for state, d in zip(states, done) if not d]
+            n += size
+    censored = taus == 0
+    taus[censored] = cap
+    return taus, censored
 
 
 def hitting_time(system, x, f, r, cap, point_id=0):

@@ -146,7 +146,7 @@ def parse_lag_spec(spec):
 
 # correlation test functions, all of the first coordinate but obs:
 FUNCTION_SPECS = {
-    "cos:": Rule(lambda text, dim: cosine_wave(int(text)), "<k>", "cos(2 pi k x)"),
+    "cos:": Rule(lambda text, dim: cosine_wave(int(text)), "<k>", "cos(2 pi k x), |k| <= 2^20"),
     "dyadicmix:": Rule(lambda text, dim: dyadic_harmonic_mix(int(text)), "<depth>",
                        "sum of 2^-j cos(2 pi 2^j x) over j = 0..depth (depth <= 52)"),
     "const:": Rule(lambda text, dim: constant_function(finite(text)), "<c>", "the constant c"),

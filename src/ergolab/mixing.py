@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, NoDecayFitError
 from .observables import (
+    MAX_FREQUENCY,
     MeasureEstimate,
     binomial_half_width,
     estimate_measure,
@@ -55,6 +56,9 @@ def from_observable(f, label=""):
 
 def cosine_wave(freq, axis=0):
     """cos(2 pi k x_axis); a single Fourier mode."""
+    if abs(freq) > MAX_FREQUENCY:
+        raise ValueError(f"frequency must lie in -{MAX_FREQUENCY}..{MAX_FREQUENCY}")
+
     def fn(coords):
         return np.cos(2.0 * math.pi * freq * np.asarray(coords, dtype=float)[:, axis])
 

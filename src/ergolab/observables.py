@@ -19,6 +19,10 @@ from .grammar import Rule, parse_axes, parse_numbers, parse_spec
 from .points import torus_distances
 from .systems import invariant_sample_floats, is_lebesgue
 
+# largest |k| of the cos:<k> and wave:<k> Fourier modes: k x then keeps at
+# least 33 of a coordinate's 53 bits below the period
+MAX_FREQUENCY = 1 << 20
+
 
 def z_value(level):
     return NormalDist().inv_cdf(0.5 + level / 2.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grammar import Rule, parse_axes, parse_numbers, parse_spec
 from .hitting import HittingRecord
-from .observables import PushforwardDist, _ball_measure, estimate_dimension
+from .observables import MAX_FREQUENCY, PushforwardDist, _ball_measure, estimate_dimension
 from .points import wrap_deltas
 
 
@@ -116,8 +116,8 @@ class CircleWave(_ObservationMap):
     codomain_dim = 2
 
     def __post_init__(self):
-        if self.frequency < 1:
-            raise ValueError("frequency must be positive")
+        if not 1 <= self.frequency <= MAX_FREQUENCY:
+            raise ValueError(f"frequency must lie in 1..{MAX_FREQUENCY}")
 
     @property
     def lipschitz(self):
@@ -192,7 +192,7 @@ OBSERVATION_MAPS = {
                  "<digits>", "the same, one digit per coordinate: proj12"),
     "linear:": Rule(_linear, "[[..],..]", "integer matrix acting mod 1"),
     "wave:": Rule(_wave, "<k>[:<axis>]",
-                  "(cos, sin)(2 pi k x_axis) into flat R^2, axis 1 by default"),
+                  "(cos, sin)(2 pi k x_axis) into flat R^2, k <= 2^20, axis 1 by default"),
     "const:": Rule(lambda text, dim: Constant(parse_numbers(text)), "<values>",
                    "constant map, rank 0"),
 }

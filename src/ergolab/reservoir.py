@@ -57,7 +57,10 @@ class BitReservoir:
             return
         if self._gen is None:
             self._gen = point_rng(self.seed, self.index)
-        grow = max(nbytes - self._buf.size, _CHUNK_BYTES)
+        # whole chunks: Generator.bytes draws 32-bit words and drops the rest
+        # of the last one, so a size not a multiple of 4 would make later
+        # bits depend on how the stream was read
+        grow = -(-(nbytes - self._buf.size) // _CHUNK_BYTES) * _CHUNK_BYTES
         fresh = np.frombuffer(self._gen.bytes(grow), dtype=np.uint8)
         self._buf = np.concatenate([self._buf, fresh])
 
@@ -80,20 +83,25 @@ class BitReservoir:
         """Vector of window_float at offsets offset..offset+count-1."""
         if count <= 0:
             return np.empty(0)
-        last_byte = (offset + count - 1 + WINDOW_BITS + 7) >> 3
-        self._ensure_bytes(last_byte + 2)
-        buf = self._buf
-        offs = offset + np.arange(count, dtype=np.int64)
-        byte_idx = offs >> 3
-        shift = (offs & 7).astype(np.uint64)
-        span_lo = int(byte_idx[0])
-        span_hi = int(byte_idx[-1]) + 9
-        span = buf[span_lo:span_hi + 1]
-        # row k is span[k:k + 8]: a strided view over the span, no copy
-        word = _big_endian_words(np.ndarray((span.size - 8, 8), np.uint8, span, strides=(1, 1)))
-        rel = byte_idx - span_lo
-        nxt = span[rel + 8].astype(np.uint64)
-        return _unit_floats((word[rel] << shift) | (nxt >> (np.uint64(8) - shift)))
+        return stream_window_floats([(self, offset)], count)[0]
+
+
+def stream_window_floats(starts, count):
+    """window_floats(offset, count) of every (reservoir, offset) pair as an
+    (n, count) array: one byte row per stream, then one windowed read."""
+    width = ((count + 6) >> 3) + 9
+    rows, first = [], []  # first: bit of each row's first window in the joined rows
+    for bits, offset in starts:
+        bits._ensure_bytes((offset >> 3) + width)
+        rows.append(bits._buf[offset >> 3:(offset >> 3) + width])
+        first.append(8 * width * len(first) + (offset & 7))
+    flat = np.concatenate(rows)
+    # word k is bytes k..k+7: a strided view over the joined rows, no copy
+    words = _big_endian_words(np.ndarray((flat.size - 8, 8), np.uint8, flat, strides=(1, 1)))
+    bit = np.add.outer(first, np.arange(count))
+    idx, shift = bit >> 3, (bit & 7).astype(np.uint64)
+    nxt = flat[idx + 8].astype(np.uint64)
+    return _unit_floats((words[idx] << shift) | (nxt >> (np.uint64(8) - shift)))
 
 
 def bulk_window_floats(byte_rows, bit_offset):

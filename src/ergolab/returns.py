@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RejectionStallError
-from .hitting import DEFAULT_SCAN_BLOCK, ladder_hitting_times
+from .hitting import DEFAULT_SCAN_BLOCK, first_hits
 from .observables import DistToPoint, binomial_half_width, estimate_measure
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_rng, subseed
@@ -101,9 +101,10 @@ def _interval_dyadic_points(center, r, bits, seed, count):
     lo = int(math.ceil((center - r + _EDGE_GUARD) * scale))
     hi = int(math.floor((center + r - _EDGE_GUARD) * scale))
     span = hi - lo + 1
+    stream = subseed(seed, "conditioned")
     points = []
     for i in range(count):
-        rng = point_rng(subseed(seed, "conditioned"), i)
+        rng = point_rng(stream, i)
         raw = int.from_bytes(rng.bytes((bits + 7) // 8 + 8), "big")
         num = (lo + raw % span) % scale
         points.append(FractionPoint((Fraction(num, scale),)))
@@ -117,8 +118,9 @@ def _disc_dyadic_points(center, r, bits, seed, count):
     cx, cy = center
     points = []
     low_bits = bits - 53
+    stream = subseed(seed, "conditioned")
     for i in range(count):
-        rng = point_rng(subseed(seed, "conditioned"), i)
+        rng = point_rng(stream, i)
         u, v = rng.random(2)
         rho = (r - _EDGE_GUARD) * math.sqrt(u)
         theta = 2.0 * math.pi * v
@@ -172,17 +174,7 @@ def conditioned_return_times(system, f, r, seed, count, cap, block=DEFAULT_SCAN_
     with sample_conditioned(system, f, r, seed, count).
     """
     points = sample_conditioned(system, f, r, seed, count)
-    taus = np.empty(count, dtype=np.int64)
-    censored = np.zeros(count, dtype=bool)
-    for i, p in enumerate(points):
-        rec = ladder_hitting_times(system, p, f, [float(r)], cap,
-                                   point_id=i, block=block)[0]
-        if rec.tau is None:
-            taus[i] = cap
-            censored[i] = True
-        else:
-            taus[i] = rec.tau
-    return taus, censored
+    return first_hits(system, points, f, float(r), cap, block)
 
 
 @dataclass(frozen=True, eq=False)

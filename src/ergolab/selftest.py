@@ -16,7 +16,7 @@ from .observables import (
     exact_measure,
     mollifier,
 )
-from .hitting import hitting_time, power_law_radii
+from .hitting import first_hits, hitting_time, ladder_hitting_times, power_law_radii
 from .observed import Constant, CoordinateProjection, LinearMap, jacobian_rank
 from .points import FloatPoint, FractionPoint, torus_distance
 from .reservoir import BitReservoir
@@ -33,6 +33,18 @@ def _cat_blocks_are_truncated(cat):
         [(int(c * (1 << bits)) >> (bits - 53)) * 2.0 ** -53 for c in cat.orbit_window(p, n).coords]
         for n in range(10)
     ]
+
+
+def _batched_scan_is_per_start(rotation):
+    """first_hits over 40 starts against one ladder scan each.  Block 140 is
+    not a multiple of the 64-step chunk nor a divisor of cap 300; the taus
+    fall in every chunk of the first two blocks and one start is censored."""
+    f = DistToPoint((0.375,))
+    points = rotation.sample_invariant(0, 40)
+    taus, censored = first_hits(rotation, points, f, 0.002, 300, block=140)
+    single = [ladder_hitting_times(rotation, p, f, [0.002], 300, block=140)[0] for p in points]
+    return (taus.tolist() == [rec.tau or 300 for rec in single]
+            and censored.tolist() == [rec.censored for rec in single])
 
 
 def _checks():
@@ -81,6 +93,9 @@ def _checks():
     yield "rotation hitting 0 -> 1/2 in two steps", lambda: (
         hitting_time(quarter, FractionPoint((0,)), DistToPoint((0.5,)),
                      0.1, cap=100).tau == 2
+    )
+    yield "batched return scan equals per-start scans on the golden rotation", lambda: (
+        _batched_scan_is_per_start(CircleRotation.golden())
     )
     yield "shrinking radii start at r_0 = 1", lambda: (
         power_law_radii(0.5, 4).tolist()[0] == 1.0

@@ -32,7 +32,7 @@ from .errors import BudgetExhaustedError
 from .grammar import Rule, parse_spec
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_rng
-from .reservoir import BitReservoir
+from .reservoir import BitReservoir, stream_window_floats
 
 DEFAULT_PRECISION_BITS = 512
 DEFAULT_BLOCK = 1 << 14
@@ -80,6 +80,12 @@ class _SystemBase:
         for n in range(start, stop, block):
             coords, state = self._block_step(state, min(block, stop - n))
             yield n, coords
+
+    def _batch_step(self, states, size, into):
+        """``_block_step`` of each state, ``into`` steps into its block: an
+        (n, size, d) array and the states after it."""
+        steps = [self._block_step(state, size) for state in states]
+        return np.stack([coords for coords, _ in steps]), [state for _, state in steps]
 
     def orbit_values(self, p, start, stop):
         """Float coordinates of T^n(p) for n in [start, stop) as one array."""
@@ -140,6 +146,12 @@ class Doubling(_SystemBase):
             vals.append(num / den)
             num = num * 2 % den
         return np.array(vals).reshape(-1, 1), (num, den)
+
+    def _batch_step(self, states, size, into):
+        if not isinstance(states[0], ReservoirPoint):
+            return super()._batch_step(states, size, into)
+        vals = stream_window_floats([(p.bits, p.offset) for p in states], size)
+        return vals[..., None], [self._advance(p, size) for p in states]
 
     def sample_invariant(self, seed, count):
         """Reservoir points (or B-bit dyadics) distributed per Lebesgue."""
@@ -352,12 +364,21 @@ class CircleRotation(_SystemBase):
         return self._jump(p.coords[0], start)
 
     def _block_step(self, state, size):
-        # Per block: exact rational anchor, then float offsets j * alpha.
+        coords, states = self._batch_step([state], size, 0)
+        return coords[0], states[0]
+
+    def _batch_step(self, states, size, into):
+        # Per block: exact rational anchor, then float offsets j * alpha; a
+        # step ``into`` a block recovers the block's anchor from its state.
         # Within-block error <= block * 2^-53 ~ 7e-12, far below any radius.
-        num, den = state
-        step = self.alpha_numerator * (den >> self.precision_bits)  # alpha = step / den
-        vals = (num / den + np.arange(size) * (step / den)) % 1.0
-        return vals.reshape(-1, 1), ((num + size * step) % den, den)
+        alpha = self.alpha_numerator / (1 << self.precision_bits)  # = step / den, rounded
+        anchors, after = [], []
+        for num, den in states:
+            step = self.alpha_numerator * (den >> self.precision_bits)  # alpha = step / den
+            anchors.append((num - into * step) % den / den)
+            after.append(((num + size * step) % den, den))
+        vals = (np.array(anchors)[:, None] + np.arange(into, into + size) * alpha) % 1.0
+        return vals[..., None], after
 
     def sample_invariant(self, seed, count):
         if count < 1:

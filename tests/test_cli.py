@@ -191,6 +191,13 @@ BAD_FIELDS = {
                                   "experiment.system"),
     "cos-overflow": (CORRELATION_CONFIG.replace("cos:1", "cos:" + "9" * 400),
                      "correlation.phi"),
+    "cos-frequency": (CORRELATION_CONFIG.replace("cos:1", "cos:1" + "0" * 300),
+                      "correlation.phi"),
+    "wave-frequency": (OBSERVED_CONFIG.replace("map = proj:1", "map = wave:" + "9" * 400),
+                       "observed.map"),
+    "pushdist-wave-frequency": (
+        CONFIG.replace("dist:0.25,0.75", "pushdist:wave:" + "9" * 400 + ":1,0"),
+        "observable.rule"),
 }
 
 

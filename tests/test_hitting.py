@@ -1,20 +1,33 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.errors import AllCensoredError, InvalidBetaError
 from ergolab.hitting import (
     BCCounter,
+    SCAN_BATCH_ROWS,
     HittingRecord,
     bc_counter_series,
     default_window,
     estimate_R,
+    first_hits,
     hitting_time,
     ladder_hitting_times,
     power_law_radii,
 )
 from ergolab.observables import DistToPoint, RadiusLadder
-from ergolab.points import FractionPoint
-from ergolab.systems import CircleRotation, Doubling
+from ergolab.points import FractionPoint, ReservoirPoint
+from ergolab.systems import (
+    CAT_MATRIX,
+    CircleRotation,
+    Doubling,
+    MannevillePomeau,
+    ToralAutomorphism,
+)
 
 
 class IdentitySystem:
@@ -100,6 +113,53 @@ class TestLadderScan:
             recs = ladder_hitting_times(sys, x, f, ladder, cap=500_000)
             taus = [r.tau for r in recs if r.tau is not None]
             assert all(a <= b for a, b in zip(taus, taus[1:]))
+
+
+# engine and target of each batched-scan case
+SCAN_CASES = {
+    "doubling-reservoir": (Doubling(), DistToPoint((0.375,))),
+    "doubling-fraction": (Doubling(engine="fraction"), DistToPoint((0.375,))),
+    "golden": (CircleRotation.golden(), DistToPoint((0.375,))),
+    "liouville": (CircleRotation.liouville(), DistToPoint((0.375,))),
+    "cat": (ToralAutomorphism(CAT_MATRIX), DistToPoint((0.3, 0.7))),
+    "torus-3d": (ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1))),
+                 DistToPoint((0.1, 0.2, 0.3))),
+    "mp": (MannevillePomeau(0.5), DistToPoint((0.375,))),
+}
+
+
+def _scan_starts(case, seed, offsets):
+    system, _ = SCAN_CASES[case]
+    if case == "doubling-reservoir":  # streams read from different bit offsets
+        points = system.sample_invariant(seed, len(offsets))
+        return [ReservoirPoint(p.bits, off) for p, off in zip(points, offsets)]
+    if case == "doubling-fraction":  # non-dyadic, so no step budget
+        return [frac_point(Fraction(seed * 7919 + off + 1, 1_000_000_007)) for off in offsets]
+    return system.sample_invariant(seed, len(offsets))  # FloatPoints on mp
+
+
+class TestFirstHits:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(case=st.sampled_from(sorted(SCAN_CASES)), seed=st.integers(0, 10_000),
+           offsets=st.lists(st.integers(0, 100), min_size=1, max_size=6),
+           r=st.sampled_from([0.01, 0.05, 0.2]), cap=st.integers(1, 2_000),
+           block=st.integers(1, 1_200), one_per_group=st.booleans())
+    def test_equals_per_start_scans(self, case, seed, offsets, r, cap, block, one_per_group):
+        system, f = SCAN_CASES[case]
+        points = _scan_starts(case, seed, offsets)
+        rows = 1 if one_per_group else SCAN_BATCH_ROWS
+        with mock.patch("ergolab.hitting.SCAN_BATCH_ROWS", rows):
+            taus, censored = first_hits(system, points, f, r, cap, block)
+        for p, tau, cut in zip(points, taus.tolist(), censored.tolist()):
+            rec = ladder_hitting_times(system, p, f, [r], cap, block=block)[0]
+            assert (tau, cut) == (cap if rec.censored else rec.tau, rec.censored)
+
+    def test_small_caps_censor(self):
+        system, f = SCAN_CASES["golden"]
+        points = system.sample_invariant(3, 50)
+        taus, censored = first_hits(system, points, f, 0.01, cap=7, block=3)
+        assert censored.any() and not censored.all()
+        assert (taus[censored] == 7).all() and (taus[~censored] <= 7).all()
 
 
 class TestEstimateR:

@@ -17,7 +17,7 @@ from ergolab.mixing import (
     from_observable,
     intersection_bound_check,
 )
-from ergolab.observables import DistToPoint, RadiusLadder
+from ergolab.observables import MAX_FREQUENCY, DistToPoint, RadiusLadder
 from ergolab.systems import Doubling
 
 DOUBLING = Doubling()
@@ -205,6 +205,14 @@ class TestIntersectionBound:
         with pytest.raises(ValueError):
             intersection_bound_check(DOUBLING, f, RadiusLadder.dyadic(3, 6),
                                      k=9, j=2, seed=0, n_samples=1000, decay=decay)
+
+
+def test_cosine_frequency_is_bounded():
+    assert cosine_wave(MAX_FREQUENCY).lipschitz == 2.0 * math.pi * MAX_FREQUENCY
+    assert cosine_wave(-MAX_FREQUENCY).label == f"cos:{-MAX_FREQUENCY}"
+    for freq in (MAX_FREQUENCY + 1, -MAX_FREQUENCY - 1, 10 ** 300):
+        with pytest.raises(ValueError, match="frequency"):
+            cosine_wave(freq)
 
 
 def test_series_validation():

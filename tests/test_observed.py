@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from ergolab.hitting import hitting_time
-from ergolab.observables import DistToPoint, DistToProjectedPoint, RadiusLadder
+from ergolab.observables import (
+    MAX_FREQUENCY,
+    DistToPoint,
+    DistToProjectedPoint,
+    RadiusLadder,
+)
 from ergolab.observed import (
     CircleWave,
     Constant,
@@ -37,6 +42,12 @@ class TestObservationMaps:
         out = wave.apply(np.array([[0.25, 0.9]]))
         assert np.allclose(out, [[np.cos(np.pi), np.sin(np.pi)]])
         assert np.allclose((out ** 2).sum(), 1.0)
+
+    def test_wave_frequency_is_bounded(self):
+        assert CircleWave(MAX_FREQUENCY).lipschitz == 2.0 * np.pi * MAX_FREQUENCY
+        for freq in (0, MAX_FREQUENCY + 1, 10 ** 400):
+            with pytest.raises(ValueError, match="frequency"):
+                CircleWave(freq)
 
     def test_constant(self):
         c = Constant((0.3, 0.4))

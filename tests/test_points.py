@@ -10,7 +10,7 @@ from ergolab.points import (
     torus_distances,
     unit_fraction,
 )
-from ergolab.reservoir import BitReservoir, bulk_window_floats
+from ergolab.reservoir import BitReservoir, bulk_window_floats, stream_window_floats
 
 
 def test_unit_fraction_accepts_strings_and_fractions():
@@ -76,6 +76,25 @@ class TestReservoir:
         vals = res.window_floats(5, 300)
         for k in (0, 1, 17, 100, 299):
             assert vals[k] == pytest.approx(res.window_float(5 + k), abs=0, rel=0)
+
+    def test_bits_do_not_depend_on_read_history(self):
+        # a 40001-window read grows the buffer by a size that is not a whole
+        # number of the generator's 32-bit words; later bits must not move
+        whole = BitReservoir(seed=5, index=3).window_floats(0, 80_000)
+        res = BitReservoir(seed=5, index=3)
+        res.window_floats(0, 40_001)
+        assert res.window_floats(0, 80_000).tolist() == whole.tolist()
+
+    def test_stream_rows_equal_single_stream_reads(self):
+        offsets = (0, 1, 7, 8, 13, 1000, 40_005)
+
+        def streams():  # fresh, so each side reads its streams in its own order
+            return [BitReservoir(seed=4, index=i, prefix=bytes([i] * i)) for i in range(7)]
+
+        rows = stream_window_floats(list(zip(streams(), offsets)), 77)
+        assert rows.shape == (7, 77)
+        for row, res, off in zip(rows.tolist(), streams(), offsets):
+            assert row == res.window_floats(off, 77).tolist()
 
     def test_prefix_pins_leading_bits(self):
         prefix = bytes([0b10110000, 0xFF])
