@@ -29,7 +29,7 @@ from .systems import Doubling
 
 NOISE_FLOOR_FACTOR = 3.0
 MIN_USABLE_LAGS = 6
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # reservoir samples, or orbit rows, per chunk
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def cosine_wave(freq, axis=0):
     def fn(coords):
         return np.cos(2.0 * math.pi * freq * np.asarray(coords, dtype=float)[:, axis])
 
-    return LipschitzFunction(fn, 1.0, 2.0 * math.pi * freq, f"cos:{freq}")
+    return LipschitzFunction(fn, 1.0, 2.0 * math.pi * abs(freq), f"cos:{freq}")
 
 
 def constant_function(c):
@@ -123,7 +123,8 @@ def _orbit_value_matrix(system, phi, psi, lags, seed, n_samples):
     """psi at time 0 and phi along the orbit at each lag, per sample point.
 
     Doubling reservoir points are streamed as raw byte rows (windows at bit
-    offset n are the orbit); other systems iterate their orbit blocks.
+    offset n are the orbit); other systems step groups of sample points
+    together (``orbit_batch``).
     """
     max_lag = max(lags)
     psi0 = np.empty(n_samples)
@@ -144,11 +145,12 @@ def _orbit_value_matrix(system, phi, psi, lags, seed, n_samples):
         return psi0, phis
 
     points = system.sample_invariant(seed, n_samples)
-    for j, p in enumerate(points):
-        vals = system.orbit_values(p, 0, max_lag + 1)
-        psi0[j] = psi.values(vals[:1])[0]
+    group = max(1, _CHUNK // (max_lag + 1))
+    for lo in range(0, n_samples, group):
+        vals = system.orbit_batch(points[lo:lo + group], 0, max_lag + 1)
+        psi0[lo:lo + len(vals)] = psi.values(vals[:, 0])
         for i, lag in enumerate(lags):
-            phis[i, j] = phi.values(vals[lag:lag + 1])[0]
+            phis[i, lo:lo + len(vals)] = phi.values(vals[:, lag])
     return psi0, phis
 
 
@@ -285,10 +287,10 @@ def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
             done += size
     else:
         points = system.sample_invariant(subseed(seed, "joint"), n_samples)
-        for p in points:
-            vals = system.orbit_values(p, 0, k + 1)
-            if (f.values(vals[k:k + 1])[0] <= r_k
-                    and f.values(vals[j:j + 1])[0] <= r_j):
-                hits += 1
+        group = max(1, _CHUNK // (k + 1))
+        for lo in range(0, n_samples, group):
+            vals = system.orbit_batch(points[lo:lo + group], 0, k + 1)
+            hits += int(np.count_nonzero((f.values(vals[:, k]) <= r_k)
+                                         & (f.values(vals[:, j]) <= r_j)))
     return MeasureEstimate(hits / n_samples, binomial_half_width(hits, n_samples),
                            n_samples)

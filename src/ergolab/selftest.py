@@ -25,14 +25,19 @@ from .systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
 
 
 def _cat_blocks_are_truncated(cat):
-    """Blocks of 4 over steps 0..9 against the exact orbit's top 53 bits."""
+    """Blocks of 37 over steps 0..99, across several anchors of the kernel,
+    against the exact orbit's top 53 bits; the second start's low bits are
+    all ones, so its carries are undecided and recomputed exactly."""
     bits = cat.precision_bits
     p = cat.sample_invariant(0, 1)[0]
-    got = [row for _, blk in cat.orbit_blocks(p, 0, 10, block=4) for row in blk.tolist()]
-    return got == [
-        [(int(c * (1 << bits)) >> (bits - 53)) * 2.0 ** -53 for c in cat.orbit_window(p, n).coords]
-        for n in range(10)
-    ]
+    low = (1 << (bits - 53)) - 1
+    ones = FractionPoint(tuple(Fraction(int(c * (1 << bits)) | low, 1 << bits) for c in p.coords))
+    return all(
+        [row for _, blk in cat.orbit_blocks(q, 0, 100, block=37) for row in blk.tolist()]
+        == [[(int(c * (1 << bits)) >> (bits - 53)) * 2.0 ** -53
+             for c in cat.orbit_window(q, n).coords] for n in range(100)]
+        for q in (p, ones)
+    )
 
 
 def _batched_scan_is_per_start(rotation):

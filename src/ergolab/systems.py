@@ -9,7 +9,12 @@ Engines
   fractional bit per step and hit the representation floor after B steps,
   and requests past it raise ``BudgetExhaustedError``.
 * Hyperbolic (or any unimodular) toral automorphisms: integer matrix action
-  on B-bit dyadic fractions, exact and invertible.
+  on B-bit dyadic fractions, exact and invertible.  A 2x2 matrix on a dyadic
+  lattice of at least 53 bits steps by exact anchors every m steps (one
+  Python-int jump A^m each) and fills the rows between them with uint64
+  offset arithmetic on each anchor's top 128 lattice bits (``_AnchorKernel``),
+  for any number of starts at once (``orbit_batch``, or a scan's batch);
+  other points step row by row.
 * Circle rotations by a B-bit fixed-point angle, exact and invertible.
 * Manneville-Pomeau x -> x + x^(1+s) mod 1: double-precision engine, kept
   for contrast with the rapidly mixing systems; results carry a
@@ -87,12 +92,27 @@ class _SystemBase:
         steps = [self._block_step(state, size) for state in states]
         return np.stack([coords for coords, _ in steps]), [state for _, state in steps]
 
+    def _batch_row(self, state, size):
+        """``_block_step`` of an engine whose ``_batch_step`` is the step: its one-row case."""
+        coords, states = self._batch_step([state], size, 0)
+        return coords[0], states[0]
+
     def orbit_values(self, p, start, stop):
         """Float coordinates of T^n(p) for n in [start, stop) as one array."""
         parts = [blk for _, blk in self.orbit_blocks(p, start, stop)]
         if not parts:
             return np.empty((0, self.dim))
         return np.concatenate(parts, axis=0)
+
+    def orbit_batch(self, points, start, stop):
+        """``orbit_values(p, start, stop)`` of every point p, stepped together:
+        a (len(points), stop - start, d) array."""
+        out = np.empty((len(points), stop - start, self.dim))
+        states = [self._block_start(p, start, stop) for p in points]
+        for n in range(start, stop, DEFAULT_BLOCK):
+            size = min(DEFAULT_BLOCK, stop - n)
+            out[:, n - start:n - start + size], states = self._batch_step(states, size, 0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -224,6 +244,7 @@ class ToralAutomorphism(_SystemBase):
         object.__setattr__(self, "matrix", mat)
         if abs(_int_det(mat)) != 1:
             raise ValueError("matrix determinant must be +-1")
+        object.__setattr__(self, "_kernel", _AnchorKernel(mat) if len(mat) == 2 else None)
 
     @property
     def dim(self):
@@ -252,28 +273,28 @@ class ToralAutomorphism(_SystemBase):
         nums, modulus = self._state(p)
         return self._jump(nums, modulus, start), modulus
 
-    def _block_step(self, state, size):
-        nums, modulus = state
-        shift = modulus.bit_length() - 54
-        if self.dim == 2 and shift >= 0 and modulus & (modulus - 1) == 0:
-            # dyadic lattice of >= 53 bits: each coordinate's top 53 bits
-            (p, q), (r, s) = self.matrix
-            mask = modulus - 1
-            a, b = nums
-            xs, ys = [], []
+    _block_step = _SystemBase._batch_row
+
+    def _batch_step(self, states, size, into):
+        # 2x2 on a dyadic lattice of >= 53 bits: each coordinate's top 53
+        # bits, the starts on one lattice in one kernel pass; else each
+        # coordinate rounded to nearest, row by row
+        coords, after = np.empty((len(states), size, self.dim)), list(states)
+        lattices = {}
+        for i, (nums, modulus) in enumerate(states):
+            if self._kernel and modulus >= 1 << 53 and modulus & (modulus - 1) == 0:
+                lattices.setdefault(modulus, []).append(i)
+                continue
+            rows = []
             for _ in range(size):
-                xs.append(a >> shift)
-                ys.append(b >> shift)
-                a, b = (p * a + q * b) & mask, (r * a + s * b) & mask
-            out = np.empty((size, 2))
-            out[:, 0] = xs
-            out[:, 1] = ys
-            return out * 2.0 ** -53, ((a, b), modulus)
-        rows = []
-        for _ in range(size):
-            rows.append([v / modulus for v in nums])
-            nums = self._jump(nums, modulus, 1)
-        return np.array(rows), (nums, modulus)
+                rows.append([v / modulus for v in nums])
+                nums = self._jump(nums, modulus, 1)
+            coords[i], after[i] = rows, (nums, modulus)
+        for modulus, idx in lattices.items():
+            nums = self._kernel.rows([states[i][0] for i in idx], modulus, size, coords, idx)
+            for i, v in zip(idx, nums):
+                after[i] = v, modulus
+        return coords, after
 
     def sample_invariant(self, seed, count):
         if count < 1:
@@ -299,15 +320,117 @@ def _matrix_power(mat, n, modulus):
     return result
 
 
-def _mat_mul(a, b, modulus):
+def _mat_mul(a, b, modulus=None):
     n = len(a)
-    return tuple(
-        tuple(
-            sum(a[i][k] * b[k][j] for k in range(n)) % modulus
-            for j in range(n)
-        )
+    prod = tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+    return prod if modulus is None else tuple(tuple(v % modulus for v in row) for row in prod)
+
+
+ANCHOR_ENTRY_BOUND = 1 << 21  # |A^k| below it keeps the int64 carry sums under 2^55
+MAX_ANCHOR_GAP = 64
+SLAB_ROWS = 1 << 12  # rows one kernel pass holds, whatever the start count
+EXACT_ROWS = 64  # a slab of fewer rows is computed exactly: the uint64 passes cost more
+
+
+class _AnchorKernel:
+    """Rows of a 2x2 automorphism on the 2^-B lattice, B >= 53, as top-53-bit floats.
+
+    Anchors x_j, x_(j+m), ... are exact: one Python-int jump A^m mod 2^B each,
+    with m <= 64 the largest gap whose A^k, k < m, have entries below 2^21.
+    For k < m the top 64 lattice bits of x_(j+k) are (A^k H + c) mod 2^64 in
+    uint64, where H and L are the upper and lower 64 of the anchor's top 128
+    lattice bits (zero-padded below B = 128).  The carry is
+    c = floor((S + delta) / 2^64): S = A^k L is exact in int64 from L's 32-bit
+    halves, and delta, from the bits below L, lies in [-N_k, P_k), the row sums
+    of A^k's negative and positive entries (0 when B <= 128; below 65 bits L
+    and the carry are 0 too).  Where S mod 2^64 lies that close to a carry the
+    row is recomputed exactly from its anchor, as is every row of a slab under
+    ``EXACT_ROWS`` rows.  The floats are (top64 >> 11) * 2^-53, bit for bit
+    x >> (B - 53).
+    """
+
+    def __init__(self, mat):
+        powers, nxt = [((1, 0), (0, 1))], mat
+        while (len(powers) < MAX_ANCHOR_GAP
+               and max(abs(v) for row in nxt for v in row) < ANCHOR_ENTRY_BOUND):
+            powers.append(nxt)
+            nxt = _mat_mul(nxt, mat)
+        self.gap = len(powers)
+        self.powers = (*powers, nxt)  # A^0 .. A^m, exact
+        self.by_row = tuple(zip(*powers))  # the rows of A^0 .. A^(m-1), row by row
+        coef = np.array(powers, dtype=np.int64)  # [k, row, column]
+        self.coef = coef[..., 0], coef[..., 1]
+        self.ucoef = tuple(c.view(np.uint64) for c in self.coef)
+        # S mod 2^64 below N_k or at least 2^64 - P_k: the carry is undecided
+        self.low = np.where(coef < 0, -coef, 0).sum(axis=-1).astype(np.uint64)
+        self.high = (1 << 64) - 1 - np.where(coef > 0, coef, 0).sum(axis=-1).astype(np.uint64)
+
+    def rows(self, starts, modulus, size, out, idx):
+        """Write ``size`` rows from each start's numerators into out[idx];
+        return the numerators after them."""
+        m, mask, bits = self.gap, modulus - 1, modulus.bit_length() - 1
+        (p, q), (r, s) = self.powers[m]
+        anchors_per_start = -(-size // m)
+        width = max(1, SLAB_ROWS // (m * len(starts)))
+        cur = list(starts)
+        for j0 in range(0, anchors_per_start, width):
+            span = min(width, anchors_per_start - j0)
+            anchors = []
+            for i, (a, b) in enumerate(cur):
+                for _ in range(span):
+                    anchors.append((a, b))
+                    a, b = (p * a + q * b) & mask, (r * a + s * b) & mask
+                cur[i] = a, b
+            take = min(span * m, size - j0 * m)  # rows per start in this slab
+            part = slice(j0 * m, j0 * m + take)
+            if len(cur) * take < EXACT_ROWS:
+                for n, i in zip(idx, range(0, len(anchors), span)):
+                    xs, ys = [], []
+                    for j in range(-(-take // m)):  # the start's anchors, up to m rows each
+                        x, y = self._exact(anchors[i + j], slice(take - j * m), mask, bits)
+                        xs += x
+                        ys += y
+                    out[n, part, 0], out[n, part, 1] = xs, ys
+            else:
+                out[idx, part] = self._floats(anchors, bits).reshape(len(cur), -1, 2)[:, :take]
+        last = size - (anchors_per_start - 1) * m  # steps from the last anchor
+        if last < m:
+            (p, q), (r, s) = self.powers[last]
+            cur = [((p * a + q * b) & mask, (r * a + s * b) & mask)
+                   for a, b in anchors[span - 1::span]]
+        return cur
+
+    def _exact(self, x, ks, mask, bits):
+        """Each coordinate of A^k x as a top-53-bit float for each k < m in
+        the slice ``ks``, from Python ints: one list per coordinate."""
+        (a, b), shift = x, bits - 53
+        return [[(((e * a + f * b) & mask) >> shift) * 2.0 ** -53 for e, f in row[ks]]
+                for row in self.by_row]
+
+    def _floats(self, anchors, bits):
+        """A^k x as top-53-bit floats for each anchor x and k < m: an (n, m, 2) array."""
+        words = [((v << 128) >> bits).to_bytes(16, "big") for x in anchors for v in x]
+        words = np.frombuffer(b"".join(words), dtype=">u8").astype(np.uint64).reshape(-1, 2, 2)
+        h0, h1 = words[:, 0, :1, None], words[:, 1, :1, None]  # (n, 1, 1)
+        (c0, c1), (u0, u1) = self.coef, self.ucoef
+        top = u0 * h0 + u1 * h1
+        half = words[:, :, 1, None, None]
+        hi, lo = (half >> 32).astype(np.int64), (half & 0xFFFFFFFF).astype(np.int64)
+        hi = c0 * hi[:, 0] + c1 * hi[:, 1]
+        lo = c0 * lo[:, 0] + c1 * lo[:, 1]
+        u = hi + (lo >> 32)  # S = A^k L = 2^32 u + (lo mod 2^32)
+        top += (u >> 32).view(np.uint64)
+        top = (top >> 11) * 2.0 ** -53
+        if bits > 128:  # else delta is 0 and every carry is decided
+            frac = (u.view(np.uint64) << 32) | (lo.view(np.uint64) & 0xFFFFFFFF)  # S mod 2^64
+            mask = (1 << bits) - 1
+            for a, k in set(zip(*np.nonzero((frac < self.low) | (frac > self.high))[:2])):
+                (x,), (y,) = self._exact(anchors[a], slice(k, k + 1), mask, bits)
+                top[a, k] = x, y
+        return top
 
 
 @dataclass(frozen=True)
@@ -363,9 +486,7 @@ class CircleRotation(_SystemBase):
     def _block_start(self, p, start, stop):
         return self._jump(p.coords[0], start)
 
-    def _block_step(self, state, size):
-        coords, states = self._batch_step([state], size, 0)
-        return coords[0], states[0]
+    _block_step = _SystemBase._batch_row
 
     def _batch_step(self, states, size, into):
         # Per block: exact rational anchor, then float offsets j * alpha; a

@@ -122,6 +122,7 @@ SCAN_CASES = {
     "golden": (CircleRotation.golden(), DistToPoint((0.375,))),
     "liouville": (CircleRotation.liouville(), DistToPoint((0.375,))),
     "cat": (ToralAutomorphism(CAT_MATRIX), DistToPoint((0.3, 0.7))),
+    "cat-lattices": (ToralAutomorphism(CAT_MATRIX), DistToPoint((0.3, 0.7))),
     "torus-3d": (ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1))),
                  DistToPoint((0.1, 0.2, 0.3))),
     "mp": (MannevillePomeau(0.5), DistToPoint((0.375,))),
@@ -135,6 +136,17 @@ def _scan_starts(case, seed, offsets):
         return [ReservoirPoint(p.bits, off) for p, off in zip(points, offsets)]
     if case == "doubling-fraction":  # non-dyadic, so no step budget
         return [frac_point(Fraction(seed * 7919 + off + 1, 1_000_000_007)) for off in offsets]
+    if case == "cat-lattices":  # one batch, starts on several lattices
+        bits = system.precision_bits
+        points = []
+        for p, off in zip(system.sample_invariant(seed, len(offsets)), offsets):
+            nums = [int(c * (1 << bits)) for c in p.coords]
+            if off % 4 == 3:  # low bits all ones: the kernel's carries are undecided
+                nums = [v | ((1 << (bits - 53)) - 1) for v in nums]
+            else:  # even numerators in every coordinate: a coarser lattice, under
+                nums = [v << (5 * off) for v in nums]  # 53 bits from off = 92 on
+            points.append(frac_point(*(Fraction(v % (1 << bits), 1 << bits) for v in nums)))
+        return points
     return system.sample_invariant(seed, len(offsets))  # FloatPoints on mp
 
 

@@ -220,3 +220,9 @@ def test_series_validation():
         CorrelationSeries((3, 2), (0.1, 0.1), (0.0, 0.0), (1, 1), (1, 1))
     with pytest.raises(ValueError):
         CorrelationSeries((1, 2), (-0.1, 0.1), (0.0, 0.0), (1, 1), (1, 1))
+
+
+def test_cosine_lipschitz_constant_is_positive_for_negative_frequencies():
+    phi = cosine_wave(-3)
+    assert phi.lipschitz == cosine_wave(3).lipschitz == 2.0 * math.pi * 3 > 0
+    assert phi.norm > phi.sup_bound

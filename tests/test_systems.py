@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.errors import BudgetExhaustedError
 from ergolab.points import FractionPoint, ReservoirPoint, torus_distance
 from ergolab.systems import (
     CAT_MATRIX,
+    DEFAULT_BLOCK,
     CircleRotation,
     Doubling,
     MannevillePomeau,
@@ -180,8 +185,38 @@ BIT_FOR_BIT = {
 }
 
 
+# every 2x2 integer matrix with entries in -5..5 and determinant +-1
+UNIMODULAR_2X2 = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-5, 6), repeat=4)
+                  if abs(a * d - b * c) == 1]
+
+
 class TestBitForBit:
     """orbit_values against each engine's float rule on the exact orbit_window."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(matrix=st.just(CAT_MATRIX) | st.sampled_from(UNIMODULAR_2X2),
+           bits=st.sampled_from([53, 64, 65, 128, 129, 512]) | st.integers(53, 1024),
+           start=st.integers(0, 40), rows=st.integers(1, 300), block=st.integers(1, 150),
+           data=st.data())
+    def test_2x2_lattice_blocks_are_the_truncated_orbit(self, matrix, bits, start, rows,
+                                                        block, data):
+        # blocks cross several anchors of the kernel at any offset, and
+        # blocks of fewer than EXACT_ROWS rows are computed exactly; a
+        # coordinate whose low bits are all ones makes the uint64 pass's
+        # carries undecided (beyond 128 bits), so those rows take the exact
+        # recomputation
+        sys = ToralAutomorphism(matrix, precision_bits=bits)
+        nums = []
+        for _ in range(2):
+            ones = data.draw(st.sampled_from([0, bits - 65, bits - 53, bits]) | st.integers(0, bits))
+            nums.append(data.draw(st.integers(0, (1 << bits) - 1)) | ((1 << max(ones, 0)) - 1))
+        p = frac_point(*(Fraction(v, 1 << bits) for v in nums))
+        stop = start + rows
+        blocks = list(sys.orbit_blocks(p, start, stop, block=block))
+        assert [n0 for n0, _ in blocks] == list(range(start, stop, block))
+        expected = [_truncated(bits)(sys.orbit_window(p, n)) for n in range(start, stop)]
+        assert np.concatenate([blk for _, blk in blocks]).tolist() == expected
+        assert sys.orbit_values(p, start, stop).tolist() == expected
 
     @pytest.mark.parametrize("case", sorted(BIT_FOR_BIT))
     @pytest.mark.parametrize("block", [1, 7, None])
@@ -198,6 +233,19 @@ class TestBitForBit:
             vals = np.concatenate([blk for _, blk in blocks])
         expected = [rule(sys.orbit_window(p, n)) for n in range(start, stop)]
         assert vals.tolist() == expected
+
+    @pytest.mark.parametrize("case", sorted(BIT_FOR_BIT) + ["golden"])
+    def test_orbit_batch_is_orbit_values_of_each_point(self, case):
+        # the rotation's float offsets restart at each DEFAULT_BLOCK, so its
+        # batch crosses one; the other engines' rows do not depend on blocks
+        if case == "golden":
+            sys, p, start, stop = CircleRotation.golden(), None, DEFAULT_BLOCK - 30, DEFAULT_BLOCK + 20
+        else:
+            (sys, p, _), start, stop = BIT_FOR_BIT[case], 3, 150
+        points = [p, p] if p else sys.sample_invariant(seed=21, count=5)
+        batch = sys.orbit_batch(points, start, stop)
+        assert batch.shape == (len(points), stop - start, sys.dim)
+        assert batch.tolist() == [sys.orbit_values(p, start, stop).tolist() for p in points]
 
     @pytest.mark.parametrize("name", ["golden", "liouville"])
     @pytest.mark.parametrize("block", [1, 7, None])
