@@ -41,57 +41,25 @@ class HittingRecord:
         return self.tau is None
 
 
-def ladder_hitting_times(system, x, f, ladder, cap, point_id=0, block=DEFAULT_SCAN_BLOCK):
-    """Hitting records for every rung of a decreasing ladder, one orbit pass.
+def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
+    """First n in [1, cap] with f(T^n x) <= r for every start x and every rung
+    r of a non-increasing ladder: (taus, censored), (starts, rungs) arrays;
+    censored taus hold cap.
 
-    The scan walks T^n x for n = 1..cap; whenever the observable dips below
-    the radius of the deepest rung not yet hit, it assigns that first-passage
-    time to every rung newly covered.  Records come back in rung order and
-    are non-decreasing in tau by construction.
+    Unresolved starts step in lockstep by chunks of an eighth of a block (at
+    least 64 steps) inside the blocks of ``orbit_blocks(x, 1, cap + 1, block)``,
+    so each sees the floats of its own scan, and retire once their deepest
+    rung is hit.  As the sublevels nest, the rungs hit are a prefix, and a
+    first passage below the next rung hits every rung down to its value.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    radii = list(ladder)
-    taus = [None] * len(radii)
-    next_rung = 0
-    steps = 0
-    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=block):
-        vals = f.values(coords)
-        steps = n0 + len(vals) - 1
-        while next_rung < len(radii):
-            hits = np.flatnonzero(vals <= radii[next_rung])
-            if hits.size == 0:
-                break
-            tau = n0 + int(hits[0])
-            v = vals[hits[0]]
-            while next_rung < len(radii) and v <= radii[next_rung]:
-                taus[next_rung] = tau
-                next_rung += 1
-            vals = vals[hits[0]:]
-            n0 = tau
-        if next_rung >= len(radii):
-            break
-    return [
-        HittingRecord(point_id=point_id, radius=r, tau=t, cap=cap,
-                      steps_used=t if t is not None else cap)
-        for r, t in zip(radii, taus)
-    ]
-
-
-def first_hits(system, points, f, r, cap, block=DEFAULT_SCAN_BLOCK):
-    """First n in [1, cap] with f(T^n x) <= r for every start x, scanned together.
-
-    Returns (taus, censored); censored taus hold cap.  Unresolved starts step
-    in lockstep by chunks of an eighth of a block (at least 64 steps) that stay
-    inside the blocks of ``orbit_blocks(x, 1, cap + 1, block)``, so the taus
-    equal ``ladder_hitting_times``'s; each start retires at its first hit.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    taus = np.zeros(len(points), dtype=np.int64)
+    radii = np.fromiter(radii, dtype=float)
+    taus = np.zeros((len(points), radii.size), dtype=np.int64)  # set at each passage's top rung
+    reached = np.zeros(len(points), dtype=np.intp)  # rungs hit so far
     chunk = min(block, max(64, block // 8))
     group = max(1, SCAN_BATCH_ROWS // chunk)
-    for lo in range(0, len(points), group):
+    for lo in range(0, len(points) if radii.size else 0, group):  # no rung: no scan
         active = np.arange(lo, min(lo + group, len(points)))
         states = [system._block_start(points[i], 1, cap + 1) for i in active]
         n = 1
@@ -99,15 +67,42 @@ def first_hits(system, points, f, r, cap, block=DEFAULT_SCAN_BLOCK):
             into = (n - 1) % block
             size = min(chunk, block - into, cap + 1 - n)
             coords, states = system._batch_step(states, size, into)
-            hit = f.values(coords.reshape(active.size * size, -1)).reshape(-1, size) <= r
-            done = hit.any(axis=1)
-            taus[active[done]] = n + hit[done].argmax(axis=1)
+            vals = f.values(coords.reshape(active.size * size, -1)).reshape(-1, size)
+            todo = np.arange(active.size)  # rows that may pass their next rung here
+            while todo.size:
+                hit = vals[todo] <= radii[reached[active[todo]], None]
+                new = hit.any(axis=1)
+                todo, first = todo[new], hit[new].argmax(axis=1)
+                ids = active[todo]
+                taus[ids, reached[ids]] = n + first
+                reached[ids] = np.searchsorted(-radii, -vals[todo, first], side="right")
+                todo = todo[reached[ids] < radii.size]
+            done = reached[active] == radii.size
             active = active[~done]
             states = [state for state, d in zip(states, done) if not d]
             n += size
-    censored = taus == 0
+    taus = np.maximum.accumulate(taus, axis=1)  # each passage's tau on every rung it hit
+    censored = np.arange(radii.size) >= reached[:, None]
     taus[censored] = cap
     return taus, censored
+
+
+def hitting_records(system, points, f, ladder, cap, first_id=0, block=DEFAULT_SCAN_BLOCK):
+    """``first_hits`` of the starts as one list of records per start, in rung
+    order and non-decreasing in tau; point ids count from ``first_id``."""
+    radii = list(ladder)
+    taus, censored = first_hits(system, points, f, radii, cap, block)
+    return [
+        [HittingRecord(point_id=i, radius=r, tau=None if cut else t, cap=cap, steps_used=t)
+         for r, t, cut in zip(radii, row, cuts)]
+        for i, (row, cuts) in enumerate(zip(taus.tolist(), censored.tolist()), first_id)
+    ]
+
+
+def ladder_hitting_times(system, x, f, ladder, cap, point_id=0, block=DEFAULT_SCAN_BLOCK):
+    """Hitting records for every rung of a decreasing ladder: the one-start
+    case of ``hitting_records``."""
+    return hitting_records(system, [x], f, ladder, cap, point_id, block)[0]
 
 
 def hitting_time(system, x, f, r, cap, point_id=0):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSeriesError
 from .flow import approach_series, log_grid
 from .grammar import Rule, parse_numbers, parse_spec
-from .hitting import bc_counter_series, estimate_R, hitting_time, ladder_hitting_times
+from .hitting import bc_counter_series, estimate_R, hitting_records, hitting_time
 from .mixing import (
     cosine_wave,
     constant_function,
@@ -44,7 +44,7 @@ from .observed import (
     parse_observation_map,
     pushforward_dimension,
 )
-from .parallel import pmap
+from .parallel import chunk_size, pmap
 from .rand import master_rng, subseed
 from .returns import (
     count_jump_clusters,
@@ -234,12 +234,10 @@ def _quartiles(values):
 # per-point tasks (top level so they pickle for the process pool)
 
 
-def _hitting_task(args):
-    system, f, ladder, cap, window, index, point = args
-    records = ladder_hitting_times(system, point, f, ladder, cap, point_id=index)
-    est = estimate_R(system, point, f, ladder, cap, window=window,
-                     point_id=index, records=records)
-    return records, est
+def _ladder_task(args):
+    system, f, ladder, cap, window, first_id, points = args
+    return [(records, estimate_R(system, None, f, ladder, cap, window=window, records=records))
+            for records in hitting_records(system, points, f, ladder, cap, first_id)]
 
 
 def _bc_task(args):
@@ -258,18 +256,24 @@ def _flow_task(args):
     return index, series
 
 
-def _observed_exponent_task(args):
-    system, f, ladder, cap, window, index, point = args
-    est = estimate_R(system, point, f, ladder, cap, window=window, point_id=index)
-    return index, est
-
-
 def _rank_dimension_task(args):
     system, image_map, ladder, seed, n_per_rung, window, index, point = args
     est = pushforward_dimension(system, image_map, point, ladder, seed, n_per_rung,
                                 window=window)
     report = jacobian_rank(image_map, point)
     return index, est, report
+
+
+def _ladder_scans(config, f, workers):
+    """The cap, the starts and each start's (records, estimate); a pool task
+    scans a slice of the starts together, sliced the way ``pmap`` chunks."""
+    system, ladder, p = config.system, config.ladder, config.params
+    cap = _cap_for(config, system, f, min(ladder))
+    points = system.sample_invariant(config.seed, p.points)
+    size = chunk_size(p.points, workers)
+    tasks = [(system, f, ladder, cap, p.window, lo, points[lo:lo + size])
+             for lo in range(0, p.points, size)]
+    return cap, points, [pair for part in pmap(_ladder_task, tasks, workers) for pair in part]
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +283,11 @@ def _rank_dimension_task(args):
 def _run_hitting(config, workers):
     system, f, ladder = config.system, config.observable, config.ladder
     window = config.params.window
-    cap = _cap_for(config, system, f, min(ladder))
-    points = system.sample_invariant(config.seed, config.params.points)
-    tasks = [(system, f, ladder, cap, window, i, p) for i, p in enumerate(points)]
-    results = pmap(_hitting_task, tasks, workers)
+    cap, _, results = _ladder_scans(config, f, workers)
 
-    record_rows = []
-    estimates = []
-    for records, est in results:
-        estimates.append(est)
-        for rec in records:
-            record_rows.append([rec.point_id, rec.radius, rec.tau if rec.tau else "",
-                                int(rec.censored)])
+    estimates = [est for _, est in results]
+    record_rows = [[rec.point_id, rec.radius, rec.tau if rec.tau else "", int(rec.censored)]
+                   for records, _ in results for rec in records]
     d_est = estimate_dimension(f, ladder, system, subseed(config.seed, "dims"),
                                n_per_rung=200_000)
     med_upper = float(median(e.r_upper for e in estimates))
@@ -501,22 +498,17 @@ def _run_return_stats(config, workers):
 def _run_observed_exponent(config, workers):
     system, p, ladder = config.system, config.params, config.ladder
     f = PushforwardDist(p.map, p.image_point)
-    cap = _cap_for(config, system, f, min(ladder))
-    points = system.sample_invariant(config.seed, p.points)
-    tasks = [(system, f, ladder, cap, p.window, i, pt) for i, pt in enumerate(points)]
-    results = pmap(_observed_exponent_task, tasks, workers)
-    exps = [est.exponent for _, est in results]
-    uppers = [est.r_upper for _, est in results]
-    lowers = [est.r_lower for _, est in results]
+    cap, points, results = _ladder_scans(config, f, workers)
+    estimates = [est for _, est in results]
     dim_est = pushforward_dimension(system, p.map, points[0], ladder,
                                     subseed(config.seed, "pf-dim"), 100_000)
     rows = [[i, est.exponent, est.r_upper, est.r_lower, est.censor_fraction]
-            for i, est in results]
+            for i, est in enumerate(estimates)]
     summary = {
         "cap": cap,
-        "exponent": _quartiles(exps),
-        "R_upper": _quartiles(uppers),
-        "R_lower": _quartiles(lowers),
+        "exponent": _quartiles([est.exponent for est in estimates]),
+        "R_upper": _quartiles([est.r_upper for est in estimates]),
+        "R_lower": _quartiles([est.r_lower for est in estimates]),
         "pushforward_dimension": dim_est.slope,
     }
     return ({"per_point": rows}, summary,

@@ -29,6 +29,9 @@ from .systems import Doubling
 
 NOISE_FLOOR_FACTOR = 3.0
 MIN_USABLE_LAGS = 6
+DECAY_FIT_HINT = (f"a fast-mixing system's correlations (cat's, for one) fall below the noise "
+                  f"floor before {MIN_USABLE_LAGS} lags; for intersection-bound, change "
+                  "decay_phi, decay_lags or decay_samples (more samples lower the floor)")
 _CHUNK = 1 << 15  # reservoir samples, or orbit rows, per chunk
 
 
@@ -224,7 +227,7 @@ def fit_decay(series, noise_factor=NOISE_FLOOR_FACTOR):
         return DecayFit(DECAY_INCONCLUSIVE, None, None, (), None)
     if len(idx) < MIN_USABLE_LAGS:
         raise DegenerateSeriesError(
-            f"only {len(idx)} lags above the noise floor; need {MIN_USABLE_LAGS}"
+            f"only {len(idx)} lags above the noise floor; need {MIN_USABLE_LAGS}: {DECAY_FIT_HINT}"
         )
     ns = np.array([series.lags[i] for i in idx], dtype=float)
     logv = np.log([series.values[i] for i in idx])
@@ -261,7 +264,8 @@ def intersection_bound_check(system, f, ladder, k, j, seed, n_samples, decay):
     if k >= len(radii):
         raise ValueError("ladder does not reach index k")
     if decay is None or decay.kind == DECAY_INCONCLUSIVE:
-        raise NoDecayFitError("intersection bound needs a fitted decay envelope")
+        raise NoDecayFitError("intersection bound needs a fitted decay envelope, and the "
+                              "decay fit is inconclusive: " + DECAY_FIT_HINT)
 
     lhs = _joint_preimage_measure(system, f, radii[k], radii[j], k, j, seed, n_samples)
     mu_k = estimate_measure(f, radii[k - 1], system, subseed(seed, "mu-k"), n_samples)

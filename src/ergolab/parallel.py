@@ -23,11 +23,15 @@ def resolve_workers(requested=None):
     return os.cpu_count() or 1
 
 
+def chunk_size(count, workers):
+    """Items per pool task: about four tasks per worker."""
+    return max(1, count // (workers * 4))
+
+
 def pmap(fn, items, workers):
     """map(fn, items) preserving order, fanned out when workers > 1."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, items, chunksize=chunk_size(len(items), workers)))

@@ -174,7 +174,8 @@ def conditioned_return_times(system, f, r, seed, count, cap, block=DEFAULT_SCAN_
     with sample_conditioned(system, f, r, seed, count).
     """
     points = sample_conditioned(system, f, r, seed, count)
-    return first_hits(system, points, f, float(r), cap, block)
+    taus, censored = first_hits(system, points, f, [float(r)], cap, block)
+    return taus[:, 0], censored[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from .observables import (
     exact_measure,
     mollifier,
 )
-from .hitting import first_hits, hitting_time, ladder_hitting_times, power_law_radii
+from .hitting import first_hits, hitting_time, power_law_radii
 from .observed import Constant, CoordinateProjection, LinearMap, jacobian_rank
 from .points import FloatPoint, FractionPoint, torus_distance
 from .reservoir import BitReservoir
@@ -40,16 +40,19 @@ def _cat_blocks_are_truncated(cat):
     )
 
 
-def _batched_scan_is_per_start(rotation):
-    """first_hits over 40 starts against one ladder scan each.  Block 140 is
-    not a multiple of the 64-step chunk nor a divisor of cap 300; the taus
-    fall in every chunk of the first two blocks and one start is censored."""
-    f = DistToPoint((0.375,))
+def _batched_scan_is_plain_orbit(rotation):
+    """first_hits over 40 starts and three rungs against each orbit_values.
+    Block 140 is neither a multiple of the 64-step chunk nor a divisor of cap
+    300; taus fall in every chunk of two blocks, most starts pass two rungs at
+    once, one deepest rung is censored.  Past step 140 the two block layouts'
+    rotation floats differ in the last bits, far from every radius."""
+    f, radii = DistToPoint((0.375,)), [0.03, 0.008, 0.002]
     points = rotation.sample_invariant(0, 40)
-    taus, censored = first_hits(rotation, points, f, 0.002, 300, block=140)
-    single = [ladder_hitting_times(rotation, p, f, [0.002], 300, block=140)[0] for p in points]
-    return (taus.tolist() == [rec.tau or 300 for rec in single]
-            and censored.tolist() == [rec.censored for rec in single])
+    taus, censored = first_hits(rotation, points, f, radii, 300, block=140)
+    hits = [[(f.values(rotation.orbit_values(p, 1, 301)) <= r).nonzero()[0] for r in radii]
+            for p in points]
+    return (taus.tolist() == [[int(h[0]) + 1 if h.size else 300 for h in row] for row in hits]
+            and censored.tolist() == [[not h.size for h in row] for row in hits])
 
 
 def _checks():
@@ -99,8 +102,8 @@ def _checks():
         hitting_time(quarter, FractionPoint((0,)), DistToPoint((0.5,)),
                      0.1, cap=100).tau == 2
     )
-    yield "batched return scan equals per-start scans on the golden rotation", lambda: (
-        _batched_scan_is_per_start(CircleRotation.golden())
+    yield "batched ladder scan equals the plain orbit on the golden rotation", lambda: (
+        _batched_scan_is_plain_orbit(CircleRotation.golden())
     )
     yield "shrinking radii start at r_0 = 1", lambda: (
         power_law_radii(0.5, 4).tolist()[0] == 1.0

@@ -29,6 +29,7 @@ least 53 bits truncate to 53 bits, other exact coordinates round to nearest.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from math import factorial, isqrt, lcm
 
 import numpy as np
@@ -527,15 +528,23 @@ class MannevillePomeau(_SystemBase):
         if self.burn_in < 0 or self.stride < 1:
             raise ValueError("invalid sampler settings")
 
-    def _map(self, x):
-        y = x + x ** (1.0 + self.s)
-        return y - 1.0 if y >= 1.0 else y
+    def _orbit(self, x, out, stride):
+        """The engine's one loop: write x and every ``stride``-th orbit point
+        after it into out; return the point ``stride`` steps after the last."""
+        e, i = 1.0 + self.s, 0
+        for write in islice(cycle((True,) + (False,) * (stride - 1)), len(out) * stride):
+            if write:
+                out[i] = x
+                i += 1
+            x += x ** e
+            if x >= 1.0:
+                x -= 1.0
+        return x
 
     def _advance(self, p, n):
-        x = p.coords[0]
-        for _ in range(n):
-            x = self._map(x)
-        return FloatPoint((x,))
+        # strides of 4096 steps, then the rest, so the flags stay short
+        x = self._orbit(p.coords[0], [0.0] * (n // 4096), 4096)
+        return FloatPoint((self._orbit(x, [0.0], n % 4096),))
 
     orbit_blocks = _SystemBase.orbit_blocks
 
@@ -543,11 +552,8 @@ class MannevillePomeau(_SystemBase):
         return float(self.orbit_window(p, start).coords[0])
 
     def _block_step(self, x, size):
-        step = self._map
-        vals = []
-        for _ in range(size):
-            vals.append(x)
-            x = step(x)
+        vals = [0.0] * size
+        x = self._orbit(x, vals, 1)
         return np.array(vals).reshape(-1, 1), x
 
     def sample_invariant(self, seed, count):
@@ -561,14 +567,9 @@ class MannevillePomeau(_SystemBase):
         x = float(rng.random())
         while x == 0.0:
             x = float(rng.random())
-        step = self._map
-        for _ in range(self.burn_in):
-            x = step(x)
+        x = self._advance(FloatPoint((x,)), self.burn_in).coords[0]
         out = np.empty(count)
-        for i in range(count):
-            out[i] = x
-            for _ in range(self.stride):
-                x = step(x)
+        self._orbit(x, out, self.stride)
         return out.reshape(-1, 1)
 
 

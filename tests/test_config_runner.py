@@ -247,6 +247,24 @@ class TestRunner:
         assert r1["meta"]["workers"] == 1
         assert r2["meta"]["workers"] == 2
 
+    @pytest.mark.parametrize("system, sections", [
+        ("mp:0.3", "[observable]\nrule = dist:0.5\n[hitting]\npoints = 13\ncap = 20000"),
+        ("cat", "[observable]\nrule = dist:0.3,0.7\n[hitting]\npoints = 13\ncap = 20000"),
+        ("cat", "[observed]\nmode = hitting-exponent\nmap = proj:1\nimage_point = 0.5\n"
+                "points = 13"),
+    ], ids=["hitting-mp", "hitting-cat", "observed-exponent"])
+    def test_ladder_scans_do_not_depend_on_worker_count(self, tmp_path, system, sections):
+        # 13 starts: slices of 3, 1 and 1 start at workers 1, 2 and 3
+        kind = "observed" if "[observed]" in sections else "hitting"
+        text = (f"[experiment]\nkind = {kind}\nsystem = {system}\nseed = 31\n"
+                "output = {out}\n[ladder]\nkind = dyadic\nstart_exp = 2\nstop_exp = 7\n"
+                f"{sections}\n")
+        results = [run(parse_config_text(text.format(out=tmp_path / f"w{w}.json")), workers=w)
+                   for w in (1, 2, 3)]
+        assert [r["meta"]["workers"] for r in results] == [1, 2, 3]
+        assert len(results[0]["data"]["per_point"]) == 13
+        assert len({data_section_bytes(r) for r in results}) == 1
+
     def test_persisted_file_round_trips(self, tmp_path):
         out = tmp_path / "h.json"
         result = run(parse_config_text(HITTING_CONFIG.format(out=out)), workers=1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ergolab.errors import AllCensoredError, InvalidBetaError
 from ergolab.hitting import (
+    DEFAULT_SCAN_BLOCK,
     BCCounter,
     SCAN_BATCH_ROWS,
     HittingRecord,
@@ -150,28 +151,93 @@ def _scan_starts(case, seed, offsets):
     return system.sample_invariant(seed, len(offsets))  # FloatPoints on mp
 
 
+def reference_ladder_scan(system, x, f, radii, cap, block):
+    """First passages of one start below a non-increasing ladder, block by
+    block over ``orbit_blocks(x, 1, cap + 1, block)``: at each first dip below
+    the deepest rung not yet hit, every rung down to the dip's value takes its
+    time.  None marks a censored rung."""
+    taus = [None] * len(radii)
+    next_rung = 0
+    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=block):
+        vals = f.values(coords)
+        while next_rung < len(radii):
+            hits = np.flatnonzero(vals <= radii[next_rung])
+            if hits.size == 0:
+                break
+            tau = n0 + int(hits[0])
+            v = vals[hits[0]]
+            while next_rung < len(radii) and v <= radii[next_rung]:
+                taus[next_rung] = tau
+                next_rung += 1
+            vals = vals[hits[0]:]
+            n0 = tau
+        if next_rung >= len(radii):
+            break
+    return taus
+
+
 class TestFirstHits:
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(case=st.sampled_from(sorted(SCAN_CASES)), seed=st.integers(0, 10_000),
            offsets=st.lists(st.integers(0, 100), min_size=1, max_size=6),
-           r=st.sampled_from([0.01, 0.05, 0.2]), cap=st.integers(1, 2_000),
-           block=st.integers(1, 1_200), one_per_group=st.booleans())
-    def test_equals_per_start_scans(self, case, seed, offsets, r, cap, block, one_per_group):
+           radii=st.lists(st.sampled_from([0.3, 0.2, 0.05, 0.02, 0.01, 0.003]),
+                          min_size=1, max_size=6),
+           cap=st.integers(1, 2_000), block=st.integers(1, 1_200),
+           batch_rows=st.sampled_from([1, 200, 2_000, SCAN_BATCH_ROWS]))
+    def test_equals_per_start_scans(self, case, seed, offsets, radii, cap, block, batch_rows):
+        # repeated radii are equal neighbours; small batches make several groups
         system, f = SCAN_CASES[case]
         points = _scan_starts(case, seed, offsets)
-        rows = 1 if one_per_group else SCAN_BATCH_ROWS
-        with mock.patch("ergolab.hitting.SCAN_BATCH_ROWS", rows):
-            taus, censored = first_hits(system, points, f, r, cap, block)
-        for p, tau, cut in zip(points, taus.tolist(), censored.tolist()):
-            rec = ladder_hitting_times(system, p, f, [r], cap, block=block)[0]
-            assert (tau, cut) == (cap if rec.censored else rec.tau, rec.censored)
+        radii = sorted(radii, reverse=True)
+        with mock.patch("ergolab.hitting.SCAN_BATCH_ROWS", batch_rows):
+            taus, censored = first_hits(system, points, f, radii, cap, block)
+        assert taus.shape == censored.shape == (len(points), len(radii))
+        for p, row, cuts in zip(points, taus.tolist(), censored.tolist()):
+            expect = reference_ladder_scan(system, p, f, radii, cap, block)
+            assert row == [cap if t is None else t for t in expect]
+            assert cuts == [t is None for t in expect]
+
+    def test_starts_retire_at_different_rungs(self):
+        # golden rotation, cap 300: some starts pass every rung before the cap,
+        # others are censored below an upper rung
+        system, f = SCAN_CASES["golden"]
+        points = system.sample_invariant(3, 50)
+        radii = [0.05, 0.01, 0.002]
+        taus, censored = first_hits(system, points, f, radii, cap=300, block=70)
+        for p, row, cuts in zip(points, taus.tolist(), censored.tolist()):
+            expect = reference_ladder_scan(system, p, f, radii, 300, 70)
+            assert (row, cuts) == ([300 if t is None else t for t in expect],
+                                   [t is None for t in expect])
+        assert {int(c.sum()) for c in censored} >= {0, 1}
+        assert (np.diff(taus, axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("case", ["golden", "liouville"])
+    def test_orbit_minimum_is_hit_where_the_blocks_put_it(self, case):
+        # a radius equal to a start's smallest orbit value is hit only where
+        # the scan sees that float bit for bit: the rotation's floats depend
+        # on where blocks start, and chunks must continue their block
+        system, f = SCAN_CASES[case]
+        for p in system.sample_invariant(5, 30):
+            vals = np.concatenate([f.values(c) for _, c in system.orbit_blocks(p, 1, 601, 300)])
+            taus, censored = first_hits(system, [p], f, [vals.min()], 600, block=300)
+            assert (taus[0, 0], censored[0, 0]) == (vals.argmin() + 1, False)
 
     def test_small_caps_censor(self):
         system, f = SCAN_CASES["golden"]
         points = system.sample_invariant(3, 50)
-        taus, censored = first_hits(system, points, f, 0.01, cap=7, block=3)
+        taus, censored = first_hits(system, points, f, [0.01], cap=7, block=3)
         assert censored.any() and not censored.all()
         assert (taus[censored] == 7).all() and (taus[~censored] <= 7).all()
+
+    def test_ladder_records_are_the_first_hits_of_one_start(self):
+        system, f = SCAN_CASES["cat"]
+        x = system.sample_invariant(8, 1)[0]
+        ladder = RadiusLadder.dyadic(2, 6)
+        records = ladder_hitting_times(system, x, f, ladder, cap=3_000, point_id=5)
+        expect = reference_ladder_scan(system, x, f, list(ladder), 3_000, DEFAULT_SCAN_BLOCK)
+        assert [rec.tau for rec in records] == expect
+        assert [rec.radius for rec in records] == list(ladder)
+        assert {rec.point_id for rec in records} == {5}
 
 
 class TestEstimateR:
