@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import AllCensoredError, InvalidBetaError
 from .observables import exact_dimension, exact_measure, fit_line, sliding_slopes
-from .systems import invariant_sample_floats
 
 DEFAULT_SCAN_BLOCK = 1 << 13
 SCAN_BATCH_ROWS = 1 << 14  # orbit rows a first_hits step holds, whatever the start count
@@ -257,7 +256,7 @@ def _measures_for(system, f, radii, measures, seed, n_samples):
             )
         return mu
     if measures == "mc":
-        coords = invariant_sample_floats(system, seed, n_samples)
+        coords = system.sample_invariant_floats(seed, n_samples)
         vals = np.sort(f.values(coords))
         counts = np.searchsorted(vals, radii, side="right")
         return counts / n_samples

@@ -122,39 +122,30 @@ class CorrelationSeries:
                 if v > factor * hw]
 
 
-def _orbit_value_matrix(system, phi, psi, lags, seed, n_samples):
-    """psi at time 0 and phi along the orbit at each lag, per sample point.
+def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
+    """Yield (part, values) per chunk of invariant sample points: values
+    gives fns[i] at time lags[i] along the orbits of the points in ``part``,
+    one array at a time, and must be read before the next chunk.
 
-    Doubling reservoir points are streamed as raw byte rows (windows at bit
-    offset n are the orbit); other systems step groups of sample points
-    together (``orbit_batch``).
+    Doubling reservoir points are streamed as raw byte rows drawn from
+    ``byte_seed`` (windows at bit offset n are the orbit); other systems step
+    groups of ``sample_invariant(point_seed)`` points together
+    (``orbit_batch``).
     """
     max_lag = max(lags)
-    psi0 = np.empty(n_samples)
-    phis = np.empty((len(lags), n_samples))
     if isinstance(system, Doubling) and system.engine == "reservoir":
-        rng = master_rng(subseed(seed, "corr-bytes"))
-        nbytes = (max_lag + 64) // 8 + 2
-        done = 0
-        while done < n_samples:
-            size = min(_CHUNK, n_samples - done)
-            rows = rng.integers(0, 256, size=(size, nbytes), dtype=np.uint8)
-            base = bulk_window_floats(rows, 0).reshape(-1, 1)
-            psi0[done:done + size] = psi.values(base)
-            for i, lag in enumerate(lags):
-                shifted = bulk_window_floats(rows, lag).reshape(-1, 1)
-                phis[i, done:done + size] = phi.values(shifted)
-            done += size
-        return psi0, phis
-
-    points = system.sample_invariant(seed, n_samples)
+        rng = master_rng(byte_seed)
+        for lo in range(0, n_samples, _CHUNK):
+            size = min(_CHUNK, n_samples - lo)
+            rows = rng.integers(0, 256, size=(size, (max_lag + 64) // 8 + 2), dtype=np.uint8)
+            yield slice(lo, lo + size), (fn.values(bulk_window_floats(rows, lag).reshape(-1, 1))
+                                         for fn, lag in zip(fns, lags))
+        return
+    points = system.sample_invariant(point_seed, n_samples)
     group = max(1, _CHUNK // (max_lag + 1))
     for lo in range(0, n_samples, group):
         vals = system.orbit_batch(points[lo:lo + group], 0, max_lag + 1)
-        psi0[lo:lo + len(vals)] = psi.values(vals[:, 0])
-        for i, lag in enumerate(lags):
-            phis[i, lo:lo + len(vals)] = phi.values(vals[:, lag])
-    return psi0, phis
+        yield slice(lo, lo + len(vals)), (fn.values(vals[:, lag]) for fn, lag in zip(fns, lags))
 
 
 def estimate_correlation(system, phi, psi, lags, seed, n_samples, level=0.95):
@@ -166,7 +157,13 @@ def estimate_correlation(system, phi, psi, lags, seed, n_samples, level=0.95):
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     lags = tuple(int(n) for n in lags)
-    psi0, phis = _orbit_value_matrix(system, phi, psi, lags, seed, n_samples)
+    lagged = np.empty((len(lags) + 1, n_samples))  # psi at time 0, then phi at each lag
+    fns = (psi,) + (phi,) * len(lags)
+    chunks = _lagged_values(system, fns, (0, *lags), subseed(seed, "corr-bytes"), seed, n_samples)
+    for part, chunk in chunks:
+        for row, vals in zip(lagged, chunk):
+            row[part] = vals
+    psi0, phis = lagged[0], lagged[1:]
     psi_c = psi0 - psi0.mean()
     z = z_value(level)
     values = []
@@ -277,24 +274,8 @@ def intersection_bound_check(system, f, ladder, k, j, seed, n_samples, decay):
 
 
 def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
-    hits = 0
-    if isinstance(system, Doubling) and system.engine == "reservoir":
-        rng = master_rng(subseed(seed, "joint-bytes"))
-        nbytes = (k + 64) // 8 + 2
-        done = 0
-        while done < n_samples:
-            size = min(_CHUNK, n_samples - done)
-            rows = rng.integers(0, 256, size=(size, nbytes), dtype=np.uint8)
-            at_k = f.values(bulk_window_floats(rows, k).reshape(-1, 1))
-            at_j = f.values(bulk_window_floats(rows, j).reshape(-1, 1))
-            hits += int(np.count_nonzero((at_k <= r_k) & (at_j <= r_j)))
-            done += size
-    else:
-        points = system.sample_invariant(subseed(seed, "joint"), n_samples)
-        group = max(1, _CHUNK // (k + 1))
-        for lo in range(0, n_samples, group):
-            vals = system.orbit_batch(points[lo:lo + group], 0, k + 1)
-            hits += int(np.count_nonzero((f.values(vals[:, k]) <= r_k)
-                                         & (f.values(vals[:, j]) <= r_j)))
+    chunks = _lagged_values(system, (f, f), (k, j), subseed(seed, "joint-bytes"),
+                            subseed(seed, "joint"), n_samples)
+    hits = sum(int(np.count_nonzero((at_k <= r_k) & (at_j <= r_j))) for _, (at_k, at_j) in chunks)
     return MeasureEstimate(hits / n_samples, binomial_half_width(hits, n_samples),
                            n_samples)

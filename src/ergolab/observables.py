@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateLadderError
 from .grammar import Rule, parse_axes, parse_numbers, parse_spec
 from .points import torus_distances
-from .systems import invariant_sample_floats, is_lebesgue
 
 # largest |k| of the cos:<k> and wave:<k> Fourier modes: k x then keeps at
 # least 33 of a coordinate's 53 bits below the period
@@ -307,7 +306,7 @@ def exact_measure(system, f, r):
     live = ~(radii < 0)
     out = np.zeros(radii.shape)
     if live.any():
-        law = _lebesgue_sublevel(f) if is_lebesgue(system) else None
+        law = _lebesgue_sublevel(f) if system.lebesgue else None
         vals = law(radii[live]) if law is not None else None
         if vals is None:
             return None
@@ -361,7 +360,7 @@ def _ball_measure(k, r):
 
 def exact_dimension(system, f):
     """Limiting sublevel exponent when the closed form pins it; else None."""
-    if not is_lebesgue(system):
+    if not system.lebesgue:
         return None
     if isinstance(f, DistToPoint):
         return float(f.dim)
@@ -403,7 +402,7 @@ def estimate_measure(f, r, system, seed, n_samples, level=0.95):
         return MeasureEstimate(closed, 0.0, 0, exact=True)
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    coords = invariant_sample_floats(system, seed, n_samples)
+    coords = system.sample_invariant_floats(seed, n_samples)
     hits = int(np.count_nonzero(f.values(coords) <= r))
     return MeasureEstimate(hits / n_samples,
                            binomial_half_width(hits, n_samples, level), n_samples)
@@ -418,7 +417,7 @@ def measure_profile(f, ladder, system, seed, n_samples, level=0.95):
     exact_vals = [exact_measure(system, f, r) for r in ladder]
     if all(v is not None for v in exact_vals):
         return [MeasureEstimate(v, 0.0, 0, exact=True) for v in exact_vals]
-    coords = invariant_sample_floats(system, seed, n_samples)
+    coords = system.sample_invariant_floats(seed, n_samples)
     vals = f.values(coords)
     out = []
     for r, closed in zip(ladder, exact_vals):

@@ -113,8 +113,3 @@ def torus_distances(points, target):
     """Vectorized quotient metric from rows of ``points`` (n, d) to ``target``."""
     d = wrap_deltas(points - target)
     return np.sqrt((d * d).sum(axis=1))
-
-
-def float_coords(point):
-    """Float coordinates of any phase point type."""
-    return point.float_coords()

@@ -28,13 +28,7 @@ from .observables import DistToPoint, binomial_half_width, estimate_measure
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_rng, subseed
 from .reservoir import BitReservoir
-from .systems import (
-    CircleRotation,
-    Doubling,
-    ToralAutomorphism,
-    invariant_sample_floats,
-    is_lebesgue,
-)
+from .systems import CircleRotation, Doubling, ToralAutomorphism
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 10) for k in range(51))
 STALL_ACCEPTANCE = 1e-6
@@ -60,7 +54,7 @@ def sample_conditioned(system, f, r, seed, count, max_attempts=20_000_000):
 
 
 def _direct_sampler(system, f, r):
-    if not (is_lebesgue(system) and isinstance(f, DistToPoint)):
+    if not (system.lebesgue and isinstance(f, DistToPoint)):
         return None
     if f.dim == 1 and isinstance(system, Doubling) and system.engine == "reservoir":
         return lambda seed, count: _interval_reservoir_points(
@@ -141,7 +135,7 @@ def _rejection_sample(system, f, r, seed, count, max_attempts):
     chunk = 65_536
     stream = 0
     while len(accepted) < count:
-        coords = invariant_sample_floats(system, subseed(seed, f"rej{stream}"), chunk)
+        coords = system.sample_invariant_floats(subseed(seed, f"rej{stream}"), chunk)
         keep = np.flatnonzero(f.values(coords) <= r)
         for idx in keep:
             accepted.append(FloatPoint(tuple(coords[idx])))

@@ -22,6 +22,12 @@ Engines
 
 Bulk orbit evaluation (`orbit_blocks`) yields float coordinate arrays for
 the estimators; the underlying state stays exact for the exact engines.
+An engine defines two things: ``_block_start(p, start, stop)``, its state at
+``start``, and ``_batch_step(states, size, into)``, the next ``size`` rows of
+many states at once.  ``_SystemBase._blocks`` is the one block loop over
+them, behind ``orbit_blocks``, ``orbit_values`` and ``orbit_batch``;
+``hitting.first_hits`` drives ``_batch_step`` itself, as it retires starts
+mid-block.
 Floats carry at most a 2^-53 conversion error, negligible against every
 radius used by the estimators: 2-d automorphisms on a dyadic lattice of at
 least 53 bits truncate to 53 bits, other exact coordinates round to nearest.
@@ -56,6 +62,7 @@ class _SystemBase:
     """Shared orbit access; concrete systems define the dynamics."""
 
     exact = True
+    lebesgue = True  # the invariant measure is Lebesgue
     caveats = ()
 
     def orbit_window(self, p, n):
@@ -77,43 +84,40 @@ class _SystemBase:
         """Yield (n0, coords) with coords[i] = float coords of T^(n0+i)(p).
 
         Covers n = start..stop-1 in blocks; used by every scanning
-        estimator.  The one block loop: an engine supplies its state at
-        ``start`` (``_block_start``) and a step ``_block_step(state, size)``
-        giving the next ``size`` coordinates as a (size, d) array and the
-        state after them.  No work happens before the first block is drawn.
+        estimator.  The one-point view of ``_blocks``; no work happens
+        before the first block is drawn.
         """
-        state = self._block_start(p, start, stop)
+        for n, coords in self._blocks([p], start, stop, block):
+            yield n, coords[0]
+
+    def _blocks(self, points, start, stop, block):
+        """Yield (n0, coords) with coords[k, i] = float coords of
+        T^(n0+i)(points[k]): the one block loop.  An engine supplies its
+        state at ``start`` (``_block_start``) and a step
+        ``_batch_step(states, size, into)`` giving the next ``size``
+        coordinates of each state, ``into`` steps into its block, as an
+        (n, size, d) array and the states after them."""
+        states = [self._block_start(p, start, stop) for p in points]
         for n in range(start, stop, block):
-            coords, state = self._block_step(state, min(block, stop - n))
+            coords, states = self._batch_step(states, min(block, stop - n), 0)
             yield n, coords
-
-    def _batch_step(self, states, size, into):
-        """``_block_step`` of each state, ``into`` steps into its block: an
-        (n, size, d) array and the states after it."""
-        steps = [self._block_step(state, size) for state in states]
-        return np.stack([coords for coords, _ in steps]), [state for _, state in steps]
-
-    def _batch_row(self, state, size):
-        """``_block_step`` of an engine whose ``_batch_step`` is the step: its one-row case."""
-        coords, states = self._batch_step([state], size, 0)
-        return coords[0], states[0]
 
     def orbit_values(self, p, start, stop):
         """Float coordinates of T^n(p) for n in [start, stop) as one array."""
-        parts = [blk for _, blk in self.orbit_blocks(p, start, stop)]
-        if not parts:
-            return np.empty((0, self.dim))
-        return np.concatenate(parts, axis=0)
+        return self.orbit_batch([p], start, stop)[0]
 
     def orbit_batch(self, points, start, stop):
         """``orbit_values(p, start, stop)`` of every point p, stepped together:
         a (len(points), stop - start, d) array."""
-        out = np.empty((len(points), stop - start, self.dim))
-        states = [self._block_start(p, start, stop) for p in points]
-        for n in range(start, stop, DEFAULT_BLOCK):
-            size = min(DEFAULT_BLOCK, stop - n)
-            out[:, n - start:n - start + size], states = self._batch_step(states, size, 0)
-        return out
+        parts = [coords for _, coords in self._blocks(points, start, stop, DEFAULT_BLOCK)]
+        if not parts:
+            return np.empty((len(points), 0, self.dim))
+        return np.concatenate(parts, axis=1)
+
+    def sample_invariant_floats(self, seed, count):
+        """Invariant samples as a float array (count, d); fast path for
+        estimators.  Lebesgue systems draw uniforms from the master stream."""
+        return master_rng(seed).random((count, self.dim))
 
 
 @dataclass(frozen=True)
@@ -157,22 +161,19 @@ class Doubling(_SystemBase):
         x = self.orbit_window(p, start).coords[0]
         return x.numerator, x.denominator
 
-    def _block_step(self, state, size):
-        if isinstance(state, ReservoirPoint):
-            vals = state.bits.window_floats(state.offset, size)
-            return vals.reshape(-1, 1), self._advance(state, size)
-        num, den = state
-        vals = []
-        for _ in range(size):
-            vals.append(num / den)
-            num = num * 2 % den
-        return np.array(vals).reshape(-1, 1), (num, den)
-
     def _batch_step(self, states, size, into):
-        if not isinstance(states[0], ReservoirPoint):
-            return super()._batch_step(states, size, into)
-        vals = stream_window_floats([(p.bits, p.offset) for p in states], size)
-        return vals[..., None], [self._advance(p, size) for p in states]
+        if isinstance(states[0], ReservoirPoint):
+            vals = stream_window_floats([(p.bits, p.offset) for p in states], size)
+            return vals[..., None], [self._advance(p, size) for p in states]
+        coords, after = np.empty((len(states), size, 1)), []
+        for i, (num, den) in enumerate(states):
+            vals = []
+            for _ in range(size):
+                vals.append(num / den)
+                num = num * 2 % den
+            coords[i, :, 0] = vals
+            after.append((num, den))
+        return coords, after
 
     def sample_invariant(self, seed, count):
         """Reservoir points (or B-bit dyadics) distributed per Lebesgue."""
@@ -186,14 +187,11 @@ class Doubling(_SystemBase):
         ]
 
 
-def _dyadic_draw(seed, index, bits, lo=None, hi=None):
-    """Uniform B-bit dyadic fraction from the per-index stream; optionally
-    restricted to integer numerator range [lo, hi)."""
+def _dyadic_draw(seed, index, bits):
+    """Uniform B-bit dyadic fraction from the per-index stream."""
     rng = point_rng(seed, index)
     nbytes = (bits + 7) // 8
     raw = int.from_bytes(rng.bytes(nbytes), "big") >> (nbytes * 8 - bits)
-    if lo is not None:
-        raw = lo + raw % (hi - lo)
     return Fraction(raw, 1 << bits)
 
 
@@ -273,8 +271,6 @@ class ToralAutomorphism(_SystemBase):
     def _block_start(self, p, start, stop):
         nums, modulus = self._state(p)
         return self._jump(nums, modulus, start), modulus
-
-    _block_step = _SystemBase._batch_row
 
     def _batch_step(self, states, size, into):
         # 2x2 on a dyadic lattice of >= 53 bits: each coordinate's top 53
@@ -487,8 +483,6 @@ class CircleRotation(_SystemBase):
     def _block_start(self, p, start, stop):
         return self._jump(p.coords[0], start)
 
-    _block_step = _SystemBase._batch_row
-
     def _batch_step(self, states, size, into):
         # Per block: exact rational anchor, then float offsets j * alpha; a
         # step ``into`` a block recovers the block's anchor from its state.
@@ -520,6 +514,7 @@ class MannevillePomeau(_SystemBase):
     dim = 1
     mixing_class = "polynomial"
     exact = False
+    lebesgue = False
     caveats = ("float-engine",)
 
     def __post_init__(self):
@@ -551,10 +546,13 @@ class MannevillePomeau(_SystemBase):
     def _block_start(self, p, start, stop):
         return float(self.orbit_window(p, start).coords[0])
 
-    def _block_step(self, x, size):
-        vals = [0.0] * size
-        x = self._orbit(x, vals, 1)
-        return np.array(vals).reshape(-1, 1), x
+    def _batch_step(self, states, size, into):
+        coords, after = np.empty((len(states), size, 1)), []
+        for i, x in enumerate(states):
+            vals = [0.0] * size
+            after.append(self._orbit(x, vals, 1))
+            coords[i, :, 0] = vals
+        return coords, after
 
     def sample_invariant(self, seed, count):
         """Points off one long orbit, after burn-in, spaced by the stride."""
@@ -571,21 +569,6 @@ class MannevillePomeau(_SystemBase):
         out = np.empty(count)
         self._orbit(x, out, self.stride)
         return out.reshape(-1, 1)
-
-
-def invariant_sample_floats(system, seed, count):
-    """Invariant samples as a float array (n, d); fast path for estimators.
-
-    Lebesgue systems draw uniforms from the master stream; the intermittent
-    map falls back to its Birkhoff sampler.
-    """
-    if isinstance(system, MannevillePomeau):
-        return system.sample_invariant_floats(seed, count)
-    return master_rng(seed).random((count, system.dim))
-
-
-def is_lebesgue(system):
-    return not isinstance(system, MannevillePomeau)
 
 
 CAT_MATRIX = ((2, 1), (1, 1))

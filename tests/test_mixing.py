@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from ergolab import mixing
 from ergolab.errors import DegenerateSeriesError, NoDecayFitError
 from ergolab.mixing import (
     CorrelationSeries,
@@ -17,8 +19,16 @@ from ergolab.mixing import (
     from_observable,
     intersection_bound_check,
 )
-from ergolab.observables import MAX_FREQUENCY, DistToPoint, RadiusLadder
-from ergolab.systems import Doubling
+from ergolab.observables import (
+    MAX_FREQUENCY,
+    DistToPoint,
+    MeasureEstimate,
+    RadiusLadder,
+    binomial_half_width,
+    z_value,
+)
+from ergolab.rand import subseed
+from ergolab.systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
 
 DOUBLING = Doubling()
 
@@ -142,6 +152,45 @@ class TestEstimateCorrelation:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             estimate_correlation(DOUBLING, cosine_wave(1), cosine_wave(1), [1], 0, 100)
+
+
+class TestSampledOrbitPath:
+    """The lag loop off the doubling reservoir, bit for bit against a per-point
+    reference: sample_invariant, then one orbit_values call per point.  A
+    small chunk makes many groups of points, the last one short."""
+
+    SYSTEMS = (ToralAutomorphism(CAT_MATRIX), CircleRotation.golden())
+
+    @staticmethod
+    def orbits(system, seed, n, stop):
+        points = system.sample_invariant(seed, n)
+        return np.stack([system.orbit_values(p, 0, stop) for p in points])
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=("cat", "golden"))
+    def test_correlation_is_the_per_point_estimate(self, system, monkeypatch):
+        monkeypatch.setattr(mixing, "_CHUNK", 100)
+        phi, psi, lags, n = cosine_wave(3), cosine_wave(-2), (1, 2, 5, 6), 1000
+        series = estimate_correlation(system, phi, psi, lags, seed=4, n_samples=n)
+        orbits = self.orbits(system, 4, n, max(lags) + 1)
+        psi0 = psi.values(orbits[:, 0])
+        for lag, v, hw in zip(lags, series.values, series.half_widths):
+            phis = phi.values(orbits[:, lag])
+            prod = (phis - phis.mean()) * (psi0 - psi0.mean())
+            assert v == abs(float(prod.mean()))
+            assert hw == z_value(0.95) * float(prod.std(ddof=1)) / math.sqrt(n)
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=("cat", "golden"))
+    def test_joint_preimage_is_the_per_point_count(self, system, monkeypatch):
+        monkeypatch.setattr(mixing, "_CHUNK", 100)
+        f, radii = DistToPoint((0.3,) * system.dim), [0.5, 0.45, 0.4, 0.35, 0.3]
+        k, j, n = 4, 2, 1000
+        decay = DecayFit(DECAY_EXPONENTIAL, 0.5, 1.0, (1, 8), 0.0)
+        lhs, _ = intersection_bound_check(system, f, radii, k, j, seed=8, n_samples=n, decay=decay)
+        orbits = self.orbits(system, subseed(8, "joint"), n, k + 1)
+        hits = int(np.count_nonzero((f.values(orbits[:, k]) <= radii[k])
+                                    & (f.values(orbits[:, j]) <= radii[j])))
+        assert 0 < hits < n
+        assert lhs == MeasureEstimate(hits / n, binomial_half_width(hits, n), n)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from ergolab.systems import (
     MannevillePomeau,
     SYSTEMS,
     ToralAutomorphism,
-    invariant_sample_floats,
     system_from_id,
 )
 
@@ -295,7 +294,7 @@ class TestSampling:
         n = 10_000
         for sys_id in ("doubling", "cat", "rotation:golden"):
             sys = system_from_id(sys_id)
-            xs = invariant_sample_floats(sys, seed=55, count=n)
+            xs = sys.sample_invariant_floats(seed=55, count=n)
             lo, hi = 0.2, 0.45  # box in first coordinate
             mass = hi - lo
 
@@ -338,6 +337,13 @@ class TestCatalog:
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
             ToralAutomorphism(((2, 0), (0, 2)))
+
+
+@pytest.mark.parametrize("cls", (Doubling, ToralAutomorphism, CircleRotation, MannevillePomeau))
+def test_each_engine_binds_the_traced_methods(cls):
+    # the per-engine layer metrics wrap vars(cls)[name]: an inherited
+    # orbit_blocks or sample_invariant would leave them reading 0
+    assert {"orbit_blocks", "sample_invariant"} <= set(vars(cls))
 
 
 def test_cat_preserves_distance_structure():
