@@ -3,15 +3,24 @@
 The expanding-map orbit engine stores a point as an offset into an infinite
 random binary expansion.  Shifting the expansion is the doubling map, so the
 orbit position n is just a 64-bit window read starting at bit n.  Windows are
-reproducible: the stream is generated in fixed-size chunks from a
-counter-based generator, cached, and re-reads return identical bits.
+reproducible: the bytes after a reservoir's fixed prefix are its (seed,
+index) stream from ``rand`` (Philox4x64-10 keyed (index << 64) | seed, the
+counter from 1, the bytes the little-endian view of its uint64 words),
+cached, and re-reads return identical bits.
+
+A reservoir's first read appends the stream's first FIRST_WORDS words.
+``stream_window_floats`` draws them for every reservoir of its batch at once,
+one ``point_words`` call per seed.  Only a reservoir read past them builds a
+numpy ``Generator``, with its Philox counter set to the next block, and
+extends in chunks of whole words.
 """
 
 import numpy as np
 
-from .rand import point_rng
+from .rand import point_rng, point_words
 
 WINDOW_BITS = 64
+FIRST_WORDS = 64  # stream words of a reservoir's first fill: 512 bytes
 _CHUNK_BYTES = 1 << 12
 _INV64 = 2.0 ** -64
 _BELOW_ONE = 1.0 - 2.0 ** -53
@@ -55,8 +64,12 @@ class BitReservoir:
     def _ensure_bytes(self, nbytes):
         if self._buf.size >= nbytes:
             return
-        if self._gen is None:
-            self._gen = point_rng(self.seed, self.index)
+        if self._buf.size == self._prefix_len:
+            _first_fill([self])
+            if self._buf.size >= nbytes:
+                return
+        if self._gen is None:  # go on after the first fill's Philox blocks
+            self._gen = point_rng(self.seed, self.index, blocks=FIRST_WORDS // 4)
         # whole chunks: Generator.bytes draws 32-bit words and drops the rest
         # of the last one, so a size not a multiple of 4 would make later
         # bits depend on how the stream was read
@@ -86,10 +99,26 @@ class BitReservoir:
         return stream_window_floats([(self, offset)], count)[0]
 
 
+def _first_fill(reservoirs):
+    """Append the first FIRST_WORDS stream words to every reservoir that has
+    none yet, drawn in one ``point_words`` call per seed."""
+    by_seed = {}
+    for bits in reservoirs:
+        if bits._buf.size == bits._prefix_len:
+            by_seed.setdefault(bits.seed, {})[id(bits)] = bits
+    for seed, group in by_seed.items():
+        group = list(group.values())
+        words = point_words(seed, [bits.index for bits in group], FIRST_WORDS)
+        rows = words.astype("<u8", copy=False).view(np.uint8)
+        for bits, row in zip(group, rows):
+            bits._buf = np.concatenate([bits._buf, row])
+
+
 def stream_window_floats(starts, count):
     """window_floats(offset, count) of every (reservoir, offset) pair as an
     (n, count) array: one byte row per stream, then one windowed read."""
     width = ((count + 6) >> 3) + 9
+    _first_fill([bits for bits, _ in starts])
     rows, first = [], []  # first: bit of each row's first window in the joined rows
     for bits, offset in starts:
         bits._ensure_bytes((offset >> 3) + width)

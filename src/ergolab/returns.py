@@ -26,7 +26,7 @@ from .errors import RejectionStallError
 from .hitting import DEFAULT_SCAN_BLOCK, first_hits
 from .observables import DistToPoint, binomial_half_width, estimate_measure
 from .points import FloatPoint, FractionPoint, ReservoirPoint
-from .rand import master_rng, point_rng, subseed
+from .rand import master_rng, point_bytes, subseed
 from .reservoir import BitReservoir
 from .systems import CircleRotation, Doubling, ToralAutomorphism
 
@@ -95,36 +95,36 @@ def _interval_dyadic_points(center, r, bits, seed, count):
     lo = int(math.ceil((center - r + _EDGE_GUARD) * scale))
     hi = int(math.floor((center + r - _EDGE_GUARD) * scale))
     span = hi - lo + 1
-    stream = subseed(seed, "conditioned")
     points = []
-    for i in range(count):
-        rng = point_rng(stream, i)
-        raw = int.from_bytes(rng.bytes((bits + 7) // 8 + 8), "big")
-        num = (lo + raw % span) % scale
+    for raw in point_bytes(subseed(seed, "conditioned"), count, (bits + 7) // 8 + 8):
+        num = (lo + int.from_bytes(raw, "big") % span) % scale
         points.append(FractionPoint((Fraction(num, scale),)))
     return points
 
 
 def _disc_dyadic_points(center, r, bits, seed, count):
     # polar draw at float resolution, low-order bits topped up with fresh
-    # randomness so the points do not sit on a coarse dyadic sublattice
+    # randomness so the points do not sit on a coarse dyadic sublattice.
+    # Stream layout per start: two doubles (words 0 and 1), then each
+    # coordinate's tail as Generator.bytes would give it: a draw of k bytes
+    # takes ceil(k / 4) 32-bit halves, so the second tail starts
+    # 4 * ceil(k / 4) bytes after the first
     scale = 1 << bits
     cx, cy = center
+    head_bits, low_bits = min(bits, 53), max(bits - 53, 0)
+    tail = (low_bits + 7) // 8
+    second = 16 + 4 * -(-tail // 4)
+    drop = tail * 8 - low_bits
     points = []
-    low_bits = bits - 53
-    stream = subseed(seed, "conditioned")
-    for i in range(count):
-        rng = point_rng(stream, i)
-        u, v = rng.random(2)
+    for raw in point_bytes(subseed(seed, "conditioned"), count, second + tail):
+        u, v = [(int.from_bytes(raw[k:k + 8], "little") >> 11) * 2.0 ** -53 for k in (0, 8)]
         rho = (r - _EDGE_GUARD) * math.sqrt(u)
         theta = 2.0 * math.pi * v
         coords = []
-        for c, off in ((cx, rho * math.cos(theta)), (cy, rho * math.sin(theta))):
-            head = int(((c + off) % 1.0) * (1 << 53)) % (1 << 53)
-            tail = int.from_bytes(rng.bytes((low_bits + 7) // 8), "big") >> (
-                ((low_bits + 7) // 8) * 8 - low_bits
-            ) if low_bits > 0 else 0
-            coords.append(Fraction((head << max(low_bits, 0)) | tail, scale))
+        for c, off, at in ((cx, rho * math.cos(theta), 16), (cy, rho * math.sin(theta), second)):
+            head = int(((c + off) % 1.0) * (1 << head_bits)) % (1 << head_bits)
+            low = int.from_bytes(raw[at:at + tail], "big") >> drop
+            coords.append(Fraction((head << low_bits) | low, scale))
         points.append(FractionPoint(tuple(coords)))
     return points
 

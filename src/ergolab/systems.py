@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BudgetExhaustedError
 from .grammar import Rule, parse_spec
 from .points import FloatPoint, FractionPoint, ReservoirPoint
-from .rand import master_rng, point_rng
+from .rand import master_rng, point_bytes
 from .reservoir import BitReservoir, stream_window_floats
 
 DEFAULT_PRECISION_BITS = 512
@@ -181,18 +181,16 @@ class Doubling(_SystemBase):
             raise ValueError("count must be >= 1")
         if self.engine == "reservoir":
             return [ReservoirPoint(BitReservoir(seed, i)) for i in range(count)]
-        return [
-            FractionPoint((_dyadic_draw(seed, i, self.precision_bits),))
-            for i in range(count)
-        ]
+        return [FractionPoint((x,)) for x in _dyadic_draw(seed, count, self.precision_bits)]
 
 
-def _dyadic_draw(seed, index, bits):
-    """Uniform B-bit dyadic fraction from the per-index stream."""
-    rng = point_rng(seed, index)
+def _dyadic_draw(seed, count, bits):
+    """Uniform B-bit dyadic fractions, one from each per-index stream of
+    indices 0..count-1: its first ceil(B / 8) bytes, big-endian, top B bits."""
     nbytes = (bits + 7) // 8
-    raw = int.from_bytes(rng.bytes(nbytes), "big") >> (nbytes * 8 - bits)
-    return Fraction(raw, 1 << bits)
+    scale = 1 << bits
+    return [Fraction(int.from_bytes(raw, "big") >> (nbytes * 8 - bits), scale)
+            for raw in point_bytes(seed, count, nbytes)]
 
 
 def _int_matrix(rows):
@@ -296,13 +294,9 @@ class ToralAutomorphism(_SystemBase):
     def sample_invariant(self, seed, count):
         if count < 1:
             raise ValueError("count must be >= 1")
-        bits = self.precision_bits
-        return [
-            FractionPoint(tuple(
-                _dyadic_draw(seed, i * self.dim + j, bits) for j in range(self.dim)
-            ))
-            for i in range(count)
-        ]
+        coords = _dyadic_draw(seed, count * self.dim, self.precision_bits)
+        return [FractionPoint(tuple(coords[i:i + self.dim]))
+                for i in range(0, len(coords), self.dim)]
 
 
 def _matrix_power(mat, n, modulus):
@@ -499,8 +493,7 @@ class CircleRotation(_SystemBase):
     def sample_invariant(self, seed, count):
         if count < 1:
             raise ValueError("count must be >= 1")
-        bits = self.precision_bits
-        return [FractionPoint((_dyadic_draw(seed, i, bits),)) for i in range(count)]
+        return [FractionPoint((x,)) for x in _dyadic_draw(seed, count, self.precision_bits)]
 
 
 @dataclass(frozen=True)
