@@ -3,7 +3,6 @@ of exactly iterable dynamical systems on the torus."""
 
 from .errors import (
     AllCensoredError,
-    BudgetExhaustedError,
     ConfigError,
     DegenerateLadderError,
     DegenerateSeriesError,

@@ -5,10 +5,6 @@ class ErgolabError(Exception):
     """Base class for all package errors."""
 
 
-class BudgetExhaustedError(ErgolabError):
-    """An orbit request ran past the precision budget of its engine."""
-
-
 class DegenerateLadderError(ErgolabError):
     """Too few usable rungs to fit a slope."""
 

@@ -240,22 +240,6 @@ def _ladder_task(args):
             for records in hitting_records(system, points, f, ladder, cap, first_id)]
 
 
-def _bc_task(args):
-    system, f, beta, k_max, measures, seed, n_samples, d_upper, index, point = args
-    series = bc_counter_series(
-        system, point, f, beta, k_max, measures=measures, seed=seed,
-        n_samples=n_samples, d_upper=d_upper,
-    )
-    return index, series
-
-
-def _flow_task(args):
-    system, projection, target, n_grid, tail_decades, index, point = args
-    series = approach_series(system, projection, point, target, n_grid,
-                             tail_decades=tail_decades)
-    return index, series
-
-
 def _rank_dimension_task(args):
     system, image_map, ladder, seed, n_per_rung, window, index, point = args
     est = pushforward_dimension(system, image_map, point, ladder, seed, n_per_rung,
@@ -361,16 +345,14 @@ def _run_borel_cantelli(config, workers):
             subseed(config.seed, "bc-dim"), 100_000,
         ).d_upper
     points = system.sample_invariant(config.seed, p.points)
-    tasks = [
-        (system, f, p.beta, p.k_max, p.measures, subseed(config.seed, "bc-mc"),
-         p.mc_samples, d_upper, i, point)
-        for i, point in enumerate(points)
-    ]
-    results = pmap(_bc_task, tasks, workers)
+    task = partial(bc_counter_series, system, f=f, beta=p.beta, k_max=p.k_max,
+                   measures=p.measures, seed=subseed(config.seed, "bc-mc"),
+                   n_samples=p.mc_samples, d_upper=d_upper)
+    results = pmap(task, points, workers)
 
     rows = []
     final_ratios = []
-    for index, series in results:
+    for index, series in enumerate(results):
         final_ratios.append(series[-1].ratio)
         for counter in series:
             rows.append([index, counter.k, counter.z, counter.expected, counter.ratio])
@@ -382,7 +364,7 @@ def _run_borel_cantelli(config, workers):
         "final_ratio": _quartiles(final_ratios),
         "final_ratio_mean": float(ratios.mean()),
         "fraction_in_band": float(np.mean((ratios >= 0.8) & (ratios <= 1.2))),
-        "expected_final": results[0][1][-1].expected,
+        "expected_final": results[0][-1].expected,
     }
     data = {"counters": rows}
     return data, summary, {"counters.csv": (["point_id", "k", "z", "expected", "ratio"], rows)}
@@ -598,14 +580,14 @@ def _run_flow_analogue(config, workers):
     system, p = config.system, config.params
     grid = log_grid(p.n_max)
     points = system.sample_invariant(config.seed, p.points)
-    tasks = [(system, p.projection, p.target, grid, p.tail_decades, i, pt)
-             for i, pt in enumerate(points)]
-    results = pmap(_flow_task, tasks, workers)
+    task = partial(approach_series, system, p.projection, p=p.target, n_grid=grid,
+                   tail_decades=p.tail_decades)
+    results = pmap(task, points, workers)
 
     curve_rows = []
     exp_rows = []
     exponents = []
-    for index, series in results:
+    for index, series in enumerate(results):
         exponents.append(series.exponent)
         exp_rows.append([index, series.exponent, series.ratio_median, series.ratio_max])
         for n, d in zip(series.n_grid, series.d_values):
@@ -614,8 +596,8 @@ def _run_flow_analogue(config, workers):
         "points": p.points,
         "n_max": p.n_max,
         "exponent": _quartiles(exponents),
-        "ratio_median": _quartiles([s.ratio_median for _, s in results]),
-        "tail_window": list(results[0][1].tail_window),
+        "ratio_median": _quartiles([s.ratio_median for s in results]),
+        "tail_window": list(results[0].tail_window),
     }
     data = {"exponents": exp_rows, "series": curve_rows}
     return data, summary, {

@@ -133,7 +133,7 @@ def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
     (``orbit_batch``).
     """
     max_lag = max(lags)
-    if isinstance(system, Doubling) and system.engine == "reservoir":
+    if isinstance(system, Doubling):
         rng = master_rng(byte_seed)
         for lo in range(0, n_samples, _CHUNK):
             size = min(_CHUNK, n_samples - lo)

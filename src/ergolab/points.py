@@ -3,10 +3,9 @@
 Three coordinate engines coexist:
 
 * ``FractionPoint`` — exact rationals in [0, 1).  Used by the rotation and
-  toral-automorphism engines (B-bit dyadic samples by default) and by the
-  exact-fraction doubling engine.
-* ``ReservoirPoint`` — an offset into a seeded random binary expansion; the
-  natural representation for the doubling map, where one step is a shift.
+  toral-automorphism engines (B-bit dyadic samples by default).
+* ``ReservoirPoint`` — an offset into a seeded random binary expansion: the
+  doubling map's points, where one step is a shift.
 * ``FloatPoint`` — plain doubles, for the non-rigorous float engines.
 
 Observables always evaluate on float projections of the coordinates; only

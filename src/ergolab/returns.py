@@ -25,13 +25,14 @@ import numpy as np
 from .errors import RejectionStallError
 from .hitting import DEFAULT_SCAN_BLOCK, first_hits
 from .observables import DistToPoint, binomial_half_width, estimate_measure
-from .points import FloatPoint, FractionPoint, ReservoirPoint
+from .points import FractionPoint, ReservoirPoint
 from .rand import master_rng, point_bytes, subseed
 from .reservoir import BitReservoir
 from .systems import CircleRotation, Doubling, ToralAutomorphism
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 10) for k in range(51))
 STALL_ACCEPTANCE = 1e-6
+REJECTION_CHUNK = 65_536  # candidates per rejection draw
 _STALL_CHECK_AFTER = 2_000_000
 _EDGE_GUARD = 2.0 ** -50
 
@@ -56,11 +57,11 @@ def sample_conditioned(system, f, r, seed, count, max_attempts=20_000_000):
 def _direct_sampler(system, f, r):
     if not (system.lebesgue and isinstance(f, DistToPoint)):
         return None
-    if f.dim == 1 and isinstance(system, Doubling) and system.engine == "reservoir":
+    if f.dim == 1 and isinstance(system, Doubling):
         return lambda seed, count: _interval_reservoir_points(
             f.target[0], min(r, 0.5), seed, count
         )
-    if f.dim == 1 and isinstance(system, (Doubling, CircleRotation)):
+    if f.dim == 1 and isinstance(system, CircleRotation):
         bits = system.precision_bits
         return lambda seed, count: _interval_dyadic_points(
             f.target[0], min(r, 0.5), bits, seed, count
@@ -132,16 +133,13 @@ def _disc_dyadic_points(center, r, bits, seed, count):
 def _rejection_sample(system, f, r, seed, count, max_attempts):
     accepted = []
     attempts = 0
-    chunk = 65_536
     stream = 0
     while len(accepted) < count:
-        coords = system.sample_invariant_floats(subseed(seed, f"rej{stream}"), chunk)
-        keep = np.flatnonzero(f.values(coords) <= r)
-        for idx in keep:
-            accepted.append(FloatPoint(tuple(coords[idx])))
-            if len(accepted) == count:
-                break
-        attempts += chunk
+        # candidates are the engine's own points, tested at their floats
+        candidates = system.sample_invariant(subseed(seed, f"rej{stream}"), REJECTION_CHUNK)
+        keep = np.flatnonzero(f.values(system.orbit_batch(candidates, 0, 1)[:, 0]) <= r)
+        accepted += [candidates[i] for i in keep[:count - len(accepted)]]
+        attempts += REJECTION_CHUNK
         stream += 1
         if attempts >= _STALL_CHECK_AFTER or attempts >= max_attempts:
             rate = len(accepted) / attempts

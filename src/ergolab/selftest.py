@@ -18,7 +18,7 @@ from .observables import (
 )
 from .hitting import first_hits, hitting_time, power_law_radii
 from .observed import Constant, CoordinateProjection, LinearMap, jacobian_rank
-from .points import FloatPoint, FractionPoint, torus_distance
+from .points import FloatPoint, FractionPoint, ReservoirPoint, torus_distance
 from .reservoir import BitReservoir
 from .returns import ReturnCurve, exp_law_distance
 from .systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
@@ -56,13 +56,16 @@ def _batched_scan_is_plain_orbit(rotation):
 
 
 def _checks():
-    doubling = Doubling(engine="fraction")
+    doubling = Doubling()
+    # reservoir starts from binary expansions: 3/8 = 0.011, 1/5 = 0.(0011)
+    three_eighths = ReservoirPoint(BitReservoir(0, 0, prefix=b"\x60" + bytes(8)))
+    one_fifth = ReservoirPoint(BitReservoir(0, 0, prefix=b"\x33" * 16))
     cat = ToralAutomorphism(CAT_MATRIX)
     quarter = CircleRotation.from_fraction("1/4")
     radii = 0.6 - power_law_radii(0.5, 1000)  # from -0.4 up past the clamp at 1/2
 
     yield "doubling step 3/8 -> 3/4", lambda: (
-        doubling.step(FractionPoint(("3/8",))).coords[0] == Fraction(3, 4)
+        doubling.step(three_eighths).float_coords()[0] == 0.75
     )
     yield "cat map step (1/2,1/2) -> (1/2,0)", lambda: (
         cat.step(FractionPoint(("1/2", "1/2"))).coords
@@ -95,7 +98,7 @@ def _checks():
         abs(mollifier(DistToPoint((0.0,)), 0.2, 0.1, FloatPoint((0.15,))) - 0.5) < 1e-12
     )
     yield "hitting 1/5 -> tau = 2 at r = 0.25", lambda: (
-        hitting_time(doubling, FractionPoint(("1/5",)), DistToPoint((0.0,)),
+        hitting_time(doubling, one_fifth, DistToPoint((0.0,)),
                      0.25, cap=100).tau == 2
     )
     yield "rotation hitting 0 -> 1/2 in two steps", lambda: (

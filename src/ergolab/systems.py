@@ -2,12 +2,9 @@
 
 Engines
 -------
-* Doubling map x -> 2x mod 1.  Default engine is the bit reservoir: a point
-  is a seeded random binary expansion and T is the one-bit shift, so orbit
-  position n is an O(1) window read and orbits are unbounded.  The exact
-  fraction engine iterates rationals instead; dyadic points lose one
-  fractional bit per step and hit the representation floor after B steps,
-  and requests past it raise ``BudgetExhaustedError``.
+* Doubling map x -> 2x mod 1 on the bit reservoir: a point is a seeded
+  random binary expansion and T is the one-bit shift, so orbit position n is
+  an O(1) window read and orbits are unbounded.
 * Hyperbolic (or any unimodular) toral automorphisms: integer matrix action
   on B-bit dyadic fractions, exact and invertible.  A 2x2 matrix on a dyadic
   lattice of at least 53 bits steps by exact anchors every m steps (one
@@ -40,7 +37,6 @@ from math import factorial, isqrt, lcm
 
 import numpy as np
 
-from .errors import BudgetExhaustedError
 from .grammar import Rule, parse_spec
 from .points import FloatPoint, FractionPoint, ReservoirPoint
 from .rand import master_rng, point_bytes
@@ -48,14 +44,6 @@ from .reservoir import BitReservoir, stream_window_floats
 
 DEFAULT_PRECISION_BITS = 512
 DEFAULT_BLOCK = 1 << 14
-
-
-def _dyadic_bits_left(frac):
-    """Remaining shifts before a dyadic fraction collapses to 0; None if never."""
-    den = frac.denominator
-    if den & (den - 1):
-        return None
-    return den.bit_length() - 1
 
 
 class _SystemBase:
@@ -122,66 +110,28 @@ class _SystemBase:
 
 @dataclass(frozen=True)
 class Doubling(_SystemBase):
-    """Doubling map on the circle."""
-
-    engine: str = "reservoir"
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    guard_bits: int = 0
+    """Doubling map on the circle; its points are ``ReservoirPoint``s."""
 
     dim = 1
     mixing_class = "exponential"
 
-    def __post_init__(self):
-        if self.engine not in ("reservoir", "fraction"):
-            raise ValueError("doubling engine must be 'reservoir' or 'fraction'")
-
-    def _check_budget(self, p, steps):
-        if isinstance(p, FractionPoint):
-            left = _dyadic_bits_left(p.coords[0])
-            if left is not None and steps > max(left - self.guard_bits, 0):
-                raise BudgetExhaustedError(
-                    f"{steps} doubling steps requested but the dyadic point has "
-                    f"{left} fractional bits (guard {self.guard_bits})"
-                )
-
     def _advance(self, p, n):
-        if isinstance(p, ReservoirPoint):
-            return ReservoirPoint(p.bits, p.offset + n)
-        self._check_budget(p, n)
-        x = p.coords[0]
-        num = (x.numerator * pow(2, n, x.denominator)) % x.denominator
-        return FractionPoint((Fraction(num, x.denominator),))
+        return ReservoirPoint(p.bits, p.offset + n)
 
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start, stop):
-        if isinstance(p, ReservoirPoint):
-            return self.orbit_window(p, start)
-        self._check_budget(p, max(stop - 1, 0))
-        x = self.orbit_window(p, start).coords[0]
-        return x.numerator, x.denominator
+        return self.orbit_window(p, start)
 
     def _batch_step(self, states, size, into):
-        if isinstance(states[0], ReservoirPoint):
-            vals = stream_window_floats([(p.bits, p.offset) for p in states], size)
-            return vals[..., None], [self._advance(p, size) for p in states]
-        coords, after = np.empty((len(states), size, 1)), []
-        for i, (num, den) in enumerate(states):
-            vals = []
-            for _ in range(size):
-                vals.append(num / den)
-                num = num * 2 % den
-            coords[i, :, 0] = vals
-            after.append((num, den))
-        return coords, after
+        vals = stream_window_floats([(p.bits, p.offset) for p in states], size)
+        return vals[..., None], [self._advance(p, size) for p in states]
 
     def sample_invariant(self, seed, count):
-        """Reservoir points (or B-bit dyadics) distributed per Lebesgue."""
+        """Reservoir points distributed per Lebesgue."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        if self.engine == "reservoir":
-            return [ReservoirPoint(BitReservoir(seed, i)) for i in range(count)]
-        return [FractionPoint((x,)) for x in _dyadic_draw(seed, count, self.precision_bits)]
+        return [ReservoirPoint(BitReservoir(seed, i)) for i in range(count)]
 
 
 def _dyadic_draw(seed, count, bits):
@@ -575,7 +525,7 @@ def _rotation(text, bits):
 
 # the catalog's system ids; a parser takes the argument and the lattice bits
 SYSTEMS = {
-    "doubling": Rule(lambda text, bits: Doubling(precision_bits=bits), "",
+    "doubling": Rule(lambda text, bits: Doubling(), "",
                      "doubling map 2x mod 1, bit-reservoir engine: exact, unbounded orbits"),
     "cat": Rule(lambda text, bits: ToralAutomorphism(CAT_MATRIX, precision_bits=bits), "",
                 "cat map [[2,1],[1,1]] on T^2, exact on the B-bit dyadic lattice"),

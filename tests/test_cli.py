@@ -44,6 +44,20 @@ samples = 20
 """
 
 
+@pytest.mark.parametrize("system,target", [
+    ("doubling", "0.375"), ("cat", "0.3,0.7"), ("rotation:golden", "0.375"),
+])
+def test_rejection_sampled_return_starts_run_on_exact_engines(tmp_path, capsys, system, target):
+    # a slack: target has no direct sampler, so its starts are drawn by rejection
+    text = (RETURN_CONFIG.replace("system = doubling", f"system = {system}")
+            .replace("dist:0.375", f"slack:0.01:dist:{target}")
+            .replace("radius = -0.1", "radius = 0.05"))
+    cfg_path = tmp_path / "slack.ini"
+    cfg_path.write_text(text.format(out=tmp_path / "o.json"))
+    assert main(["run", str(cfg_path), "--workers", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_catalog_command(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

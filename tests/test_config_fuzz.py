@@ -1,18 +1,25 @@
-"""Load-time fuzz: one value of an acceptance config replaced by a drawn string.
+"""Config fuzz: loads of mutated acceptance configs, and tiny runs of every
+catalog system with every observable rule.
 
-Loading either succeeds or raises ConfigError naming the field; no other
-exception may escape, because the CLI turns only package errors into exit
-code 2 without a traceback.
+Loading a config with one value replaced by a drawn string either succeeds
+or raises ConfigError naming the field; a run either finishes or raises a
+package error.  No other exception may escape, because the CLI turns only
+package errors into exit code 2 without a traceback.
 """
 
 import configparser
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import returns
 from ergolab.config import parse_config_text
-from ergolab.errors import ConfigError
+from ergolab.errors import ConfigError, ErgolabError
+from ergolab.observables import OBSERVABLE_RULES
+from ergolab.runner import run
+from ergolab.systems import SYSTEMS, system_from_id
 from test_acceptance import _CONFIGS
 
 
@@ -45,4 +52,41 @@ def test_mutated_acceptance_config_loads_or_raises_config_error(where, value):
     try:
         parse_config_text(_mutated(*where, value))
     except ConfigError:
+        pass
+
+
+# each run kind at a tiny size: its own section, and a ladder where it takes one
+_LADDER = "[ladder]\nkind = dyadic\nstart_exp = 2\nstop_exp = 5\n"
+_RUN_SECTIONS = {
+    "return-stats": "[return-stats]\nradius = 0.05\nsamples = 5\n",
+    "hitting": _LADDER + "[hitting]\npoints = 2\ncap = 2000\n",
+    "borel-cantelli": "[borel-cantelli]\nbeta = 0.3\nk_max = 50\npoints = 2\n"
+                      "measures = mc\nmc_samples = 1000\n",
+    "dimension": _LADDER + "[dimension]\nsamples_per_rung = 1000\n",
+}
+
+
+def _rule(prefix, dim):
+    """A rule of each observable prefix on T^dim."""
+    target = ",".join(["0.375", "0.7"][:dim])
+    return {"dist:": f"dist:{target}", "projdist:": "projdist:1:0.375",
+            "slack:": f"slack:0.01:dist:{target}",
+            "pushdist:": f"pushdist:identity:{target}"}[prefix]
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_SECTIONS))
+@pytest.mark.parametrize("prefix", sorted(OBSERVABLE_RULES))
+@pytest.mark.parametrize("system", [prefix + rule.example for prefix, rule in SYSTEMS.items()])
+def test_every_system_and_rule_runs_or_raises_a_package_error(tmp_path, monkeypatch,
+                                                              system, prefix, kind):
+    # the non-dist rules draw their return starts by rejection; a small
+    # candidate chunk keeps the exact engines' cases fast
+    monkeypatch.setattr(returns, "REJECTION_CHUNK", 1024)
+    text = (f"[experiment]\nkind = {kind}\nsystem = {system}\nseed = 3\n"
+            f"output = {tmp_path / 'out.json'}\n"
+            f"[observable]\nrule = {_rule(prefix, system_from_id(system).dim)}\n"
+            + _RUN_SECTIONS[kind])
+    try:
+        run(parse_config_text(text), workers=1)
+    except ErgolabError:
         pass

@@ -22,6 +22,7 @@ from ergolab.hitting import (
 )
 from ergolab.observables import DistToPoint, RadiusLadder
 from ergolab.points import FractionPoint, ReservoirPoint
+from ergolab.reservoir import BitReservoir
 from ergolab.systems import (
     CAT_MATRIX,
     CircleRotation,
@@ -56,26 +57,23 @@ def frac_point(*coords):
     return FractionPoint(tuple(coords))
 
 
+def expansion_point(byte):
+    """A doubling start whose first 32 bytes all equal ``byte``: the binary
+    expansion of 1/5 (0x33) or 1/3 (0x55), exact for the first 192 steps."""
+    return ReservoirPoint(BitReservoir(0, 0, prefix=bytes([byte]) * 32))
+
+
 class TestHittingTime:
     def test_doubling_exact_fraction_orbit(self):
         # oracle: 1/5 -> 2/5 -> 4/5; dist(2/5, 0) = 0.4, dist(4/5, 0) = 0.2
-        sys = Doubling(engine="fraction")
-        rec = hitting_time(sys, frac_point("1/5"), DistToPoint((0.0,)), 0.25, cap=100)
+        sys = Doubling()
+        rec = hitting_time(sys, expansion_point(0x33), DistToPoint((0.0,)), 0.25, cap=100)
         assert rec.tau == 2 and not rec.censored
 
     def test_periodic_orbit_censors(self):
-        sys = Doubling(engine="fraction")
-        rec = hitting_time(sys, frac_point("1/3"), DistToPoint((0.0,)), 0.05, cap=100)
+        sys = Doubling()
+        rec = hitting_time(sys, expansion_point(0x55), DistToPoint((0.0,)), 0.05, cap=100)
         assert rec.censored and rec.cap == 100 and rec.steps_used == 100
-
-    def test_budget_exhaustion_is_distinct_from_censoring(self):
-        # a dyadic point on the fraction engine cannot honor a long scan;
-        # that surfaces as a budget error, never as a censored record
-        from ergolab.errors import BudgetExhaustedError
-
-        sys = Doubling(engine="fraction")
-        with pytest.raises(BudgetExhaustedError):
-            hitting_time(sys, frac_point("3/8"), DistToPoint((0.0,)), 0.01, cap=100)
 
     def test_rotation_quarter(self):
         # oracle: 0 -> 1/4 -> 1/2
@@ -119,7 +117,6 @@ class TestLadderScan:
 # engine and target of each batched-scan case
 SCAN_CASES = {
     "doubling-reservoir": (Doubling(), DistToPoint((0.375,))),
-    "doubling-fraction": (Doubling(engine="fraction"), DistToPoint((0.375,))),
     "golden": (CircleRotation.golden(), DistToPoint((0.375,))),
     "liouville": (CircleRotation.liouville(), DistToPoint((0.375,))),
     "cat": (ToralAutomorphism(CAT_MATRIX), DistToPoint((0.3, 0.7))),
@@ -135,8 +132,6 @@ def _scan_starts(case, seed, offsets):
     if case == "doubling-reservoir":  # streams read from different bit offsets
         points = system.sample_invariant(seed, len(offsets))
         return [ReservoirPoint(p.bits, off) for p, off in zip(points, offsets)]
-    if case == "doubling-fraction":  # non-dyadic, so no step budget
-        return [frac_point(Fraction(seed * 7919 + off + 1, 1_000_000_007)) for off in offsets]
     if case == "cat-lattices":  # one batch, starts on several lattices
         bits = system.precision_bits
         points = []
@@ -259,15 +254,15 @@ class TestEstimateR:
         assert est.censor_fraction == 0.0
 
     def test_all_censored(self):
-        sys = Doubling(engine="fraction")
+        sys = Doubling()
         with pytest.raises(AllCensoredError):
-            estimate_R(sys, frac_point("1/3"), DistToPoint((0.0,)),
+            estimate_R(sys, expansion_point(0x55), DistToPoint((0.0,)),
                        RadiusLadder.dyadic(5, 10), cap=50)
 
     def test_censored_rungs_reported(self):
-        sys = Doubling(engine="fraction")
+        sys = Doubling()
         # periodic orbit at distance 1/3: rungs above 1/3 hit, below censor
-        est = estimate_R(sys, frac_point("1/3"), DistToPoint((0.0,)),
+        est = estimate_R(sys, expansion_point(0x55), DistToPoint((0.0,)),
                          RadiusLadder((0.4, 0.34, 0.05, 0.04)), cap=100)
         assert est.censor_fraction == pytest.approx(0.5)
 

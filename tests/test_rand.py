@@ -181,7 +181,7 @@ class TestSamplersMatchPerIndexStreams:
 
     @pytest.mark.parametrize("bits", BITS)
     @pytest.mark.parametrize("system", [
-        lambda b: Doubling(engine="fraction", precision_bits=b),
+        lambda b: Doubling(),
         lambda b: ToralAutomorphism(CAT_MATRIX, precision_bits=b),
         CircleRotation.golden,
         CircleRotation.liouville,
@@ -189,6 +189,8 @@ class TestSamplersMatchPerIndexStreams:
     def test_sample_invariant(self, system, bits):
         sys_ = system(bits)
         got = sys_.sample_invariant(12, 50)
+        if isinstance(sys_, Doubling):  # a reservoir's leading B bits are the same draw
+            got = [FractionPoint((Fraction(p.bits.window(0, bits), 1 << bits),)) for p in got]
         want = [
             FractionPoint(tuple(reference_dyadic_draw(12, i * sys_.dim + j, bits)
                                 for j in range(sys_.dim)))
@@ -293,7 +295,7 @@ class TestGeneratorCount:
             assert built == []
 
     @pytest.mark.parametrize("system", [
-        Doubling(engine="fraction"), ToralAutomorphism(CAT_MATRIX),
+        Doubling(), ToralAutomorphism(CAT_MATRIX),
         CircleRotation.golden(), CircleRotation.liouville(),
     ], ids=["doubling", "cat", "golden", "liouville"])
     def test_sample_invariant(self, built, system):

@@ -6,8 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.errors import BudgetExhaustedError
 from ergolab.points import FractionPoint, ReservoirPoint, torus_distance
+from ergolab.reservoir import BitReservoir
 from ergolab.systems import (
     CAT_MATRIX,
     DEFAULT_BLOCK,
@@ -26,9 +26,9 @@ def frac_point(*coords):
 
 class TestStepExamples:
     def test_doubling_step(self):
-        sys = Doubling(engine="fraction")
-        p = sys.step(frac_point("3/8"))
-        assert p.coords[0] == Fraction(3, 4)
+        sys = Doubling()
+        p = sys.step(ReservoirPoint(BitReservoir(0, 0, prefix=b"\x60" + bytes(8))))  # 3/8
+        assert p.float_coords()[0] == 0.75
 
     def test_cat_map_step(self):
         sys = ToralAutomorphism(CAT_MATRIX)
@@ -70,7 +70,7 @@ class TestOrbitWindow:
         for sys in (
             ToralAutomorphism(CAT_MATRIX, precision_bits=64),
             CircleRotation.golden(64),
-            Doubling(engine="fraction"),
+            Doubling(),
             MannevillePomeau(0.5),
         ):
             p = sys.sample_invariant(seed=8, count=1)[0]
@@ -106,33 +106,6 @@ class TestExactness:
     def test_inverse_matrix_is_integral_unimodular(self):
         inv = ToralAutomorphism(CAT_MATRIX).inverse()
         assert inv.matrix == ((1, -1), (-1, 2))
-
-
-class TestBudget:
-    def test_dyadic_doubling_exhausts(self):
-        sys = Doubling(engine="fraction")
-        p = frac_point("3/8")  # three fractional bits
-        assert sys.step(sys.step(p)).coords[0] == Fraction(1, 2)
-        with pytest.raises(BudgetExhaustedError):
-            sys.orbit_window(p, 4)
-
-    def test_non_dyadic_is_unbounded(self):
-        sys = Doubling(engine="fraction")
-        p = frac_point("1/5")
-        q = sys.orbit_window(p, 10_001)
-        # period-4 orbit: 1/5 -> 2/5 -> 4/5 -> 3/5 -> 1/5
-        assert q.coords[0] == Fraction(2, 5)
-
-    def test_blocks_check_the_whole_request_at_the_first_block(self):
-        sys = Doubling(engine="fraction")
-        blocks = sys.orbit_blocks(frac_point("3/8"), 0, 10, block=2)  # no work yet
-        with pytest.raises(BudgetExhaustedError):
-            next(blocks)
-
-    def test_guard_bits_shrink_budget(self):
-        sys = Doubling(engine="fraction", guard_bits=2)
-        with pytest.raises(BudgetExhaustedError):
-            sys.orbit_window(frac_point("3/8"), 2)
 
 
 class TestOrbitBlocks:
@@ -177,8 +150,9 @@ BIT_FOR_BIT = {
     "cat-inverse-512": (ToralAutomorphism(CAT_MATRIX).inverse(), None, _truncated(512)),
     "cat-32": (ToralAutomorphism(CAT_MATRIX, precision_bits=32), None, _rounded),
     "torus-3d": (ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1))), None, _rounded),
-    "doubling-fraction": (Doubling(engine="fraction"),
-                          frac_point(Fraction(123456789, 1000000007)), _rounded),
+    # a conditioned start's fixed leading bytes: windows cross into the stream
+    "doubling-prefix": (Doubling(), ReservoirPoint(BitReservoir(13, 0, prefix=b"\x33" * 8)),
+                        lambda q: [q.bits.window_float(q.offset)]),
     "doubling-reservoir": (Doubling(), None, lambda q: [q.bits.window_float(q.offset)]),
     "mp": (MannevillePomeau(0.5), None, lambda q: list(q.coords)),
 }
