@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import fit_line
-from .points import wrap_deltas
+from .points import squared_norms, wrap_deltas
 
 
 DEFAULT_TAIL_DECADES = 3.0
@@ -68,8 +68,11 @@ def approach_series(system, projection, x, p, n_grid, tail_decades=DEFAULT_TAIL_
     best = np.inf
     next_mark = 0
     for n0, coords in system.orbit_blocks(x, 1, n_max + 1, block=1 << 14):
-        deltas = wrap_deltas(coords[:, axes] - target)
-        dist2 = (deltas * deltas).sum(axis=1)
+        # folded in place: fewer block-sized temporaries, whose churn can make
+        # the heap trim and fault its pages in again every block
+        deltas = coords[:, axes]  # a copy
+        deltas -= target
+        dist2 = squared_norms(wrap_deltas(deltas, out=deltas))
         running = np.minimum.accumulate(dist2)
         running = np.minimum(running, best)
         best = running[-1]

@@ -17,7 +17,7 @@ import numpy as np
 from .grammar import Rule, parse_axes, parse_numbers, parse_spec
 from .hitting import HittingRecord
 from .observables import MAX_FREQUENCY, PushforwardDist, _ball_measure, estimate_dimension
-from .points import wrap_deltas
+from .points import squared_norms, wrap_deltas
 
 
 class _ObservationMap:
@@ -27,7 +27,7 @@ class _ObservationMap:
         """Distances from F(coords) to image_point in the codomain's metric."""
         deltas = self.apply(coords) - np.asarray(image_point)
         d = wrap_deltas(deltas) if self.periodic_codomain else np.abs(deltas)
-        return np.sqrt((d * d).sum(axis=1))
+        return np.sqrt(squared_norms(d))
 
 
 @dataclass(frozen=True)

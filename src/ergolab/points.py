@@ -33,6 +33,8 @@ def unit_fraction(value):
             "(e.g. '3/8'), or use FractionPoint.from_float for the exact "
             "binary value"
         )
+    if type(value) is Fraction and 0 <= value.numerator < value.denominator:
+        return value
     frac = Fraction(value)
     if not 0 <= frac < 1:
         raise ValueError(f"coordinate {frac} outside [0, 1)")
@@ -96,10 +98,11 @@ class FloatPoint:
         return np.array(self.coords)
 
 
-def wrap_deltas(deltas):
-    """Componentwise shortest displacement on the torus: |d| folded to [0, 1/2]."""
-    d = np.abs(deltas)
-    return np.minimum(d, 1.0 - d)
+def wrap_deltas(deltas, out=None):
+    """Componentwise shortest displacement on the torus: |d| folded to [0, 1/2],
+    into ``out`` if given (it may be ``deltas``)."""
+    d = np.abs(deltas, out=out)
+    return np.minimum(d, 1.0 - d, out=d)
 
 
 def torus_distance(a, b):
@@ -110,5 +113,16 @@ def torus_distance(a, b):
 
 def torus_distances(points, target):
     """Vectorized quotient metric from rows of ``points`` (n, d) to ``target``."""
-    d = wrap_deltas(points - target)
-    return np.sqrt((d * d).sum(axis=1))
+    return np.sqrt(squared_norms(wrap_deltas(points - target)))
+
+
+def squared_norms(d):
+    """Squared Euclidean norm of each row of ``d`` (n, k): the column products
+    added left to right, which is bit for bit ``(d * d).sum(axis=1)`` (numpy
+    sums 8 or more columns pairwise, so those take its reduction)."""
+    if not 1 <= d.shape[1] < 8:
+        return (d * d).sum(axis=1)
+    total = d[:, 0] * d[:, 0]
+    for col in d.T[1:]:
+        total += col * col
+    return total

@@ -32,7 +32,8 @@ from .systems import CircleRotation, Doubling, ToralAutomorphism
 
 DEFAULT_T_GRID = tuple(round(0.1 * k, 10) for k in range(51))
 STALL_ACCEPTANCE = 1e-6
-REJECTION_CHUNK = 65_536  # candidates per rejection draw
+REJECTION_CHUNK = 65_536  # candidates per rejection stream
+REJECTION_FIRST = 256  # candidates in a stream's first prefix; each next is 4 times larger
 _STALL_CHECK_AFTER = 2_000_000
 _EDGE_GUARD = 2.0 ** -50
 
@@ -135,10 +136,19 @@ def _rejection_sample(system, f, r, seed, count, max_attempts):
     attempts = 0
     stream = 0
     while len(accepted) < count:
-        # candidates are the engine's own points, tested at their floats
-        candidates = system.sample_invariant(subseed(seed, f"rej{stream}"), REJECTION_CHUNK)
-        keep = np.flatnonzero(f.values(system.orbit_batch(candidates, 0, 1)[:, 0]) <= r)
-        accepted += [candidates[i] for i in keep[:count - len(accepted)]]
+        # candidates are the engine's own points, tested at their floats; a
+        # stream is drawn in growing prefixes until one holds the points
+        # still needed (sample_invariant is prefix-stable), an empty prefix
+        # going straight to the whole chunk, and counts as a whole chunk
+        need, size = count - len(accepted), REJECTION_FIRST
+        while True:
+            size = min(size, REJECTION_CHUNK)
+            candidates = system.sample_invariant(subseed(seed, f"rej{stream}"), size)
+            keep = np.flatnonzero(f.values(system.orbit_batch(candidates, 0, 1)[:, 0]) <= r)
+            if keep.size >= need or size == REJECTION_CHUNK:
+                break
+            size = 4 * size if keep.size else REJECTION_CHUNK
+        accepted += [candidates[i] for i in keep[:need]]
         attempts += REJECTION_CHUNK
         stream += 1
         if attempts >= _STALL_CHECK_AFTER or attempts >= max_attempts:

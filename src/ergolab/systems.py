@@ -8,10 +8,12 @@ Engines
 * Hyperbolic (or any unimodular) toral automorphisms: integer matrix action
   on B-bit dyadic fractions, exact and invertible.  A 2x2 matrix on a dyadic
   lattice of at least 53 bits steps by exact anchors every m steps (one
-  Python-int jump A^m each) and fills the rows between them with uint64
-  offset arithmetic on each anchor's top 128 lattice bits (``_AnchorKernel``),
-  for any number of starts at once (``orbit_batch``, or a scan's batch);
-  other points step row by row.
+  Python-int jump A^m each; m = 30 for the cat map) and fills the rows
+  between them with uint64 offset arithmetic on each anchor's top 128
+  lattice bits, the carry from the bits below estimated in float64 with a
+  proven error bound and the rare undecided row (about 1 in 10^4 for cat)
+  recomputed exactly (``_AnchorKernel``), for any number of starts at once
+  (``orbit_batch``, or a scan's batch); other points step row by row.
 * Circle rotations by a B-bit fixed-point angle, exact and invertible.
 * Manneville-Pomeau x -> x + x^(1+s) mod 1: double-precision engine, kept
   for contrast with the rapidly mixing systems; results carry a
@@ -270,27 +272,37 @@ def _mat_mul(a, b, modulus=None):
     return prod if modulus is None else tuple(tuple(v % modulus for v in row) for row in prod)
 
 
-ANCHOR_ENTRY_BOUND = 1 << 21  # |A^k| below it keeps the int64 carry sums under 2^55
+ANCHOR_ENTRY_BOUND = 1 << 40  # |A^k| below it keeps each float carry within 2^-10
 MAX_ANCHOR_GAP = 64
 SLAB_ROWS = 1 << 12  # rows one kernel pass holds, whatever the start count
-EXACT_ROWS = 64  # a slab of fewer rows is computed exactly: the uint64 passes cost more
+EXACT_ROWS = 32  # a slab of fewer rows is computed exactly: the array passes cost more
 
 
 class _AnchorKernel:
     """Rows of a 2x2 automorphism on the 2^-B lattice, B >= 53, as top-53-bit floats.
 
     Anchors x_j, x_(j+m), ... are exact: one Python-int jump A^m mod 2^B each,
-    with m <= 64 the largest gap whose A^k, k < m, have entries below 2^21.
-    For k < m the top 64 lattice bits of x_(j+k) are (A^k H + c) mod 2^64 in
-    uint64, where H and L are the upper and lower 64 of the anchor's top 128
-    lattice bits (zero-padded below B = 128).  The carry is
-    c = floor((S + delta) / 2^64): S = A^k L is exact in int64 from L's 32-bit
-    halves, and delta, from the bits below L, lies in [-N_k, P_k), the row sums
-    of A^k's negative and positive entries (0 when B <= 128; below 65 bits L
-    and the carry are 0 too).  Where S mod 2^64 lies that close to a carry the
-    row is recomputed exactly from its anchor, as is every row of a slab under
-    ``EXACT_ROWS`` rows.  The floats are (top64 >> 11) * 2^-53, bit for bit
-    x >> (B - 53).
+    with m <= 64 the largest gap whose A^k, k < m, have entries below 2^40
+    (m = 30 for the cat map).  For k < m the top 64 lattice bits of x_(j+k)
+    are (A^k H + c) mod 2^64 in uint64, where H and L are the upper and lower
+    64 of the anchor's top 128 lattice bits (zero-padded below B = 128).  The
+    carry is c = floor((A^k L + delta) 2^-64), where delta, from the bits below
+    L, lies in [-N_k, P_k], the row sums of A^k's negative and positive
+    entries (0 when B <= 128).
+
+    The carry is estimated in float64.  Let t be the dot product of a row
+    (a_0, a_1) of A^k, exact in a float, with the rounded fl(L_i 2^-64):
+    each term carries one relative rounding of 2^-53 from the conversion and
+    at most two from its product and the sum, fused or not, so t lies within
+    e_k = 3 s_k 2^-53 (to first order; s_k = |a_0| + |a_1|) of A^k L 2^-64,
+    and the true sum within [t - e_k - N_k 2^-64, t + e_k + P_k 2^-64].
+    floor(t) is therefore the carry whenever frac(t) lies in
+    [e_k + N_k 2^-64, 1 - e_k - P_k 2^-64).
+    The kernel pads e_k to (4 s_k + 4) 2^-53, which also covers the roundings
+    of frac(t) and of the bounds themselves.  Any other row, about 1 in 10^4
+    for the cat map, is recomputed exactly from its anchor, as is every row of
+    a slab under ``EXACT_ROWS`` rows.  At B <= 64, L = 0 and every carry is 0.
+    The floats are (top64 >> 11) * 2^-53, bit for bit x >> (B - 53).
     """
 
     def __init__(self, mat):
@@ -302,12 +314,13 @@ class _AnchorKernel:
         self.gap = len(powers)
         self.powers = (*powers, nxt)  # A^0 .. A^m, exact
         self.by_row = tuple(zip(*powers))  # the rows of A^0 .. A^(m-1), row by row
-        coef = np.array(powers, dtype=np.int64)  # [k, row, column]
-        self.coef = coef[..., 0], coef[..., 1]
-        self.ucoef = tuple(c.view(np.uint64) for c in self.coef)
-        # S mod 2^64 below N_k or at least 2^64 - P_k: the carry is undecided
-        self.low = np.where(coef < 0, -coef, 0).sum(axis=-1).astype(np.uint64)
-        self.high = (1 << 64) - 1 - np.where(coef > 0, coef, 0).sum(axis=-1).astype(np.uint64)
+        # [column, 2k + row]: x's coordinates times these are A^k x, k < m
+        coef = np.array(powers, dtype=np.int64).transpose(2, 0, 1).reshape(2, -1)
+        self.fcoef, self.ucoef = coef.astype(float), coef.view(np.uint64)
+        # frac(t) outside [low, high): the carry is undecided
+        slack = (4 * np.abs(coef).sum(axis=0) + 4) * 2.0 ** -53
+        self.low = slack + np.where(coef < 0, -coef, 0).sum(axis=0) * 2.0 ** -64
+        self.high = 1 - slack - np.where(coef > 0, coef, 0).sum(axis=0) * 2.0 ** -64
 
     def rows(self, starts, modulus, size, out, idx):
         """Write ``size`` rows from each start's numerators into out[idx];
@@ -336,7 +349,8 @@ class _AnchorKernel:
                         ys += y
                     out[n, part, 0], out[n, part, 1] = xs, ys
             else:
-                out[idx, part] = self._floats(anchors, bits).reshape(len(cur), -1, 2)[:, :take]
+                vals = self._floats(anchors, bits, min(take, m))  # take < m: one anchor a start
+                out[idx, part] = vals.reshape(len(cur), -1, 2)[:, :take]
         last = size - (anchors_per_start - 1) * m  # steps from the last anchor
         if last < m:
             (p, q), (r, s) = self.powers[last]
@@ -351,24 +365,25 @@ class _AnchorKernel:
         return [[(((e * a + f * b) & mask) >> shift) * 2.0 ** -53 for e, f in row[ks]]
                 for row in self.by_row]
 
-    def _floats(self, anchors, bits):
-        """A^k x as top-53-bit floats for each anchor x and k < m: an (n, m, 2) array."""
-        words = [((v << 128) >> bits).to_bytes(16, "big") for x in anchors for v in x]
-        words = np.frombuffer(b"".join(words), dtype=">u8").astype(np.uint64).reshape(-1, 2, 2)
-        h0, h1 = words[:, 0, :1, None], words[:, 1, :1, None]  # (n, 1, 1)
-        (c0, c1), (u0, u1) = self.coef, self.ucoef
-        top = u0 * h0 + u1 * h1
-        half = words[:, :, 1, None, None]
-        hi, lo = (half >> 32).astype(np.int64), (half & 0xFFFFFFFF).astype(np.int64)
-        hi = c0 * hi[:, 0] + c1 * hi[:, 1]
-        lo = c0 * lo[:, 0] + c1 * lo[:, 1]
-        u = hi + (lo >> 32)  # S = A^k L = 2^32 u + (lo mod 2^32)
-        top += (u >> 32).view(np.uint64)
-        top = (top >> 11) * 2.0 ** -53
-        if bits > 128:  # else delta is 0 and every carry is decided
-            frac = (u.view(np.uint64) << 32) | (lo.view(np.uint64) & 0xFFFFFFFF)  # S mod 2^64
+    def _floats(self, anchors, bits, rows):
+        """A^k x as top-53-bit floats for each anchor x and k < rows <= m: an
+        (n, rows, 2) array."""
+        words = b"".join([(v >> (bits - 128) if bits >= 128 else v << (128 - bits))
+                          .to_bytes(16, "big") for x in anchors for v in x])
+        words = np.frombuffer(words, dtype=">u8").astype(np.uint64).reshape(-1, 2, 2)
+        cols = slice(2 * rows)
+        top = words[:, :, 0] @ self.ucoef[:, cols]  # A^k H, wrapping mod 2^64
+        if bits > 64:  # else L is 0 and so is every carry
+            t = (words[:, :, 1] * 2.0 ** -64) @ self.fcoef[:, cols]  # A^k L 2^-64, within e_k
+            carry = np.floor(t)
+            top += carry.astype(np.int64).view(np.uint64)
+            t -= carry
+            undecided = (t < self.low[cols]) | (t >= self.high[cols])
+        top >>= 11
+        top = (top.view(np.int64) * 2.0 ** -53).reshape(-1, rows, 2)
+        if bits > 64 and undecided.any():
             mask = (1 << bits) - 1
-            for a, k in set(zip(*np.nonzero((frac < self.low) | (frac > self.high))[:2])):
+            for a, k in zip(*np.nonzero(undecided[:, 0::2] | undecided[:, 1::2])):
                 (x,), (y,) = self._exact(anchors[a], slice(k, k + 1), mask, bits)
                 top[a, k] = x, y
         return top

@@ -1,7 +1,10 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.errors import DegenerateLadderError
 from ergolab.observables import (
@@ -25,7 +28,7 @@ from ergolab.observables import (
 )
 from ergolab.hitting import power_law_radii
 from ergolab.observed import CircleWave, Constant, CoordinateProjection, LinearMap
-from ergolab.points import FloatPoint
+from ergolab.points import FloatPoint, squared_norms
 from ergolab.systems import Doubling, MannevillePomeau, ToralAutomorphism, CAT_MATRIX
 
 
@@ -77,6 +80,16 @@ class TestEvaluate:
         for i in range(500):
             d = torus_distance(xs[i], ys[i])
             assert abs(fx[i] - fy[i]) <= f.lipschitz * d + 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data(), width=st.integers(1, 9), rows=st.integers(0, 40))
+def test_squared_norms_are_the_row_sums_bit_for_bit(data, width, rows):
+    # the distance every dist: observable, flow and the observation maps use
+    d = data.draw(hnp.arrays(np.float64, (rows, width),
+                             elements=st.floats(0.0, 1e6) | st.floats(0.0, 0.5, width=32)))
+    for rows_of in (d, np.tile(d, (400, 1))):  # numpy may iterate long arrays otherwise
+        assert squared_norms(rows_of).tobytes() == (rows_of * rows_of).sum(axis=1).tobytes()
 
 
 class TestMollifier:

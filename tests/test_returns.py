@@ -5,7 +5,10 @@ import pytest
 
 from ergolab.errors import RejectionStallError
 from ergolab.hitting import hitting_time
-from ergolab.observables import DistToPoint, evaluate
+from ergolab import returns
+from ergolab.observables import DistToPoint, Slack, evaluate
+from ergolab.points import ReservoirPoint
+from ergolab.rand import subseed
 from ergolab.returns import (
     ReturnCurve,
     conditioned_return_times,
@@ -75,6 +78,74 @@ class TestConditionedSampling:
         with pytest.raises(RejectionStallError):
             sample_conditioned(system, f, 1e-9, seed=6, count=10,
                                max_attempts=300_000)
+
+
+def _full_chunk_rejection(system, f, r, seed, count, max_attempts):
+    # the reference sampler: every stream drawn as one whole chunk
+    accepted, attempts, stream = [], 0, 0
+    while len(accepted) < count:
+        candidates = system.sample_invariant(subseed(seed, f"rej{stream}"), returns.REJECTION_CHUNK)
+        keep = np.flatnonzero(f.values(system.orbit_batch(candidates, 0, 1)[:, 0]) <= r)
+        accepted += [candidates[i] for i in keep[:count - len(accepted)]]
+        attempts += returns.REJECTION_CHUNK
+        stream += 1
+        if attempts >= returns._STALL_CHECK_AFTER or attempts >= max_attempts:
+            rate = len(accepted) / attempts
+            if rate < returns.STALL_ACCEPTANCE:
+                raise RejectionStallError(f"acceptance rate {rate:.2e} after {attempts} draws")
+            if attempts >= max_attempts and len(accepted) < count:
+                raise RejectionStallError(
+                    f"only {len(accepted)}/{count} accepted in {max_attempts} draws")
+    return accepted
+
+
+def _point_key(p):
+    return (p.bits.seed, p.bits.index, p.offset) if isinstance(p, ReservoirPoint) else p.coords
+
+
+class TestRejectionPrefixes:
+    """Rejection streams drawn in growing prefixes accept what whole chunks did."""
+
+    # slack targets, and any target on mp, have no direct sampler
+    CASES = {
+        "cat": (ToralAutomorphism(CAT_MATRIX), Slack(DistToPoint((0.3, 0.7)), 0.01), 0.05),
+        "doubling": (DOUBLING, Slack(DistToPoint((0.375,)), 0.01), 0.02),
+        "mp": (MannevillePomeau(0.3), DistToPoint((0.5,)), 0.05),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("count", [1, 5, 100])
+    def test_accepted_points_equal_whole_chunks(self, monkeypatch, case, count):
+        monkeypatch.setattr(returns, "REJECTION_CHUNK", 1024)  # 100 starts take several streams
+        system, f, r = self.CASES[case]
+        got = sample_conditioned(system, f, r, seed=9, count=count)
+        want = _full_chunk_rejection(system, f, r, 9, count, 20_000_000)
+        assert [_point_key(p) for p in got] == [_point_key(p) for p in want]
+
+    def test_few_starts_draw_few_candidates(self, monkeypatch):
+        drawn = []
+        draw = ToralAutomorphism.sample_invariant
+        monkeypatch.setattr(ToralAutomorphism, "sample_invariant",
+                            lambda self, seed, count: drawn.append(count) or draw(self, seed, count))
+        system, f, r = self.CASES["cat"]
+        assert len(sample_conditioned(system, f, r, seed=9, count=5)) == 5
+        assert sum(drawn) <= returns.REJECTION_CHUNK // 16
+
+    @pytest.mark.parametrize("r,count,max_attempts,stall", [
+        (1e-9, 10, 300_000, 1e-6),  # the acceptance rate stalls
+        (1e-3, 200, 3 * 4096, 1e-6),  # too few accepted within max_attempts
+        (0.1, 1, 300_000, 0.5),  # a stream its first prefix settles counts whole
+    ])
+    def test_stalls_are_unchanged(self, monkeypatch, r, count, max_attempts, stall):
+        monkeypatch.setattr(returns, "REJECTION_CHUNK", 4096)
+        monkeypatch.setattr(returns, "_STALL_CHECK_AFTER", 4096)
+        monkeypatch.setattr(returns, "STALL_ACCEPTANCE", stall)
+        system, f = MannevillePomeau(0.5), DistToPoint((0.5,))
+        with pytest.raises(RejectionStallError) as want:
+            _full_chunk_rejection(system, f, r, 6, count, max_attempts)
+        with pytest.raises(RejectionStallError) as got:
+            sample_conditioned(system, f, r, seed=6, count=count, max_attempts=max_attempts)
+        assert str(got.value) == str(want.value)
 
 
 class TestReturnTimes:

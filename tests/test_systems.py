@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from ergolab.points import FractionPoint, ReservoirPoint, torus_distance
 from ergolab.reservoir import BitReservoir
 from ergolab.systems import (
+    ANCHOR_ENTRY_BOUND,
     CAT_MATRIX,
     DEFAULT_BLOCK,
+    MAX_ANCHOR_GAP,
     CircleRotation,
     Doubling,
     MannevillePomeau,
@@ -233,6 +235,38 @@ class TestBitForBit:
         assert [n0 for n0, _ in blocks] == list(range(start, start + 40, block or 40))
         for n0, blk in blocks:
             assert blk[0, 0] == float(sys.orbit_window(p, n0).coords[0])
+
+
+class TestAnchorKernel:
+    """The float-estimated carries of the 2x2 kernel and its anchor gap."""
+
+    @pytest.mark.parametrize("matrix", [CAT_MATRIX, ((1, -1), (-1, 2)), ((3, 5), (1, 2))])
+    @pytest.mark.parametrize("bits", [100, 512])
+    def test_exact_carries_give_the_same_floats(self, matrix, bits):
+        # with no carry settled by its float estimate every row takes the
+        # exact recomputation
+        fast = ToralAutomorphism(matrix, precision_bits=bits)
+        slow = ToralAutomorphism(matrix, precision_bits=bits)
+        slow._kernel.low = np.ones_like(slow._kernel.low)
+        p = fast.sample_invariant(seed=11, count=1)[0]
+        assert fast.orbit_values(p, 5, 2_000).tolist() == slow.orbit_values(p, 5, 2_000).tolist()
+
+    def test_few_rows_fall_back_to_the_exact_carry(self, monkeypatch):
+        sys = ToralAutomorphism(CAT_MATRIX)
+        kernel, calls = sys._kernel, []
+        exact = kernel._exact
+        monkeypatch.setattr(kernel, "_exact", lambda *args: calls.append(1) or exact(*args))
+        p = sys.sample_invariant(seed=12, count=1)[0]
+        sys.orbit_values(p, 1, 100_001)
+        assert len(calls) < 100  # fewer than 1 row in 1 000
+
+    def test_anchor_gaps(self):
+        assert ToralAutomorphism(CAT_MATRIX)._kernel.gap == 30
+        for matrix in UNIMODULAR_2X2:
+            kernel = ToralAutomorphism(matrix)._kernel
+            assert 1 <= kernel.gap <= MAX_ANCHOR_GAP
+            assert all(abs(v) < ANCHOR_ENTRY_BOUND
+                       for power in kernel.powers[:kernel.gap] for row in power for v in row)
 
 
 class TestSampling:
