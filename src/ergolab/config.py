@@ -11,6 +11,7 @@ or ids that do not resolve.
 """
 
 import configparser
+import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -19,11 +20,18 @@ from .kinds import KINDS, REQUIRED, SHARED, Field, choice, count, nonempty
 from .observables import RadiusLadder
 from .systems import system_from_id
 
+
+def _output_path(value):
+    if not os.path.basename(nonempty(value)) or os.path.isdir(value):
+        raise ValueError(f"names a directory, not a result file: {value!r}")
+    return value
+
+
 _EXPERIMENT = {
     "kind": Field(choice(*KINDS)),
     "system": Field(nonempty),
     "seed": Field(int),  # required: no implicit entropy
-    "output": Field(nonempty),
+    "output": Field(_output_path),
     "workers": Field(int, None),
     "precision_bits": Field(count, None),
 }

@@ -22,11 +22,12 @@ from .points import squared_norms, wrap_deltas
 
 
 DEFAULT_TAIL_DECADES = 3.0
+GRID_PER_DECADE = 40
 
 
-def log_grid(n_max, per_decade=40):
-    """Log-spaced integer step indices 1..n_max."""
-    raw = np.geomspace(1, n_max, max(int(np.log10(n_max) * per_decade), 2))
+def log_grid(n_max):
+    """Log-spaced integer step indices 1..n_max, about GRID_PER_DECADE a decade."""
+    raw = np.geomspace(1, n_max, max(int(np.log10(n_max) * GRID_PER_DECADE), 2))
     return np.unique(np.round(raw).astype(np.int64))
 
 

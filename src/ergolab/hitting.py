@@ -29,7 +29,6 @@ class HittingRecord:
     radius: float
     tau: int | None
     cap: int
-    steps_used: int
 
     def __post_init__(self):
         if self.tau is not None and self.tau < 1:
@@ -38,6 +37,11 @@ class HittingRecord:
     @property
     def censored(self):
         return self.tau is None
+
+    @property
+    def steps_used(self):
+        """Orbit steps the scan took: tau, or the cap when censored."""
+        return self.cap if self.tau is None else self.tau
 
 
 def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
@@ -86,27 +90,27 @@ def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
     return taus, censored
 
 
-def hitting_records(system, points, f, ladder, cap, first_id=0, block=DEFAULT_SCAN_BLOCK):
+def hitting_records(system, points, f, ladder, cap, first_id=0):
     """``first_hits`` of the starts as one list of records per start, in rung
     order and non-decreasing in tau; point ids count from ``first_id``."""
     radii = list(ladder)
-    taus, censored = first_hits(system, points, f, radii, cap, block)
+    taus, censored = first_hits(system, points, f, radii, cap)
     return [
-        [HittingRecord(point_id=i, radius=r, tau=None if cut else t, cap=cap, steps_used=t)
+        [HittingRecord(point_id=i, radius=r, tau=None if cut else t, cap=cap)
          for r, t, cut in zip(radii, row, cuts)]
         for i, (row, cuts) in enumerate(zip(taus.tolist(), censored.tolist()), first_id)
     ]
 
 
-def ladder_hitting_times(system, x, f, ladder, cap, point_id=0, block=DEFAULT_SCAN_BLOCK):
+def ladder_hitting_times(system, x, f, ladder, cap, point_id=0):
     """Hitting records for every rung of a decreasing ladder: the one-start
     case of ``hitting_records``."""
-    return hitting_records(system, [x], f, ladder, cap, point_id, block)[0]
+    return hitting_records(system, [x], f, ladder, cap, point_id)[0]
 
 
-def hitting_time(system, x, f, r, cap, point_id=0):
+def hitting_time(system, x, f, r, cap):
     """First n in [1, cap] with f(T^n x) <= r, else a censored record."""
-    return ladder_hitting_times(system, x, f, [float(r)], cap, point_id)[0]
+    return ladder_hitting_times(system, x, f, [float(r)], cap)[0]
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ def default_window(n_usable):
     return max(4, math.ceil(WINDOW_FRACTION * n_usable))
 
 
-def estimate_R(system, x, f, ladder, cap, window=None, point_id=0, records=None):
+def estimate_R(system, x, f, ladder, cap, window=None, records=None):
     """Hitting-exponent estimate over a radius ladder for one start point.
 
     Censored rungs are dropped before fitting.  The default window spans
@@ -142,7 +146,7 @@ def estimate_R(system, x, f, ladder, cap, window=None, point_id=0, records=None)
     lim sup / lim inf split.
     """
     if records is None:
-        records = ladder_hitting_times(system, x, f, ladder, cap, point_id)
+        records = ladder_hitting_times(system, x, f, ladder, cap)
     taus = [rec.tau for rec in records]
     # nesting makes tau non-increasing in r; violations would be a scan bug
     usable_taus = [t for t in taus if t is not None]
@@ -190,10 +194,8 @@ def power_law_radii(beta, k_max):
     return np.concatenate([[1.0], tail])
 
 
-def bc_counter_series(
-    system, x, f, beta, k_max, measures="exact", seed=0, n_samples=200_000,
-    d_upper=None, checkpoints=None,
-):
+def bc_counter_series(system, x, f, beta, k_max, measures="exact", seed=0,
+                      n_samples=200_000, d_upper=None):
     """Cumulative counter Z_k of orbit entries into the shrinking targets
     {f <= i^-beta} at time i, with E(Z_k) = sum of target measures.
 
@@ -202,8 +204,9 @@ def bc_counter_series(
     explicitly).  The i = 0 rung uses r_0 = 1 with its measure clamped to
     the full space.
 
-    measures: "exact" (closed form required), "mc" (empirical sublevel law
-    from one invariant sample), or a callable r -> measure.
+    measures: "exact" (closed form required) or "mc" (empirical sublevel law
+    from one invariant sample).  Z_k is reported at every k up to 1000, else at
+    about 200 log-spaced k from 0 to k_max.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -228,8 +231,11 @@ def bc_counter_series(
     z = np.cumsum(hits)
     expected = np.cumsum(mu)
 
-    if checkpoints is None:
-        checkpoints = default_checkpoints(k_max)
+    if k_max <= 1000:
+        checkpoints = range(k_max + 1)
+    else:
+        marks = np.unique(np.geomspace(1, k_max, 200).astype(int))
+        checkpoints = sorted(set([0, *marks.tolist(), k_max]))
     out = []
     for k in checkpoints:
         out.append(BCCounter(k=int(k), z=int(z[k]), expected=float(expected[k]),
@@ -237,16 +243,7 @@ def bc_counter_series(
     return out
 
 
-def default_checkpoints(k_max):
-    if k_max <= 1000:
-        return list(range(k_max + 1))
-    marks = np.unique(np.geomspace(1, k_max, 200).astype(int))
-    return sorted(set([0, *marks.tolist(), k_max]))
-
-
 def _measures_for(system, f, radii, measures, seed, n_samples):
-    if callable(measures):
-        return np.array([min(max(measures(r), 0.0), 1.0) for r in radii])
     if measures == "exact":
         mu = exact_measure(system, f, radii)
         if mu is None:
@@ -260,4 +257,4 @@ def _measures_for(system, f, radii, measures, seed, n_samples):
         vals = np.sort(f.values(coords))
         counts = np.searchsorted(vals, radii, side="right")
         return counts / n_samples
-    raise ValueError("measures must be 'exact', 'mc', or a callable")
+    raise ValueError("measures must be 'exact' or 'mc'")

@@ -62,6 +62,8 @@ EXPONENT_FLOOR_SLACK = 0.15
 MAX_DYADIC_RUNGS = 10_000
 # bounds the lags x samples orbit-value matrix a correlation run builds
 MAX_LAG = 1000
+# bounds the t-grid of a return-stats run (the default grid has 50 steps)
+MAX_GRID_STEPS = 10_000
 
 REQUIRED = object()
 
@@ -440,6 +442,11 @@ def _check_intersection_bound(config):
                               f"the ladder has no rung {k} (it has {len(config.ladder)})")
 
 
+def _check_return_stats(config):
+    if config.params.grid_max / config.params.grid_step > MAX_GRID_STEPS:
+        raise ConfigError("return-stats", f"grid_max / grid_step exceeds {MAX_GRID_STEPS} steps")
+
+
 def _run_return_stats(config, workers):
     system, f, p = config.system, config.observable, config.params
     r = p.radius
@@ -677,6 +684,7 @@ KINDS = {
         "sup|g-exp|={sup_distance_to_exponential:.3f} jumps={jump_clusters} "
         "kac={kac_product:.3f}".format_map,
         shared=("observable",),
+        check=_check_return_stats,
     ),
     "observed": Kind(
         {

@@ -17,11 +17,11 @@ import numpy as np
 from .errors import DegenerateSeriesError, NoDecayFitError
 from .observables import (
     MAX_FREQUENCY,
+    Z_95,
     MeasureEstimate,
     binomial_half_width,
     estimate_measure,
     fit_line,
-    z_value,
 )
 from .rand import master_rng, subseed
 from .reservoir import bulk_window_floats
@@ -57,13 +57,13 @@ def from_observable(f, label=""):
     return LipschitzFunction(f.values, f.sup_bound, f.lipschitz, label or repr(f))
 
 
-def cosine_wave(freq, axis=0):
-    """cos(2 pi k x_axis); a single Fourier mode."""
+def cosine_wave(freq):
+    """cos(2 pi k x_1); a single Fourier mode of the first coordinate."""
     if abs(freq) > MAX_FREQUENCY:
         raise ValueError(f"frequency must lie in -{MAX_FREQUENCY}..{MAX_FREQUENCY}")
 
     def fn(coords):
-        return np.cos(2.0 * math.pi * freq * np.asarray(coords, dtype=float)[:, axis])
+        return np.cos(2.0 * math.pi * freq * np.asarray(coords, dtype=float)[:, 0])
 
     return LipschitzFunction(fn, 1.0, 2.0 * math.pi * abs(freq), f"cos:{freq}")
 
@@ -75,8 +75,8 @@ def constant_function(c):
     return LipschitzFunction(fn, abs(float(c)), 0.0, f"const:{c}")
 
 
-def dyadic_harmonic_mix(depth=10, axis=0):
-    """sum_j 2^-j cos(2 pi 2^j x) for j = 0..depth.
+def dyadic_harmonic_mix(depth=10):
+    """sum_j 2^-j cos(2 pi 2^j x_1) for j = 0..depth.
 
     Unlike distance observables (triangle waves carry only odd harmonics,
     so their doubling autocorrelations vanish identically), this mix couples
@@ -91,7 +91,7 @@ def dyadic_harmonic_mix(depth=10, axis=0):
     weights = 2.0 ** -np.arange(depth + 1)
 
     def fn(coords):
-        angles = 2.0 * math.pi * np.asarray(coords, dtype=float)[:, axis]
+        angles = 2.0 * math.pi * np.asarray(coords, dtype=float)[:, 0]
         return np.cos(np.outer(angles, freqs)) @ weights
 
     lip = float(2.0 * math.pi * (depth + 1))
@@ -116,10 +116,10 @@ class CorrelationSeries:
             raise ValueError("correlation magnitudes are non-negative")
         object.__setattr__(self, "lags", lags)
 
-    def usable(self, factor=NOISE_FLOOR_FACTOR):
+    def usable(self):
         """Indices of lags above the noise floor."""
         return [i for i, (v, hw) in enumerate(zip(self.values, self.half_widths))
-                if v > factor * hw]
+                if v > NOISE_FLOOR_FACTOR * hw]
 
 
 def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
@@ -148,10 +148,10 @@ def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
         yield slice(lo, lo + len(vals)), (fn.values(vals[:, lag]) for fn, lag in zip(fns, lags))
 
 
-def estimate_correlation(system, phi, psi, lags, seed, n_samples, level=0.95):
+def estimate_correlation(system, phi, psi, lags, seed, n_samples):
     """Monte Carlo |Cov(phi o T^n, psi)| for each lag n.
 
-    Half-widths come from the sample variance of the centered products
+    95 % half-widths come from the sample variance of the centered products
     (normal approximation).
     """
     if n_samples < 1000:
@@ -165,13 +165,12 @@ def estimate_correlation(system, phi, psi, lags, seed, n_samples, level=0.95):
             row[part] = vals
     psi0, phis = lagged[0], lagged[1:]
     psi_c = psi0 - psi0.mean()
-    z = z_value(level)
     values = []
     half_widths = []
     for i in range(len(lags)):
         prod = (phis[i] - phis[i].mean()) * psi_c
         cov = float(prod.mean())
-        hw = z * float(prod.std(ddof=1)) / math.sqrt(n_samples)
+        hw = Z_95 * float(prod.std(ddof=1)) / math.sqrt(n_samples)
         values.append(abs(cov))
         half_widths.append(hw)
     return CorrelationSeries(
@@ -212,14 +211,14 @@ class DecayFit:
         raise NoDecayFitError("inconclusive decay fit has no envelope")
 
 
-def fit_decay(series, noise_factor=NOISE_FLOOR_FACTOR):
+def fit_decay(series):
     """Classify a correlation series as exponential or power-law decay.
 
     Lags below the noise floor are excluded.  With no usable lags the
     verdict is inconclusive; with fewer than MIN_USABLE_LAGS the series is
     degenerate; otherwise the lower-residual model wins.
     """
-    idx = series.usable(noise_factor)
+    idx = series.usable()
     if not idx:
         return DecayFit(DECAY_INCONCLUSIVE, None, None, (), None)
     if len(idx) < MIN_USABLE_LAGS:

@@ -23,14 +23,13 @@ from .points import torus_distances
 MAX_FREQUENCY = 1 << 20
 
 
-def z_value(level):
-    return NormalDist().inv_cdf(0.5 + level / 2.0)
+Z_95 = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)  # the normal quantile of every 95 % interval
 
 
-def binomial_half_width(hits, n, level=0.95):
-    """Normal-approximation half-width for hits/n, smoothed away from 0 and 1."""
+def binomial_half_width(hits, n):
+    """Normal-approximation 95 % half-width for hits/n, smoothed away from 0 and 1."""
     smoothed = (hits + 0.5) / (n + 1.0)
-    return z_value(level) * math.sqrt(smoothed * (1.0 - smoothed) / n)
+    return Z_95 * math.sqrt(smoothed * (1.0 - smoothed) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ class MeasureEstimate:
         return min(self.estimate + self.half_width, 1.0)
 
 
-def estimate_measure(f, r, system, seed, n_samples, level=0.95):
+def estimate_measure(f, r, system, seed, n_samples):
     """mu{f <= r}: closed form when available, else a Monte Carlo fraction."""
     closed = exact_measure(system, f, r)
     if closed is not None:
@@ -405,10 +404,10 @@ def estimate_measure(f, r, system, seed, n_samples, level=0.95):
     coords = system.sample_invariant_floats(seed, n_samples)
     hits = int(np.count_nonzero(f.values(coords) <= r))
     return MeasureEstimate(hits / n_samples,
-                           binomial_half_width(hits, n_samples, level), n_samples)
+                           binomial_half_width(hits, n_samples), n_samples)
 
 
-def measure_profile(f, ladder, system, seed, n_samples, level=0.95):
+def measure_profile(f, ladder, system, seed, n_samples):
     """Measure estimates for every rung, sharing one invariant sample.
 
     Sharing the sample makes the profile exactly monotone in r and prices
@@ -426,7 +425,7 @@ def measure_profile(f, ladder, system, seed, n_samples, level=0.95):
             continue
         hits = int(np.count_nonzero(vals <= r))
         out.append(MeasureEstimate(hits / n_samples,
-                                   binomial_half_width(hits, n_samples, level),
+                                   binomial_half_width(hits, n_samples),
                                    n_samples))
     return out
 
@@ -436,6 +435,7 @@ def measure_profile(f, ladder, system, seed, n_samples, level=0.95):
 
 
 MIN_EXPECTED_HITS = 20
+AGREEMENT_TOLERANCE = 0.1  # widest upper/lower gap that still gives one exponent
 
 
 def sliding_slopes(x, y, width):
@@ -475,24 +475,23 @@ class DimensionEstimate:
     slope_stderr: float
     window: tuple  # (first rung index used, last rung index used)
     profile: tuple = ()  # the measure estimate of every rung
-    agreement_tolerance: float = 0.1
 
     @property
     def d_point(self):
         """Single exponent when the upper/lower pair agrees, else None."""
-        if self.d_upper - self.d_lower <= self.agreement_tolerance:
+        if self.d_upper - self.d_lower <= AGREEMENT_TOLERANCE:
             return 0.5 * (self.d_upper + self.d_lower)
         return None
 
 
-def estimate_dimension(f, ladder, system, seed, n_per_rung, window=4, level=0.95):
+def estimate_dimension(f, ladder, system, seed, n_per_rung, window=4):
     """Sublevel scaling exponents from log-log slopes over the ladder.
 
     Rungs whose Monte Carlo estimate would see fewer than MIN_EXPECTED_HITS
     hits are dropped; at least four usable rungs are required.  d_upper and
     d_lower are the extreme sliding-window slopes (default window 4 rungs).
     """
-    estimates = measure_profile(f, ladder, system, seed, n_per_rung, level)
+    estimates = measure_profile(f, ladder, system, seed, n_per_rung)
     radii = list(ladder)
     usable = [
         k for k, est in enumerate(estimates)

@@ -212,15 +212,15 @@ def observed_hitting_time(system, x, x0_image, image_map, r, cap):
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if isinstance(image_map, Constant):
-        return HittingRecord(point_id=0, radius=r, tau=1, cap=cap, steps_used=1)
+        return HittingRecord(point_id=0, radius=r, tau=1, cap=cap)
     y0 = np.asarray(x0_image, dtype=float)
     for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=1 << 12):
         dists = image_map.image_distances(coords, y0)
         hits = np.flatnonzero(dists <= r)
         if hits.size:
             tau = n0 + int(hits[0])
-            return HittingRecord(point_id=0, radius=r, tau=tau, cap=cap, steps_used=tau)
-    return HittingRecord(point_id=0, radius=r, tau=None, cap=cap, steps_used=cap)
+            return HittingRecord(point_id=0, radius=r, tau=tau, cap=cap)
+    return HittingRecord(point_id=0, radius=r, tau=None, cap=cap)
 
 
 def pushforward_dimension(system, image_map, x0, ladder, seed, n_per_rung, window=4):
@@ -245,7 +245,11 @@ class RankReport:
     tolerance: float
 
 
-def jacobian_rank(image_map, x, h=1e-5, tol_abs=1e-6, tol_rel=1e-8):
+RANK_TOL_ABS = 1e-6
+RANK_TOL_REL = 1e-8
+
+
+def jacobian_rank(image_map, x, h=1e-5):
     """Rank of dF at x from central differences and an SVD.
 
     Differences in periodic codomains are wrapped to the shortest
@@ -269,7 +273,7 @@ def jacobian_rank(image_map, x, h=1e-5, tol_abs=1e-6, tol_rel=1e-8):
         jac[:, j] = delta / (2.0 * h)
     singulars = np.linalg.svd(jac, compute_uv=False)
     smax = singulars[0] if singulars.size else 0.0
-    tol = max(tol_abs, tol_rel * smax)
+    tol = max(RANK_TOL_ABS, RANK_TOL_REL * smax)
     rank = int(np.count_nonzero(singulars > tol))
     return RankReport(
         base_point=tuple(base),

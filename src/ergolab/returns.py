@@ -285,8 +285,8 @@ class TrivialityIndicator:
             raise ValueError("indicator is a probability")
 
 
-def triviality_indicator(sample, l_value, level=0.95):
-    """Empirical mu{x in S_r : tau > l/mu} / mu(S_r).
+def triviality_indicator(sample, l_value):
+    """Empirical mu{x in S_r : tau > l/mu} / mu(S_r), with a 95 % half-width.
 
     Reads the same sample as return_curve, so the indicator at l equals the
     curve at t = l whenever l/mu is not an attained integer.
@@ -296,7 +296,7 @@ def triviality_indicator(sample, l_value, level=0.95):
     hits = int(np.count_nonzero((sample.taus > threshold) | sample.censored))
     return TrivialityIndicator(
         l_value=float(l_value), radius=sample.radius, value=hits / n,
-        half_width=binomial_half_width(hits, n, level),
+        half_width=binomial_half_width(hits, n),
     )
 
 
@@ -311,16 +311,13 @@ def kac_statistic(sample):
     return float(scaled.mean()), float(scaled.std(ddof=1) / math.sqrt(len(scaled)))
 
 
-def count_jump_clusters(curve, min_drop=0.0):
+def count_jump_clusters(curve):
     """Number of maximal runs of consecutive grid steps where g decreases.
 
     A pure step-function limit (rotations) shows as a handful of clusters;
     an exponential limit decreases at almost every grid step.
     """
-    drops = [
-        b < a - min_drop
-        for a, b in zip(curve.g_values, curve.g_values[1:])
-    ]
+    drops = [b < a for a, b in zip(curve.g_values, curve.g_values[1:])]
     clusters = 0
     prev = False
     for d in drops:

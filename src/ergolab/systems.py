@@ -12,8 +12,8 @@ Engines
   between them with uint64 offset arithmetic on each anchor's top 128
   lattice bits, the carry from the bits below estimated in float64 with a
   proven error bound and the rare undecided row (about 1 in 10^4 for cat)
-  recomputed exactly (``_AnchorKernel``), for any number of starts at once
-  (``orbit_batch``, or a scan's batch); other points step row by row.
+  recomputed exactly (``_AnchorKernel``), for any number of starts and rows
+  at once (``orbit_batch``, or a scan's batch); other points step row by row.
 * Circle rotations by a B-bit fixed-point angle, exact and invertible.
 * Manneville-Pomeau x -> x + x^(1+s) mod 1: double-precision engine, kept
   for contrast with the rapidly mixing systems; results carry a
@@ -275,7 +275,6 @@ def _mat_mul(a, b, modulus=None):
 ANCHOR_ENTRY_BOUND = 1 << 40  # |A^k| below it keeps each float carry within 2^-10
 MAX_ANCHOR_GAP = 64
 SLAB_ROWS = 1 << 12  # rows one kernel pass holds, whatever the start count
-EXACT_ROWS = 32  # a slab of fewer rows is computed exactly: the array passes cost more
 
 
 class _AnchorKernel:
@@ -300,8 +299,8 @@ class _AnchorKernel:
     [e_k + N_k 2^-64, 1 - e_k - P_k 2^-64).
     The kernel pads e_k to (4 s_k + 4) 2^-53, which also covers the roundings
     of frac(t) and of the bounds themselves.  Any other row, about 1 in 10^4
-    for the cat map, is recomputed exactly from its anchor, as is every row of
-    a slab under ``EXACT_ROWS`` rows.  At B <= 64, L = 0 and every carry is 0.
+    for the cat map, is recomputed exactly from its anchor.  At B <= 64, L = 0
+    and every carry is 0.
     The floats are (top64 >> 11) * 2^-53, bit for bit x >> (B - 53).
     """
 
@@ -313,7 +312,6 @@ class _AnchorKernel:
             nxt = _mat_mul(nxt, mat)
         self.gap = len(powers)
         self.powers = (*powers, nxt)  # A^0 .. A^m, exact
-        self.by_row = tuple(zip(*powers))  # the rows of A^0 .. A^(m-1), row by row
         # [column, 2k + row]: x's coordinates times these are A^k x, k < m
         coef = np.array(powers, dtype=np.int64).transpose(2, 0, 1).reshape(2, -1)
         self.fcoef, self.ucoef = coef.astype(float), coef.view(np.uint64)
@@ -339,18 +337,8 @@ class _AnchorKernel:
                     a, b = (p * a + q * b) & mask, (r * a + s * b) & mask
                 cur[i] = a, b
             take = min(span * m, size - j0 * m)  # rows per start in this slab
-            part = slice(j0 * m, j0 * m + take)
-            if len(cur) * take < EXACT_ROWS:
-                for n, i in zip(idx, range(0, len(anchors), span)):
-                    xs, ys = [], []
-                    for j in range(-(-take // m)):  # the start's anchors, up to m rows each
-                        x, y = self._exact(anchors[i + j], slice(take - j * m), mask, bits)
-                        xs += x
-                        ys += y
-                    out[n, part, 0], out[n, part, 1] = xs, ys
-            else:
-                vals = self._floats(anchors, bits, min(take, m))  # take < m: one anchor a start
-                out[idx, part] = vals.reshape(len(cur), -1, 2)[:, :take]
+            vals = self._floats(anchors, bits, min(take, m))  # take < m: one anchor a start
+            out[idx, j0 * m:j0 * m + take] = vals.reshape(len(cur), -1, 2)[:, :take]
         last = size - (anchors_per_start - 1) * m  # steps from the last anchor
         if last < m:
             (p, q), (r, s) = self.powers[last]
@@ -358,12 +346,10 @@ class _AnchorKernel:
                    for a, b in anchors[span - 1::span]]
         return cur
 
-    def _exact(self, x, ks, mask, bits):
-        """Each coordinate of A^k x as a top-53-bit float for each k < m in
-        the slice ``ks``, from Python ints: one list per coordinate."""
+    def _exact(self, x, k, mask, bits):
+        """A^k x, k < m, as a top-53-bit float pair, from Python ints."""
         (a, b), shift = x, bits - 53
-        return [[(((e * a + f * b) & mask) >> shift) * 2.0 ** -53 for e, f in row[ks]]
-                for row in self.by_row]
+        return [(((e * a + f * b) & mask) >> shift) * 2.0 ** -53 for e, f in self.powers[k]]
 
     def _floats(self, anchors, bits, rows):
         """A^k x as top-53-bit floats for each anchor x and k < rows <= m: an
@@ -384,8 +370,7 @@ class _AnchorKernel:
         if bits > 64 and undecided.any():
             mask = (1 << bits) - 1
             for a, k in zip(*np.nonzero(undecided[:, 0::2] | undecided[:, 1::2])):
-                (x,), (y,) = self._exact(anchors[a], slice(k, k + 1), mask, bits)
-                top[a, k] = x, y
+                top[a, k] = self._exact(anchors[a], k, mask, bits)
         return top
 
 
@@ -466,9 +451,9 @@ class MannevillePomeau(_SystemBase):
     """Intermittent map x -> x + x^(1+s) mod 1 on the double-precision engine."""
 
     s: float
-    burn_in: int = 10_000
-    stride: int = 10
 
+    BURN_IN = 10_000  # steps from a uniform draw before the first sample
+    STRIDE = 10  # steps between consecutive samples
     dim = 1
     mixing_class = "polynomial"
     exact = False
@@ -478,8 +463,6 @@ class MannevillePomeau(_SystemBase):
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("Manneville-Pomeau parameter s must lie in (0, 1)")
-        if self.burn_in < 0 or self.stride < 1:
-            raise ValueError("invalid sampler settings")
 
     def _orbit(self, x, out, stride):
         """The engine's one loop: write x and every ``stride``-th orbit point
@@ -523,9 +506,9 @@ class MannevillePomeau(_SystemBase):
         x = float(rng.random())
         while x == 0.0:
             x = float(rng.random())
-        x = self._advance(FloatPoint((x,)), self.burn_in).coords[0]
+        x = self._advance(FloatPoint((x,)), self.BURN_IN).coords[0]
         out = np.empty(count)
-        self._orbit(x, out, self.stride)
+        self._orbit(x, out, self.STRIDE)
         return out.reshape(-1, 1)
 
 

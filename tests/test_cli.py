@@ -159,6 +159,8 @@ start_exp = 3
 stop_exp = 6
 """
 
+RETURN_OK = RETURN_CONFIG.replace("radius = -0.1", "radius = 0.05")
+
 HITTING_CONFIG = CONFIG.replace("kind = dimension", "kind = hitting").replace(
     "[dimension]\nsamples_per_rung = 500", "[hitting]\npoints = 2")
 
@@ -212,18 +214,32 @@ BAD_FIELDS = {
     "pushdist-wave-frequency": (
         CONFIG.replace("dist:0.25,0.75", "pushdist:wave:" + "9" * 400 + ":1,0"),
         "observable.rule"),
+    "output-directory": (RETURN_OK.replace("{out}", "{dir}"), "experiment.output"),
+    "output-separator": (RETURN_OK.replace("{out}", "{dir}/new/"), "experiment.output"),
+    "grid-step": (RETURN_OK + "grid_step = 1e-320\n", "return-stats"),
+    "grid-max": (RETURN_OK + "grid_max = 1e9\n", "return-stats"),
 }
 
 
 @pytest.mark.parametrize("text,field", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
 def test_bad_field_exits_2_without_traceback(tmp_path, capsys, text, field):
     cfg_path = tmp_path / "bad.ini"
-    cfg_path.write_text(text.format(out=tmp_path / "o.json"))
+    (tmp_path / "d").mkdir()
+    cfg_path.write_text(text.format(out=tmp_path / "o.json", dir=tmp_path / "d"))
     assert main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"ConfigError]: {field}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.json").exists()
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_output_flag_naming_a_directory_exits_2_before_the_run(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(RETURN_OK.format(out=tmp_path / "o.json"))
+    assert main(["run", str(cfg_path), "--output", str(tmp_path)]) == 2
+    assert "ConfigError]: experiment.output" in capsys.readouterr().err
+    assert not list(tmp_path.parent.glob(tmp_path.name + ".*.csv"))
 
 
 GRAMMARS = {

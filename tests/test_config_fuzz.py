@@ -1,5 +1,5 @@
-"""Config fuzz: loads of mutated acceptance configs, and tiny runs of every
-catalog system with every observable rule.
+"""Config fuzz: loads and tiny runs of mutated acceptance configs, and tiny
+runs of every catalog system with every observable rule.
 
 Loading a config with one value replaced by a drawn string either succeeds
 or raises ConfigError naming the field; a run either finishes or raises a
@@ -11,12 +11,13 @@ import configparser
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ergolab import returns
 from ergolab.config import parse_config_text
 from ergolab.errors import ConfigError, ErgolabError
+from ergolab.kinds import KINDS
 from ergolab.observables import OBSERVABLE_RULES
 from ergolab.runner import run
 from ergolab.systems import SYSTEMS, system_from_id
@@ -38,8 +39,8 @@ _VALUES = st.lists(
 ).map("".join)
 
 
-def _mutated(name, section, key, value):
-    parser = _parsed(name)
+def _mutated(name, section, key, value, parser=None):
+    parser = parser or _parsed(name)
     parser[section][key] = value
     out = io.StringIO()
     parser.write(out)
@@ -52,6 +53,41 @@ def test_mutated_acceptance_config_loads_or_raises_config_error(where, value):
     try:
         parse_config_text(_mutated(*where, value))
     except ConfigError:
+        pass
+
+
+# keys that only set a run's length: the load fuzz covers them, and a drawn
+# value such as points = 66899 only makes a long run
+_RUN_LENGTH = {"points", "samples", "samples_per_rung", "mc_samples", "decay_samples",
+               "n_max", "k_max", "cap", "lags", "stop_exp", "per_octave"}
+# the lengths a mutated run takes instead; every kind with a cap gets one
+_SHRUNK = {"points": "2", "samples": "1000", "samples_per_rung": "4000",
+           "decay_samples": "100000", "n_max": "2000", "k_max": "300", "cap": "20000"}
+
+
+def _shrunk(name):
+    parser = _parsed(name)
+    kind = parser["experiment"]["kind"]
+    for key, value in _SHRUNK.items():
+        if key in parser[kind] or (key == "cap" and key in KINDS[kind].fields):
+            parser[kind][key] = value
+    return parser
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([where for where in _KEYS if where[2] not in _RUN_LENGTH]), _VALUES)
+def test_mutated_acceptance_config_runs_or_raises_a_package_error(tmp_path, monkeypatch,
+                                                                  where, value):
+    # a drawn output path is relative: the run writes it under tmp_path
+    monkeypatch.chdir(tmp_path)
+    try:
+        config = parse_config_text(_mutated(*where, value, _shrunk(where[0])))
+    except ConfigError:
+        return
+    try:
+        run(config, workers=1)
+    except ErgolabError:
         pass
 
 

@@ -37,6 +37,7 @@ class IdentitySystem:
 
     dim = 1
     exact = True
+    lebesgue = True  # the identity map preserves Lebesgue measure
 
     def step(self, p):
         return p
@@ -89,7 +90,7 @@ class TestHittingTime:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            HittingRecord(point_id=0, radius=0.1, tau=0, cap=10, steps_used=1)
+            HittingRecord(point_id=0, radius=0.1, tau=0, cap=10)
 
 
 class TestLadderScan:
@@ -269,7 +270,7 @@ class TestEstimateR:
     def test_out_of_order_records_rejected(self):
         # a shorter time at a smaller rung breaks nesting: a scan bug, not data
         records = [
-            HittingRecord(point_id=0, radius=r, tau=t, cap=100, steps_used=t)
+            HittingRecord(point_id=0, radius=r, tau=t, cap=100)
             for r, t in ((0.1, 5), (0.05, 3), (0.01, 40))
         ]
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -304,7 +305,7 @@ class TestBorelCantelliCounter:
         f = DistToPoint((0.375,))  # f(x) = 0 on the whole orbit
         series = bc_counter_series(
             sys, x, f, beta=0.5, k_max=50,
-            measures=lambda r: min(2.0 * r, 1.0), d_upper=1.0,
+            measures="exact", d_upper=1.0,
         )
         final = series[-1]
         assert final.k == 50 and final.z == 51

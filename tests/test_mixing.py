@@ -21,11 +21,11 @@ from ergolab.mixing import (
 )
 from ergolab.observables import (
     MAX_FREQUENCY,
+    Z_95,
     DistToPoint,
     MeasureEstimate,
     RadiusLadder,
     binomial_half_width,
-    z_value,
 )
 from ergolab.rand import subseed
 from ergolab.systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
@@ -177,7 +177,7 @@ class TestSampledOrbitPath:
             phis = phi.values(orbits[:, lag])
             prod = (phis - phis.mean()) * (psi0 - psi0.mean())
             assert v == abs(float(prod.mean()))
-            assert hw == z_value(0.95) * float(prod.std(ddof=1)) / math.sqrt(n)
+            assert hw == Z_95 * float(prod.std(ddof=1)) / math.sqrt(n)
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=("cat", "golden"))
     def test_joint_preimage_is_the_per_point_count(self, system, monkeypatch):

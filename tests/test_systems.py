@@ -175,8 +175,7 @@ class TestBitForBit:
            data=st.data())
     def test_2x2_lattice_blocks_are_the_truncated_orbit(self, matrix, bits, start, rows,
                                                         block, data):
-        # blocks cross several anchors of the kernel at any offset, and
-        # blocks of fewer than EXACT_ROWS rows are computed exactly; a
+        # blocks cross several anchors of the kernel at any offset; a
         # coordinate whose low bits are all ones makes the uint64 pass's
         # carries undecided (beyond 128 bits), so those rows take the exact
         # recomputation
