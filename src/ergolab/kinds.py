@@ -375,7 +375,8 @@ def _run_borel_cantelli(config, workers):
 def _run_correlation(config, workers):
     p = config.params
     psi = p.phi if p.psi is None else p.psi
-    series = estimate_correlation(config.system, p.phi, psi, p.lags, config.seed, p.samples)
+    series = estimate_correlation(config.system, p.phi, psi, p.lags, config.seed, p.samples,
+                                  workers=workers)
     try:
         decay = fit_decay(series)
         decay_summary = {
@@ -411,7 +412,7 @@ def _run_intersection_bound(config, workers):
     system, f, p = config.system, config.observable, config.params
     decay = fit_decay(estimate_correlation(
         system, p.decay_phi, p.decay_phi, p.decay_lags,
-        subseed(config.seed, "decay"), p.decay_samples,
+        subseed(config.seed, "decay"), p.decay_samples, workers=workers,
     ))
     rows = []
     all_hold = True

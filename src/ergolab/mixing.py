@@ -7,10 +7,19 @@ recorded separately.  The decay fit compares an exponential model against a
 power law on the lags that clear the noise floor (3x the half-width); the
 fitted envelope, inflated by its residual, stands in for the unknowable true
 decay function when bounding intersection measures.
+
+On the doubling reservoir the correlation estimate draws its sample once,
+in the parent, and fans its lags out over the pool in contiguous groups;
+every sum still runs over the whole sample in one order, so the bytes are
+the same at any worker count.  Orbit engines (cat, rotations,
+Manneville-Pomeau) and the joint preimage counts of the intersection check
+stay in process.  The correlation functions are module-level value
+functions bound with ``functools.partial``, so pool tasks can pickle them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +32,7 @@ from .observables import (
     estimate_measure,
     fit_line,
 )
+from .parallel import pmap
 from .rand import master_rng, subseed
 from .reservoir import bulk_window_floats
 from .systems import Doubling
@@ -33,6 +43,7 @@ DECAY_FIT_HINT = (f"a fast-mixing system's correlations (cat's, for one) fall be
                   f"floor before {MIN_USABLE_LAGS} lags; for intersection-bound, change "
                   "decay_phi, decay_lags or decay_samples (more samples lower the floor)")
 _CHUNK = 1 << 15  # reservoir samples, or orbit rows, per chunk
+_SLAB = 1 << 10  # dyadicmix rows per pass through its (rows, depth + 1) buffer
 
 
 @dataclass(frozen=True)
@@ -57,22 +68,41 @@ def from_observable(f, label=""):
     return LipschitzFunction(f.values, f.sup_bound, f.lipschitz, label or repr(f))
 
 
+def _cosine_values(freq, coords):
+    return np.cos(2.0 * math.pi * freq * np.asarray(coords, dtype=float)[:, 0])
+
+
 def cosine_wave(freq):
     """cos(2 pi k x_1); a single Fourier mode of the first coordinate."""
     if abs(freq) > MAX_FREQUENCY:
         raise ValueError(f"frequency must lie in -{MAX_FREQUENCY}..{MAX_FREQUENCY}")
+    return LipschitzFunction(partial(_cosine_values, freq), 1.0, 2.0 * math.pi * abs(freq),
+                             f"cos:{freq}")
 
-    def fn(coords):
-        return np.cos(2.0 * math.pi * freq * np.asarray(coords, dtype=float)[:, 0])
 
-    return LipschitzFunction(fn, 1.0, 2.0 * math.pi * abs(freq), f"cos:{freq}")
+def _constant_values(c, coords):
+    return np.full(np.asarray(coords).shape[0], c)
 
 
 def constant_function(c):
-    def fn(coords):
-        return np.full(np.asarray(coords).shape[0], float(c))
+    return LipschitzFunction(partial(_constant_values, float(c)), abs(float(c)), 0.0,
+                             f"const:{c}")
 
-    return LipschitzFunction(fn, abs(float(c)), 0.0, f"const:{c}")
+
+def _dyadic_mix_values(freqs, weights, coords):
+    """cos(outer(angles, freqs)) @ weights, bit for bit, one slab of rows at a
+    time in one reused buffer.  A one-row tail joins the slab before it:
+    numpy takes a one-row matmul as a dot product, which sums in another order."""
+    angles = 2.0 * math.pi * np.asarray(coords, dtype=float)[:, 0]
+    out = np.empty(len(angles))
+    buf = np.empty((min(_SLAB + 1, len(angles)), len(freqs)))
+    bounds = [*range(0, max(len(angles) - 1, 1), _SLAB), len(angles)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        terms = buf[:hi - lo]
+        np.multiply(angles[lo:hi, None], freqs, out=terms)
+        np.cos(terms, out=terms)
+        np.matmul(terms, weights, out=out[lo:hi])
+    return out
 
 
 def dyadic_harmonic_mix(depth=10):
@@ -87,15 +117,12 @@ def dyadic_harmonic_mix(depth=10):
     # float64 coordinates carry 53 bits; higher octaves are constant
     if not 0 <= depth <= 52:
         raise ValueError(f"dyadicmix depth must lie in 0..52, got {depth}")
-    freqs = 2 ** np.arange(depth + 1)
+    # powers of two, so each float product equals the integer-frequency one
+    freqs = 2.0 ** np.arange(depth + 1)
     weights = 2.0 ** -np.arange(depth + 1)
-
-    def fn(coords):
-        angles = 2.0 * math.pi * np.asarray(coords, dtype=float)[:, 0]
-        return np.cos(np.outer(angles, freqs)) @ weights
-
     lip = float(2.0 * math.pi * (depth + 1))
-    return LipschitzFunction(fn, float(weights.sum()), lip, f"dyadicmix:{depth}")
+    return LipschitzFunction(partial(_dyadic_mix_values, freqs, weights), float(weights.sum()),
+                             lip, f"dyadicmix:{depth}")
 
 
 @dataclass(frozen=True)
@@ -122,61 +149,98 @@ class CorrelationSeries:
                 if v > NOISE_FLOOR_FACTOR * hw]
 
 
-def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
-    """Yield (part, values) per chunk of invariant sample points: values
-    gives fns[i] at time lags[i] along the orbits of the points in ``part``,
-    one array at a time, and must be read before the next chunk.
+def _reservoir_rows(byte_seed, n_samples, max_lag):
+    """Raw byte rows of ``n_samples`` doubling reservoir points, wide enough
+    for the window at bit offset ``max_lag`` (windows at bit offset n are
+    the orbit), drawn from ``byte_seed`` one chunk of rows at a time."""
+    rng = master_rng(byte_seed)
+    rows = np.empty((n_samples, (max_lag + 64) // 8 + 2), dtype=np.uint8)
+    for lo in range(0, n_samples, _CHUNK):
+        part = rows[lo:lo + _CHUNK]
+        part[:] = rng.integers(0, 256, size=part.shape, dtype=np.uint8)
+    return rows
 
-    Doubling reservoir points are streamed as raw byte rows drawn from
-    ``byte_seed`` (windows at bit offset n are the orbit); other systems step
-    groups of ``sample_invariant(point_seed)`` points together
-    (``orbit_batch``).
+
+def _reservoir_column(rows, fn, lag):
+    """fn at time ``lag`` along the orbits of the reservoir points ``rows``."""
+    column = np.empty(len(rows))
+    for lo in range(0, len(rows), _CHUNK):
+        column[lo:lo + _CHUNK] = fn.values(
+            bulk_window_floats(rows[lo:lo + _CHUNK], lag).reshape(-1, 1))
+    return column
+
+
+def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
+    """fns[i] at time lags[i] along the orbits of ``n_samples`` invariant
+    sample points: one whole column per lag.
+
+    Doubling reservoir points are raw byte rows drawn from ``byte_seed``;
+    other systems step groups of ``sample_invariant(point_seed)`` points
+    together (``orbit_batch``) and fill every column one group at a time.
     """
-    max_lag = max(lags)
     if isinstance(system, Doubling):
-        rng = master_rng(byte_seed)
-        for lo in range(0, n_samples, _CHUNK):
-            size = min(_CHUNK, n_samples - lo)
-            rows = rng.integers(0, 256, size=(size, (max_lag + 64) // 8 + 2), dtype=np.uint8)
-            yield slice(lo, lo + size), (fn.values(bulk_window_floats(rows, lag).reshape(-1, 1))
-                                         for fn, lag in zip(fns, lags))
-        return
+        rows = _reservoir_rows(byte_seed, n_samples, max(lags))
+        return [_reservoir_column(rows, fn, lag) for fn, lag in zip(fns, lags)]
+    max_lag = max(lags)
     points = system.sample_invariant(point_seed, n_samples)
+    columns = np.empty((len(lags), n_samples))
     group = max(1, _CHUNK // (max_lag + 1))
     for lo in range(0, n_samples, group):
         vals = system.orbit_batch(points[lo:lo + group], 0, max_lag + 1)
-        yield slice(lo, lo + len(vals)), (fn.values(vals[:, lag]) for fn, lag in zip(fns, lags))
+        for column, fn, lag in zip(columns, fns, lags):
+            column[lo:lo + len(vals)] = fn.values(vals[:, lag])
+    return columns
 
 
-def estimate_correlation(system, phi, psi, lags, seed, n_samples):
-    """Monte Carlo |Cov(phi o T^n, psi)| for each lag n.
+def _covariances(phis, psi_c):
+    """(|Cov|, 95 % half-width) of each phi column against the centered psi
+    column; the half-width comes from the sample variance of the centered
+    products (normal approximation)."""
+    pairs = []
+    for phi in phis:
+        prod = (phi - phi.mean()) * psi_c
+        hw = Z_95 * float(prod.std(ddof=1)) / math.sqrt(len(prod))
+        pairs.append((abs(float(prod.mean())), hw))
+    return pairs
 
-    95 % half-widths come from the sample variance of the centered products
-    (normal approximation).
+
+def _reservoir_lag_group(task):
+    """Pool task: the covariance pairs of one contiguous group of lags."""
+    rows, phi, psi_c, lags = task
+    return _covariances((_reservoir_column(rows, phi, lag) for lag in lags), psi_c)
+
+
+# n_samples stays the sixth positional argument: perfbench's span counter
+# (tracing._correlation_samples) reads it from args[5]
+def estimate_correlation(system, phi, psi, lags, seed, n_samples, workers=1):
+    """Monte Carlo |Cov(phi o T^n, psi)| for each lag n, with 95 % half-widths.
+
+    On the doubling reservoir the lags split into ``min(workers, len(lags))``
+    contiguous groups, one pool task each; every task gets the whole sample
+    and the centered psi, so each sum runs over the same arrays in the same
+    order and the bytes do not depend on ``workers``.  Orbit engines run one
+    group in process: shipping their sample costs more than stepping it.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     lags = tuple(int(n) for n in lags)
-    lagged = np.empty((len(lags) + 1, n_samples))  # psi at time 0, then phi at each lag
-    fns = (psi,) + (phi,) * len(lags)
-    chunks = _lagged_values(system, fns, (0, *lags), subseed(seed, "corr-bytes"), seed, n_samples)
-    for part, chunk in chunks:
-        for row, vals in zip(lagged, chunk):
-            row[part] = vals
-    psi0, phis = lagged[0], lagged[1:]
-    psi_c = psi0 - psi0.mean()
-    values = []
-    half_widths = []
-    for i in range(len(lags)):
-        prod = (phis[i] - phis[i].mean()) * psi_c
-        cov = float(prod.mean())
-        hw = Z_95 * float(prod.std(ddof=1)) / math.sqrt(n_samples)
-        values.append(abs(cov))
-        half_widths.append(hw)
+    byte_seed = subseed(seed, "corr-bytes")
+    if isinstance(system, Doubling):
+        rows = _reservoir_rows(byte_seed, n_samples, max(lags))
+        psi_c = _reservoir_column(rows, psi, 0)
+        psi_c -= psi_c.mean()
+        k = min(workers, len(lags))
+        tasks = [(rows, phi, psi_c, lags[i * len(lags) // k:(i + 1) * len(lags) // k])
+                 for i in range(k)]
+        pairs = [pair for part in pmap(_reservoir_lag_group, tasks, workers) for pair in part]
+    else:
+        lagged = _lagged_values(system, (psi,) + (phi,) * len(lags), (0, *lags), byte_seed,
+                                seed, n_samples)
+        pairs = _covariances(lagged[1:], lagged[0] - lagged[0].mean())
     return CorrelationSeries(
         lags=lags,
-        values=tuple(values),
-        half_widths=tuple(half_widths),
+        values=tuple(v for v, _ in pairs),
+        half_widths=tuple(hw for _, hw in pairs),
         phi_norm=(phi.sup_bound, phi.lipschitz),
         psi_norm=(psi.sup_bound, psi.lipschitz),
     )
@@ -273,8 +337,8 @@ def intersection_bound_check(system, f, ladder, k, j, seed, n_samples, decay):
 
 
 def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
-    chunks = _lagged_values(system, (f, f), (k, j), subseed(seed, "joint-bytes"),
-                            subseed(seed, "joint"), n_samples)
-    hits = sum(int(np.count_nonzero((at_k <= r_k) & (at_j <= r_j))) for _, (at_k, at_j) in chunks)
+    at_k, at_j = _lagged_values(system, (f, f), (k, j), subseed(seed, "joint-bytes"),
+                                subseed(seed, "joint"), n_samples)
+    hits = int(np.count_nonzero((at_k <= r_k) & (at_j <= r_j)))
     return MeasureEstimate(hits / n_samples, binomial_half_width(hits, n_samples),
                            n_samples)

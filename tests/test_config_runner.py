@@ -247,6 +247,21 @@ class TestRunner:
         assert r1["meta"]["workers"] == 1
         assert r2["meta"]["workers"] == 2
 
+    @pytest.mark.parametrize("kind, sections", [
+        ("correlation", "[correlation]\nphi = dyadicmix:10\npsi = cos:1\nlags = 1..9\n"
+                        "samples = 3000"),
+        ("intersection-bound", "[observable]\nrule = dist:0.375\n[ladder]\nkind = dyadic\n"
+                               "start_exp = 1\nstop_exp = 6\n[intersection-bound]\n"
+                               "pairs = 3:1,5:2\nsamples = 2000\ndecay_lags = 1..6\n"
+                               "decay_samples = 200000"),
+    ])
+    def test_correlation_lags_do_not_depend_on_worker_count(self, tmp_path, kind, sections):
+        text = (f"[experiment]\nkind = {kind}\nsystem = doubling\nseed = 41\n"
+                f"output = {{out}}\n{sections}\n")
+        results = [run(parse_config_text(text.format(out=tmp_path / f"w{w}.json")), workers=w)
+                   for w in (1, 2)]
+        assert len({data_section_bytes(r) for r in results}) == 1
+
     @pytest.mark.parametrize("system, sections", [
         ("mp:0.3", "[observable]\nrule = dist:0.5\n[hitting]\npoints = 13\ncap = 20000"),
         ("cat", "[observable]\nrule = dist:0.3,0.7\n[hitting]\npoints = 13\ncap = 20000"),

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from ergolab import mixing
 from ergolab.errors import DegenerateSeriesError, NoDecayFitError
+from ergolab.kinds import FUNCTION_SPECS, parse_function_spec
 from ergolab.mixing import (
     CorrelationSeries,
     DECAY_EXPONENTIAL,
@@ -21,6 +23,7 @@ from ergolab.mixing import (
 )
 from ergolab.observables import (
     MAX_FREQUENCY,
+    OBSERVABLE_RULES,
     Z_95,
     DistToPoint,
     MeasureEstimate,
@@ -28,7 +31,13 @@ from ergolab.observables import (
     binomial_half_width,
 )
 from ergolab.rand import subseed
-from ergolab.systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
+from ergolab.systems import (
+    CAT_MATRIX,
+    CircleRotation,
+    Doubling,
+    ToralAutomorphism,
+    system_from_id,
+)
 
 DOUBLING = Doubling()
 
@@ -152,6 +161,72 @@ class TestEstimateCorrelation:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             estimate_correlation(DOUBLING, cosine_wave(1), cosine_wave(1), [1], 0, 100)
+
+
+class TestWorkerCount:
+    """The reservoir path fans its lags out over the pool; the bytes must not
+    depend on how many groups they fall into."""
+
+    LAGS = (1, 2, 3, 5, 8, 13)
+
+    @pytest.mark.parametrize("system_id", ["doubling", "cat", "rotation:golden", "mp:0.3"])
+    def test_estimate_does_not_depend_on_worker_count(self, system_id):
+        system = system_from_id(system_id)
+        phi, psi = dyadic_harmonic_mix(6), cosine_wave(-2)
+        runs = [estimate_correlation(system, phi, psi, self.LAGS, 4, 3000, workers=w)
+                for w in (1, 2, 3)]
+        assert all(s.values == runs[0].values for s in runs)
+        assert all(s.half_widths == runs[0].half_widths for s in runs)
+
+    def test_reservoir_lags_split_into_contiguous_groups(self, monkeypatch):
+        calls = []
+
+        def serial_pmap(fn, items, workers):
+            calls.append((workers, [task[3] for task in items]))
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(mixing, "pmap", serial_pmap)
+        phi = cosine_wave(3)
+        for workers in (1, 4, 9):
+            estimate_correlation(DOUBLING, phi, phi, self.LAGS, 4, 1000, workers=workers)
+        assert calls == [
+            (1, [self.LAGS]),
+            (4, [(1,), (2, 3), (5,), (8, 13)]),
+            (9, [(1,), (2,), (3,), (5,), (8,), (13,)]),
+        ]
+
+
+# one spec per correlation-function prefix, and obs: once per observable rule (on T^2)
+FUNCTION_EXAMPLES = ("cos:3", "dyadicmix:10", "const:0.7", "obs:dist:0.375,0.7",
+                     "obs:projdist:2:0.3", "obs:slack:0.01:dist:0.375,0.7",
+                     "obs:pushdist:wave:3:1,0")
+
+
+def test_function_examples_cover_every_prefix():
+    prefixes = {spec.split(":")[0] + ":" for spec in FUNCTION_EXAMPLES}
+    rules = {spec.split(":")[1] + ":" for spec in FUNCTION_EXAMPLES if spec.startswith("obs:")}
+    assert prefixes == set(FUNCTION_SPECS)
+    assert rules == set(OBSERVABLE_RULES)
+
+
+@pytest.mark.parametrize("spec", FUNCTION_EXAMPLES)
+def test_correlation_function_survives_a_pickle_round_trip(spec):
+    # pool tasks receive phi by pickle
+    f = parse_function_spec(spec, 2)
+    g = pickle.loads(pickle.dumps(f))
+    coords = np.random.default_rng(7).random((1000, 2))
+    assert (g.label, g.sup_bound, g.lipschitz) == (f.label, f.sup_bound, f.lipschitz)
+    assert g.values(coords).tobytes() == f.values(coords).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1025, 2049, 32_775])
+def test_dyadic_mix_slabs_give_the_one_shot_bytes(rows):
+    # slab edges (1024 rows) and a one-row tail against one outer product
+    depth = 10
+    coords = np.random.default_rng(rows).random((rows, 1))
+    angles = 2.0 * math.pi * coords[:, 0]
+    want = np.cos(np.outer(angles, 2 ** np.arange(depth + 1))) @ 2.0 ** -np.arange(depth + 1)
+    assert dyadic_harmonic_mix(depth).values(coords).tobytes() == want.tobytes()
 
 
 class TestSampledOrbitPath:
