@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .errors import ConfigError
-from .kinds import KINDS, REQUIRED, SHARED, Field, choice, count, nonempty
+from .kinds import KINDS, REQUIRED, SHARED, Field, choice, integer, nonempty
 from .observables import RadiusLadder
-from .systems import system_from_id
+from .systems import MAX_PRECISION_BITS, system_from_id
 
 
 def _output_path(value):
@@ -33,7 +33,7 @@ _EXPERIMENT = {
     "seed": Field(int),  # required: no implicit entropy
     "output": Field(_output_path),
     "workers": Field(int, None),
-    "precision_bits": Field(count, None),
+    "precision_bits": Field(integer(1, MAX_PRECISION_BITS), None),
 }
 
 

@@ -236,11 +236,8 @@ def bc_counter_series(system, x, f, beta, k_max, measures="exact", seed=0,
     else:
         marks = np.unique(np.geomspace(1, k_max, 200).astype(int))
         checkpoints = sorted(set([0, *marks.tolist(), k_max]))
-    out = []
-    for k in checkpoints:
-        out.append(BCCounter(k=int(k), z=int(z[k]), expected=float(expected[k]),
-                             ratio=float(z[k] / expected[k])))
-    return out
+    return [BCCounter(k=int(k), z=int(z[k]), expected=float(expected[k]),
+                      ratio=float(z[k] / expected[k])) for k in checkpoints]
 
 
 def _measures_for(system, f, radii, measures, seed, n_samples):

@@ -96,17 +96,19 @@ def nonempty(value):
     return value
 
 
-def at_least(low):
+def integer(low, high=None):
     def parse(value):
         number = int(value)
         if number < low:
             raise ValueError(f"must be >= {low}, got {number}")
+        if high is not None and number > high:
+            raise ValueError(f"must be <= {high}, got {number}")
         return number
 
     return parse
 
 
-count = at_least(1)
+count = integer(1)
 
 
 def finite(value):
@@ -236,18 +238,17 @@ def _quartiles(values):
 # per-point tasks (top level so they pickle for the process pool)
 
 
-def _ladder_task(args):
-    system, f, ladder, cap, window, first_id, points = args
+def _ladder_task(system, f, ladder, cap, window, part):
+    first_id, points = part
     return [(records, estimate_R(system, None, f, ladder, cap, window=window, records=records))
             for records in hitting_records(system, points, f, ladder, cap, first_id)]
 
 
-def _rank_dimension_task(args):
-    system, image_map, ladder, seed, n_per_rung, window, index, point = args
-    est = pushforward_dimension(system, image_map, point, ladder, seed, n_per_rung,
-                                window=window)
-    report = jacobian_rank(image_map, point)
-    return index, est, report
+def _rank_dimension_task(system, image_map, ladder, seed, n_per_rung, window, item):
+    index, point = item
+    est = pushforward_dimension(system, image_map, point, ladder, subseed(seed, f"rk{index}"),
+                                n_per_rung, window=window)
+    return est, jacobian_rank(image_map, point)
 
 
 def _ladder_scans(config, f, workers):
@@ -257,9 +258,9 @@ def _ladder_scans(config, f, workers):
     cap = _cap_for(config, system, f, min(ladder))
     points = system.sample_invariant(config.seed, p.points)
     size = chunk_size(p.points, workers)
-    tasks = [(system, f, ladder, cap, p.window, lo, points[lo:lo + size])
-             for lo in range(0, p.points, size)]
-    return cap, points, [pair for part in pmap(_ladder_task, tasks, workers) for pair in part]
+    task = partial(_ladder_task, system, f, ladder, cap, p.window)
+    parts = [(lo, points[lo:lo + size]) for lo in range(0, p.points, size)]
+    return cap, points, [pair for part in pmap(task, parts, workers) for pair in part]
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +511,12 @@ def _run_rank_dimension(config, workers):
     system, p = config.system, config.params
     window = p.window or 4
     points = system.sample_invariant(config.seed, p.points)
-    tasks = [
-        (system, p.map, config.ladder, subseed(config.seed, f"rk{i}"), p.samples_per_rung,
-         window, i, pt)
-        for i, pt in enumerate(points)
-    ]
-    results = pmap(_rank_dimension_task, tasks, workers)
+    task = partial(_rank_dimension_task, system, p.map, config.ladder, config.seed,
+                   p.samples_per_rung, window)
+    results = pmap(task, enumerate(points), workers)
     rows = []
     agree = 0
-    for index, est, report in results:
+    for index, (est, report) in enumerate(results):
         ok = abs(est.slope - report.rank) <= 0.25
         agree += ok
         rows.append([index, est.slope, est.d_lower, est.d_upper, report.rank, int(ok)])
@@ -655,7 +653,7 @@ KINDS = {
             "phi": Field(parse_function_spec, dim=True),
             "psi": Field(parse_function_spec, None, dim=True),  # None: psi = phi
             "lags": Field(parse_lag_spec),
-            "samples": Field(at_least(1000), "100000"),  # estimate_correlation's floor
+            "samples": Field(integer(1000), "100000"),  # estimate_correlation's floor
         },
         _run_correlation, _correlation_headline,
     ),
@@ -665,7 +663,7 @@ KINDS = {
             "samples": Field(count, "100000"),
             "decay_phi": Field(parse_function_spec, "dyadicmix:10", dim=True),
             "decay_lags": Field(parse_lag_spec, "1..8"),
-            "decay_samples": Field(at_least(1000), "300000"),
+            "decay_samples": Field(integer(1000), "300000"),
         },
         _run_intersection_bound,
         "pairs={checked} all_hold={all_hold}".format_map,

@@ -2,8 +2,11 @@
 
 Three coordinate engines coexist:
 
-* ``FractionPoint`` — exact rationals in [0, 1).  Used by the rotation and
-  toral-automorphism engines (B-bit dyadic samples by default).
+* ``FractionPoint`` — exact rationals in [0, 1), held as integer numerators
+  over one common denominator: the rotation and toral-automorphism engines'
+  state.  Their samples are points of the 2^-B lattice, built straight from
+  the drawn B-bit integers over 2^B; the reduced ``Fraction`` coordinates are
+  built only when ``coords`` is read.
 * ``ReservoirPoint`` — an offset into a seeded random binary expansion: the
   doubling map's points, where one step is a shift.
 * ``FloatPoint`` — plain doubles, for the non-rigorous float engines.
@@ -14,6 +17,7 @@ the dynamics itself is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -30,37 +34,57 @@ def unit_fraction(value):
     if isinstance(value, float):
         raise TypeError(
             "float coordinates are ambiguous; pass a Fraction or string "
-            "(e.g. '3/8'), or use FractionPoint.from_float for the exact "
-            "binary value"
+            "(e.g. '3/8'), or Fraction(x) for the float's exact binary value"
         )
-    if type(value) is Fraction and 0 <= value.numerator < value.denominator:
-        return value
     frac = Fraction(value)
     if not 0 <= frac < 1:
         raise ValueError(f"coordinate {frac} outside [0, 1)")
     return frac
 
 
-@dataclass(frozen=True)
 class FractionPoint:
-    """Point of T^d with exact rational coordinates."""
+    """Point of T^d with exact rational coordinates nums[i] / den.
 
-    coords: tuple
+    ``FractionPoint(coords)`` takes Fractions, ints or strings such as "3/8"
+    over their least common denominator; ``on_lattice`` takes numerators in
+    [0, den) as they are, unreduced.  Equality and hash are those of the
+    coordinate values, however the point was built.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(unit_fraction(c) for c in self.coords))
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coords):
+        coords = [unit_fraction(c) for c in coords]
+        self.den = lcm(*(c.denominator for c in coords))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coords)
 
     @classmethod
-    def from_float(cls, *values):
-        """Build from floats, taking each at its exact binary value."""
-        return cls(tuple(Fraction(v) for v in values))
+    def on_lattice(cls, nums, den):
+        """The point (nums[0] / den, ...), each numerator in [0, den)."""
+        p = object.__new__(cls)
+        p.nums, p.den = tuple(nums), den
+        return p
+
+    @property
+    def coords(self):
+        """The coordinates as reduced Fractions, built when read."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def dim(self):
-        return len(self.coords)
+        return len(self.nums)
 
     def float_coords(self):
-        return np.array([float(c) for c in self.coords])
+        return np.array([v / self.den for v in self.nums])  # int / int rounds to nearest
+
+    def __eq__(self, other):
+        return type(other) is FractionPoint and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"FractionPoint(coords={self.coords!r})"
 
 
 @dataclass(frozen=True)

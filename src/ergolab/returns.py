@@ -18,7 +18,6 @@ exp(-100) under an exponential law.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,13 +82,9 @@ def _interval_reservoir_points(center, r, seed, count):
     lo = int(math.ceil((center - r + _EDGE_GUARD) * scale))
     hi = int(math.floor((center + r - _EDGE_GUARD) * scale))
     span = hi - lo + 1
-    draws = rng.integers(0, span, size=count, dtype=np.uint64)
-    points = []
-    for i in range(count):
-        prefix_int = (lo + int(draws[i])) % scale
-        prefix = prefix_int.to_bytes(8, "big")
-        points.append(ReservoirPoint(BitReservoir(seed, i, prefix=prefix)))
-    return points
+    draws = rng.integers(0, span, size=count, dtype=np.uint64).tolist()
+    return [ReservoirPoint(BitReservoir(seed, i, prefix=((lo + d) % scale).to_bytes(8, "big")))
+            for i, d in enumerate(draws)]
 
 
 def _interval_dyadic_points(center, r, bits, seed, count):
@@ -97,11 +92,8 @@ def _interval_dyadic_points(center, r, bits, seed, count):
     lo = int(math.ceil((center - r + _EDGE_GUARD) * scale))
     hi = int(math.floor((center + r - _EDGE_GUARD) * scale))
     span = hi - lo + 1
-    points = []
-    for raw in point_bytes(subseed(seed, "conditioned"), count, (bits + 7) // 8 + 8):
-        num = (lo + int.from_bytes(raw, "big") % span) % scale
-        points.append(FractionPoint((Fraction(num, scale),)))
-    return points
+    return [FractionPoint.on_lattice(((lo + int.from_bytes(raw, "big") % span) % scale,), scale)
+            for raw in point_bytes(subseed(seed, "conditioned"), count, (bits + 7) // 8 + 8)]
 
 
 def _disc_dyadic_points(center, r, bits, seed, count):
@@ -122,12 +114,12 @@ def _disc_dyadic_points(center, r, bits, seed, count):
         u, v = [(int.from_bytes(raw[k:k + 8], "little") >> 11) * 2.0 ** -53 for k in (0, 8)]
         rho = (r - _EDGE_GUARD) * math.sqrt(u)
         theta = 2.0 * math.pi * v
-        coords = []
+        nums = []
         for c, off, at in ((cx, rho * math.cos(theta), 16), (cy, rho * math.sin(theta), second)):
             head = int(((c + off) % 1.0) * (1 << head_bits)) % (1 << head_bits)
             low = int.from_bytes(raw[at:at + tail], "big") >> drop
-            coords.append(Fraction((head << low_bits) | low, scale))
-        points.append(FractionPoint(tuple(coords)))
+            nums.append((head << low_bits) | low)
+        points.append(FractionPoint.on_lattice(nums, scale))
     return points
 
 
@@ -244,23 +236,13 @@ def return_curve(sample, t_grid=DEFAULT_T_GRID):
     """Empirical g(t) = fraction of conditioned starts with tau >= t/mu."""
     taus, censored, mu = sample.taus, sample.censored, sample.measure
     grid = tuple(float(t) for t in t_grid)
-    g = []
-    flagged = []
     n_censored = int(censored.sum())
-    for t in grid:
-        threshold = t / mu
-        hits = int(np.count_nonzero((taus >= threshold) | censored))
-        g.append(hits / len(taus))
-        flagged.append(threshold > sample.cap and n_censored > 0)
     return ReturnCurve(
-        radius=sample.radius,
-        measure=mu,
-        t_grid=grid,
-        g_values=tuple(g),
-        sample_count=len(taus),
-        cap=sample.cap,
-        censored_count=n_censored,
-        flagged=tuple(flagged),
+        radius=sample.radius, measure=mu, t_grid=grid,
+        g_values=tuple(int(np.count_nonzero((taus >= t / mu) | censored)) / len(taus)
+                       for t in grid),
+        sample_count=len(taus), cap=sample.cap, censored_count=n_censored,
+        flagged=tuple(t / mu > sample.cap and n_censored > 0 for t in grid),
     )
 
 
@@ -317,11 +299,5 @@ def count_jump_clusters(curve):
     A pure step-function limit (rotations) shows as a handful of clusters;
     an exponential limit decreases at almost every grid step.
     """
-    drops = [b < a for a, b in zip(curve.g_values, curve.g_values[1:])]
-    clusters = 0
-    prev = False
-    for d in drops:
-        if d and not prev:
-            clusters += 1
-        prev = d
-    return clusters
+    drops = [False] + [b < a for a, b in zip(curve.g_values, curve.g_values[1:])]
+    return sum(d and not prev for prev, d in zip(drops, drops[1:]))

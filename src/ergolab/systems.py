@@ -27,9 +27,15 @@ many states at once.  ``_SystemBase._blocks`` is the one block loop over
 them, behind ``orbit_blocks``, ``orbit_values`` and ``orbit_batch``;
 ``hitting.first_hits`` drives ``_batch_step`` itself, as it retires starts
 mid-block.
-Floats carry at most a 2^-53 conversion error, negligible against every
-radius used by the estimators: 2-d automorphisms on a dyadic lattice of at
-least 53 bits truncate to 53 bits, other exact coordinates round to nearest.
+A scan's state is no point object: a rotation's or automorphism's integer
+numerators over one denominator (2^B for sampled starts), the doubling
+map's (reservoir, offset) pair.  Floats, per engine: the reservoir's 64-bit window
+rounded to nearest (the top 2^10 read 1 - 2^-53); 2-d automorphisms on a
+dyadic lattice of at least 53 bits truncate to 53 bits, other automorphisms
+round to nearest; rotations round each block's exact anchor to nearest and
+add float offsets j alpha, within 1e-11 of exact (1.4e-12 over a 16 384-row
+golden block); Manneville-Pomeau is its own double-precision orbit.  Every
+error is far below the estimators' radii.
 """
 
 from dataclasses import dataclass
@@ -45,6 +51,9 @@ from .rand import master_rng, point_bytes
 from .reservoir import BitReservoir, stream_window_floats
 
 DEFAULT_PRECISION_BITS = 512
+# a config's bound on B: building golden's angle alone took 22 s at 4 * 10^6
+# bits; the Liouville angle's 10^-720 term needs 2 392
+MAX_PRECISION_BITS = 1 << 16
 DEFAULT_BLOCK = 1 << 14
 
 
@@ -123,11 +132,11 @@ class Doubling(_SystemBase):
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start, stop):
-        return self.orbit_window(p, start)
+        return p.bits, p.offset + start
 
     def _batch_step(self, states, size, into):
-        vals = stream_window_floats([(p.bits, p.offset) for p in states], size)
-        return vals[..., None], [self._advance(p, size) for p in states]
+        vals = stream_window_floats(states, size)
+        return vals[..., None], [(bits, offset + size) for bits, offset in states]
 
     def sample_invariant(self, seed, count):
         """Reservoir points distributed per Lebesgue."""
@@ -137,11 +146,11 @@ class Doubling(_SystemBase):
 
 
 def _dyadic_draw(seed, count, bits):
-    """Uniform B-bit dyadic fractions, one from each per-index stream of
-    indices 0..count-1: its first ceil(B / 8) bytes, big-endian, top B bits."""
+    """Numerators over 2^B of uniform B-bit dyadic fractions, one from each
+    per-index stream of indices 0..count-1: its first ceil(B / 8) bytes,
+    big-endian, top B bits."""
     nbytes = (bits + 7) // 8
-    scale = 1 << bits
-    return [Fraction(int.from_bytes(raw, "big") >> (nbytes * 8 - bits), scale)
+    return [int.from_bytes(raw, "big") >> (nbytes * 8 - bits)
             for raw in point_bytes(seed, count, nbytes)]
 
 
@@ -202,25 +211,18 @@ class ToralAutomorphism(_SystemBase):
     def inverse(self):
         return ToralAutomorphism(_int_inverse(self.matrix), self.precision_bits)
 
-    def _state(self, p):
-        """Numerators over a common denominator; exact for any rational point."""
-        modulus = lcm(*(c.denominator for c in p.coords))
-        return [c.numerator * (modulus // c.denominator) for c in p.coords], modulus
-
     def _jump(self, nums, modulus, n):
-        """Numerators n steps on; a unimodular map keeps the least common modulus."""
+        """Numerators n steps on; a unimodular map keeps the denominator."""
         mat = self.matrix if n == 1 else _matrix_power(self.matrix, n, modulus)
         return [sum(m * v for m, v in zip(row, nums)) % modulus for row in mat]
 
     def _advance(self, p, n):
-        nums, modulus = self._state(p)
-        return FractionPoint(tuple(Fraction(v, modulus) for v in self._jump(nums, modulus, n)))
+        return FractionPoint.on_lattice(self._jump(p.nums, p.den, n), p.den)
 
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start, stop):
-        nums, modulus = self._state(p)
-        return self._jump(nums, modulus, start), modulus
+        return self._jump(p.nums, p.den, start), p.den
 
     def _batch_step(self, states, size, into):
         # 2x2 on a dyadic lattice of >= 53 bits: each coordinate's top 53
@@ -246,9 +248,9 @@ class ToralAutomorphism(_SystemBase):
     def sample_invariant(self, seed, count):
         if count < 1:
             raise ValueError("count must be >= 1")
-        coords = _dyadic_draw(seed, count * self.dim, self.precision_bits)
-        return [FractionPoint(tuple(coords[i:i + self.dim]))
-                for i in range(0, len(coords), self.dim)]
+        nums = _dyadic_draw(seed, count * self.dim, self.precision_bits)
+        return [FractionPoint.on_lattice(nums[i:i + self.dim], 1 << self.precision_bits)
+                for i in range(0, len(nums), self.dim)]
 
 
 def _matrix_power(mat, n, modulus):
@@ -413,19 +415,20 @@ class CircleRotation(_SystemBase):
         alpha = sum(Fraction(1, 10 ** factorial(n)) for n in range(1, 7))
         return cls.from_fraction(alpha, precision_bits)
 
-    def _jump(self, x, n):
-        """x + n alpha mod 1 as num / den, den = 2^B x.denominator, not reduced."""
-        den = x.denominator << self.precision_bits
-        return ((x.numerator << self.precision_bits)
-                + n * self.alpha_numerator * x.denominator) % den, den
+    def _jump(self, p, n):
+        """p + n alpha mod 1 as num / den, den = lcm(p.den, 2^B), not reduced."""
+        den = lcm(p.den, 1 << self.precision_bits)
+        return (p.nums[0] * (den // p.den)
+                + n * self.alpha_numerator * (den >> self.precision_bits)) % den, den
 
     def _advance(self, p, n):
-        return FractionPoint((Fraction(*self._jump(p.coords[0], n)),))
+        num, den = self._jump(p, n)
+        return FractionPoint.on_lattice((num,), den)
 
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start, stop):
-        return self._jump(p.coords[0], start)
+        return self._jump(p, start)
 
     def _batch_step(self, states, size, into):
         # Per block: exact rational anchor, then float offsets j * alpha; a
@@ -443,7 +446,8 @@ class CircleRotation(_SystemBase):
     def sample_invariant(self, seed, count):
         if count < 1:
             raise ValueError("count must be >= 1")
-        return [FractionPoint((x,)) for x in _dyadic_draw(seed, count, self.precision_bits)]
+        return [FractionPoint.on_lattice((x,), 1 << self.precision_bits)
+                for x in _dyadic_draw(seed, count, self.precision_bits)]
 
 
 @dataclass(frozen=True)

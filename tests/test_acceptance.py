@@ -7,6 +7,7 @@ ones.  Each test prints a PASS line with its headline figures; run with
 """
 
 import json
+import re
 
 import pytest
 
@@ -489,6 +490,38 @@ def test_criterion_11_worker_count_determinism(lab, tmp_path):
     assert data_section_bytes(bc[1]) == data_section_bytes(bc[2])
     print("criterion 11: PASS  byte-identical data sections at workers=1 vs 2 "
           "(hitting and counter runs)")
+
+
+# each acceptance config at a tiny size, plus the one kind no acceptance
+# config runs; the decay fit keeps enough samples to find six lags
+TINY = {"points": "3", "samples": "40", "samples_per_rung": "2000", "n_max": "20000",
+        "k_max": "2000", "decay_samples": "100000"}
+TINY_CONFIGS = {
+    **_CONFIGS,
+    "dimension": """
+        [experiment]
+        kind = dimension
+        system = cat
+        seed = 121
+        output = {out}
+        [observable]
+        rule = dist:0.3,0.7
+        [ladder]
+        kind = dyadic
+        start_exp = 3
+        stop_exp = 8
+        """,
+}
+
+
+@pytest.mark.parametrize("name", TINY_CONFIGS)
+def test_worker_count_never_changes_the_data(tmp_path, name):
+    text = re.sub(r"^(\s*(%s)\s*=\s*)\S+$" % "|".join(TINY),
+                  lambda m: m.group(1) + TINY[m.group(2)], TINY_CONFIGS[name], flags=re.M)
+    results = [run(parse_config_text(text.format(out=tmp_path / f"w{w}.json")), workers=w)
+               for w in (1, 2)]
+    assert [r["meta"]["workers"] for r in results] == [1, 2]
+    assert data_section_bytes(results[0]) == data_section_bytes(results[1])
 
 
 # the estimator-level contrapositive is meaningful only where the exponent

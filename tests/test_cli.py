@@ -172,6 +172,13 @@ BAD_FIELDS = {
                 "experiment.workers"),
     "precision-bits": (CONFIG.replace("seed = 5\n", "seed = 5\nprecision_bits = -5\n"),
                        "experiment.precision_bits"),
+    # an unbounded B would spend minutes building the system (isqrt for golden)
+    "precision-bits-above-bound": (
+        CONFIG.replace("system = cat", "system = rotation:golden").replace(
+            "seed = 5\n", "seed = 5\nprecision_bits = 100000000\n"),
+        "experiment.precision_bits"),
+    "precision-bits-flag-above-bound": (CONFIG, "experiment.precision_bits",
+                                        "--precision-bits", "65537"),
     "radius": (RETURN_CONFIG, "return-stats.radius"),
     "bc-measures": (BC_CONFIG, "borel-cantelli.measures"),
     "per-octave": (CONFIG.replace("stop_exp = 10", "stop_exp = 10\nper_octave = x"),
@@ -221,12 +228,13 @@ BAD_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("text,field", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
-def test_bad_field_exits_2_without_traceback(tmp_path, capsys, text, field):
+@pytest.mark.parametrize("row", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_bad_field_exits_2_without_traceback(tmp_path, capsys, row):
+    text, field, *flags = row  # then any command-line flags
     cfg_path = tmp_path / "bad.ini"
     (tmp_path / "d").mkdir()
     cfg_path.write_text(text.format(out=tmp_path / "o.json", dir=tmp_path / "d"))
-    assert main(["run", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), *flags]) == 2
     err = capsys.readouterr().err
     assert f"ConfigError]: {field}" in err
     assert "Traceback" not in err

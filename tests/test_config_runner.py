@@ -12,6 +12,7 @@ from ergolab.runner import (
     report,
     run,
 )
+from ergolab.systems import MAX_PRECISION_BITS
 
 DIMENSION_CONFIG = """
 [experiment]
@@ -175,6 +176,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert err.value.field == f"experiment.{key}"
+
+    def test_precision_bits_bound_loads_and_one_more_is_named(self, tmp_path):
+        text = DIMENSION_CONFIG.format(out=tmp_path / "r.json").replace(
+            "system = doubling", "system = rotation:golden")
+        bound = f"seed = 77\nprecision_bits = {MAX_PRECISION_BITS}\n"
+        config = parse_config_text(text.replace("seed = 77\n", bound))
+        assert config.system.precision_bits == MAX_PRECISION_BITS
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, {"precision_bits": MAX_PRECISION_BITS + 1})
+        assert err.value.field == "experiment.precision_bits"
 
     @pytest.mark.parametrize("radius", ["-0.1", "0"])
     def test_non_positive_return_radius_named(self, tmp_path, radius):

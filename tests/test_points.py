@@ -1,6 +1,10 @@
+import pickle
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab.points import (
     FloatPoint,
@@ -32,6 +36,30 @@ def test_fraction_point_float_coords():
     p = FractionPoint(("1/2", "3/8"))
     assert p.dim == 2
     assert np.allclose(p.float_coords(), [0.5, 0.375])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(den=st.integers(1, 1 << 600), data=st.data())
+def test_points_from_numerators_equal_points_from_fractions(den, data):
+    # an unreduced lattice point (here also scaled by k) is the value of its
+    # reduced Fractions: same equality, hash, coords, floats and pickle
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=1, max_size=3))
+    k = data.draw(st.sampled_from([1, 2, 3, 1 << 40]))
+    lattice = FractionPoint.on_lattice([v * k for v in nums], den * k)
+    reduced = FractionPoint(tuple(Fraction(v, den) for v in nums))
+    assert lattice == reduced and hash(lattice) == hash(reduced)
+    assert lattice.coords == reduced.coords == tuple(Fraction(v, den) for v in nums)
+    assert lattice.float_coords().tolist() == [float(Fraction(v, den)) for v in nums]
+    assert lattice.float_coords().tolist() == reduced.float_coords().tolist()
+    assert lattice.dim == reduced.dim == len(nums)
+    assert pickle.loads(pickle.dumps(lattice)) == reduced
+    assert lattice != FractionPoint.on_lattice([v * k + 1 for v in nums], den * k + 1)
+
+
+def test_fraction_point_holds_numerators_over_the_least_common_denominator():
+    p = FractionPoint(("1/2", "3/8", 0))
+    assert (p.nums, p.den) == ((4, 3, 0), 8)
+    assert FractionPoint(("1/5",)).den == 5
 
 
 def test_float_point_range_check():

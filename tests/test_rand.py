@@ -301,3 +301,34 @@ class TestGeneratorCount:
     def test_sample_invariant(self, built, system):
         assert len(system.sample_invariant(4, 300)) == 300
         assert built == []
+
+
+class TestFractionCount:
+    """Exact starts are integer numerators over 2^B from draw to scan: no
+    ``Fraction`` is built while return starts are drawn and scanned."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, real = [], Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        return calls
+
+    @pytest.mark.parametrize("system, center, r, measure", [
+        (CircleRotation.golden(), (0.375,), 2.0 ** -10, 2.0 ** -9),
+        (CircleRotation.liouville(), (0.375,), 2.0 ** -10, 2.0 ** -9),
+        (ToralAutomorphism(CAT_MATRIX), (0.3, 0.7), 0.05, math.pi * 0.05 ** 2),
+    ], ids=["golden", "liouville", "cat"])
+    def test_return_sample(self, built, system, center, r, measure):
+        sample = return_sample(system, DistToPoint(center), r, seed=3, count=200,
+                               measure=measure)
+        assert len(sample.taus) == 200 and not sample.censored.all()
+        assert built == []
+
+    def test_the_counter_sees_fractions(self, built):
+        assert FractionPoint(("1/2",)).coords == (Fraction(1, 2),)
+        assert built
