@@ -55,7 +55,7 @@ def main(argv=None):
                 "output": args.output,
             }
             config = load_config(args.config, overrides)
-            result = run(config, workers=args.workers)
+            result = run(config)
             wall = result["meta"]["wall_time_s"]
             sys.stdout.write(f"wrote {config.output} ({wall:.2f}s)\n")
             return 0

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from .errors import ConfigError
 from .kinds import KINDS, REQUIRED, SHARED, Field, choice, integer, nonempty
 from .observables import RadiusLadder
+from .parallel import ENV_WORKERS, resolve_workers
 from .systems import MAX_PRECISION_BITS, system_from_id
 
 
@@ -32,7 +33,7 @@ _EXPERIMENT = {
     "system": Field(nonempty),
     "seed": Field(int),  # required: no implicit entropy
     "output": Field(_output_path),
-    "workers": Field(int, None),
+    "workers": Field(int, None),  # its range is checked with ERGOLAB_WORKERS
     "precision_bits": Field(integer(1, MAX_PRECISION_BITS), None),
 }
 
@@ -51,7 +52,7 @@ class ExperimentConfig:
     system_id: str
     seed: int
     output: str
-    workers: int | None
+    workers: int
     precision_bits: int | None
     system: object
     sections: dict = field(default_factory=dict)
@@ -115,6 +116,11 @@ def parse_config_text(text, overrides=None):
             raw_exp[key] = str(value)
     _check_keys("experiment", _EXPERIMENT, raw_exp)
     exp = _parse_fields("experiment", _EXPERIMENT, raw_exp, None)
+    try:
+        workers = resolve_workers(exp.workers)
+    except ValueError as exc:
+        source = ENV_WORKERS if exp.workers is None else "experiment.workers"
+        raise ConfigError(source, str(exc)) from None
 
     kind = KINDS[exp.kind]
     used = {exp.kind: kind.fields}
@@ -140,7 +146,7 @@ def parse_config_text(text, overrides=None):
         system_id=exp.system,
         seed=exp.seed,
         output=exp.output,
-        workers=exp.workers,
+        workers=workers,
         precision_bits=exp.precision_bits,
         system=system,
         sections=sections,

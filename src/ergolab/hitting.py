@@ -64,7 +64,7 @@ def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
     group = max(1, SCAN_BATCH_ROWS // chunk)
     for lo in range(0, len(points) if radii.size else 0, group):  # no rung: no scan
         active = np.arange(lo, min(lo + group, len(points)))
-        states = [system._block_start(points[i], 1, cap + 1) for i in active]
+        states = [system._block_start(points[i], 1) for i in active]
         n = 1
         while active.size and n <= cap:
             into = (n - 1) % block

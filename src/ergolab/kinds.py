@@ -64,6 +64,10 @@ MAX_DYADIC_RUNGS = 10_000
 MAX_LAG = 1000
 # bounds the t-grid of a return-stats run (the default grid has 50 steps)
 MAX_GRID_STEPS = 10_000
+# bounds a Borel-Cantelli run's length: each point holds several float arrays
+# of k_max + 1 and scans k_max steps (one doubling point at 10^7: 1.1 s and a
+# 359 MB peak); the acceptance config uses 10^5
+MAX_K_MAX = 10_000_000
 
 REQUIRED = object()
 
@@ -78,7 +82,10 @@ class Field:
 @dataclass(frozen=True)
 class Kind:
     fields: dict  # the kind's own section, named after the kind
-    run: Callable  # (config, workers) -> (data, summary, companions)
+    # (config, workers) -> (data, summary, companions), written as returned:
+    # data and summary plain Python (dicts with str keys, lists, str, int,
+    # float, bool, None), each companion a (header, rows) CSV, cells by str
+    run: Callable
     headline: Callable  # summary -> report headline
     shared: tuple = ()  # SHARED sections the kind needs
     optional: tuple = ()  # SHARED sections built only when present
@@ -638,7 +645,7 @@ KINDS = {
     "borel-cantelli": Kind(
         {
             "beta": Field(finite),  # its range (0, 1/d_upper) is checked by the run
-            "k_max": Field(count),
+            "k_max": Field(integer(1, MAX_K_MAX)),
             "points": Field(count),
             "measures": Field(choice("exact", "mc"), "exact"),
             "mc_samples": Field(count, "200000"),

@@ -207,12 +207,10 @@ def observed_hitting_time(system, x, x0_image, image_map, r, cap):
     """First k in [1, cap] with dist(F(T^k x), y0) <= r.
 
     ``x0_image`` is the target's image y0 = F(x0).  Scans the orbit applying
-    the observation map directly; constant maps short-circuit to k = 1.
+    the observation map directly.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if isinstance(image_map, Constant):
-        return HittingRecord(point_id=0, radius=r, tau=1, cap=cap)
     y0 = np.asarray(x0_image, dtype=float)
     for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=1 << 12):
         dists = image_map.image_distances(coords, y0)

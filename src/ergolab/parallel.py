@@ -9,18 +9,23 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 ENV_WORKERS = "ERGOLAB_WORKERS"
+# a config's bound on the worker count: a fork pool starts every worker at
+# its first task, so a typo such as 100000 would fork until the machine runs
+# out of processes; 256 is above any desk machine's core count
+MAX_WORKERS = 256
 
 
 def resolve_workers(requested=None):
-    """Worker count: explicit argument, else environment, else CPU count."""
-    if requested is not None and requested > 0:
-        return int(requested)
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        value = int(env)
-        if value > 0:
-            return value
-    return os.cpu_count() or 1
+    """Worker count: explicit argument, else environment, else CPU count
+    (at most MAX_WORKERS); ValueError when outside [1, MAX_WORKERS]."""
+    if requested is None:
+        env = os.environ.get(ENV_WORKERS)
+        if not env:
+            return min(os.cpu_count() or 1, MAX_WORKERS)
+        requested = int(env)
+    if not 1 <= requested <= MAX_WORKERS:
+        raise ValueError(f"must be in [1, {MAX_WORKERS}], got {requested}")
+    return requested
 
 
 def chunk_size(count, workers):
@@ -29,9 +34,11 @@ def chunk_size(count, workers):
 
 
 def pmap(fn, items, workers):
-    """map(fn, items) preserving order, fanned out when workers > 1."""
+    """map(fn, items) preserving order, fanned out over at most one process
+    per item when workers > 1."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk_size(len(items), workers)))

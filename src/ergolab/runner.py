@@ -14,13 +14,10 @@ import os
 import tempfile
 import time
 
-import numpy as np
-
 from .errors import SchemaMismatchError
 from .kinds import FUNCTION_SPECS, KINDS
 from .observables import OBSERVABLE_RULES
 from .observed import OBSERVATION_MAPS
-from .parallel import resolve_workers
 from .systems import SYSTEMS, system_from_id
 
 SCHEMA_VERSION = "1"
@@ -28,20 +25,6 @@ SCHEMA_VERSION = "1"
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 def _atomic_write_text(path, text):
@@ -66,14 +49,8 @@ def _atomic_write_text(path, text):
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(map(str, row)))
     _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def data_section_bytes(result):
@@ -88,7 +65,7 @@ def run(config, workers=None):
     Returns the result document.  The JSON lands at config.output; record
     streams land in CSV companions named <output-stem>.<name>.
     """
-    workers = resolve_workers(workers if workers is not None else config.workers)
+    workers = config.workers if workers is None else workers
     system = config.system
     started = time.perf_counter()
     data, summary, companions = KINDS[config.kind].run(config, workers)
@@ -105,8 +82,8 @@ def run(config, workers=None):
                 "caveats": list(system.caveats),
             },
         },
-        "data": _jsonable(data),
-        "summary": _jsonable(summary),
+        "data": data,
+        "summary": summary,
     }
     stem = config.output[:-5] if config.output.endswith(".json") else config.output
     for name, (header, rows) in companions.items():

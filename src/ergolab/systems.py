@@ -21,7 +21,7 @@ Engines
 
 Bulk orbit evaluation (`orbit_blocks`) yields float coordinate arrays for
 the estimators; the underlying state stays exact for the exact engines.
-An engine defines two things: ``_block_start(p, start, stop)``, its state at
+An engine defines two things: ``_block_start(p, start)``, its state at
 ``start``, and ``_batch_step(states, size, into)``, the next ``size`` rows of
 many states at once.  ``_SystemBase._blocks`` is the one block loop over
 them, behind ``orbit_blocks``, ``orbit_values`` and ``orbit_batch``;
@@ -96,7 +96,7 @@ class _SystemBase:
         ``_batch_step(states, size, into)`` giving the next ``size``
         coordinates of each state, ``into`` steps into its block, as an
         (n, size, d) array and the states after them."""
-        states = [self._block_start(p, start, stop) for p in points]
+        states = [self._block_start(p, start) for p in points]
         for n in range(start, stop, block):
             coords, states = self._batch_step(states, min(block, stop - n), 0)
             yield n, coords
@@ -131,7 +131,7 @@ class Doubling(_SystemBase):
 
     orbit_blocks = _SystemBase.orbit_blocks
 
-    def _block_start(self, p, start, stop):
+    def _block_start(self, p, start):
         return p.bits, p.offset + start
 
     def _batch_step(self, states, size, into):
@@ -221,7 +221,7 @@ class ToralAutomorphism(_SystemBase):
 
     orbit_blocks = _SystemBase.orbit_blocks
 
-    def _block_start(self, p, start, stop):
+    def _block_start(self, p, start):
         return self._jump(p.nums, p.den, start), p.den
 
     def _batch_step(self, states, size, into):
@@ -427,7 +427,7 @@ class CircleRotation(_SystemBase):
 
     orbit_blocks = _SystemBase.orbit_blocks
 
-    def _block_start(self, p, start, stop):
+    def _block_start(self, p, start):
         return self._jump(p, start)
 
     def _batch_step(self, states, size, into):
@@ -488,7 +488,7 @@ class MannevillePomeau(_SystemBase):
 
     orbit_blocks = _SystemBase.orbit_blocks
 
-    def _block_start(self, p, start, stop):
+    def _block_start(self, p, start):
         return float(self.orbit_window(p, start).coords[0])
 
     def _batch_step(self, states, size, into):

@@ -493,11 +493,14 @@ def test_criterion_11_worker_count_determinism(lab, tmp_path):
 
 
 # each acceptance config at a tiny size, plus the one kind no acceptance
-# config runs; the decay fit keeps enough samples to find six lags
+# config runs and correlations on the engines none correlates on; the decay
+# fit keeps enough samples to find six lags
 TINY = {"points": "3", "samples": "40", "samples_per_rung": "2000", "n_max": "20000",
         "k_max": "2000", "decay_samples": "100000"}
 TINY_CONFIGS = {
-    **_CONFIGS,
+    **{name: re.sub(r"^(\s*(%s)\s*=\s*)\S+$" % "|".join(TINY),
+                    lambda m: m.group(1) + TINY[m.group(2)], text, flags=re.M)
+       for name, text in _CONFIGS.items()},
     "dimension": """
         [experiment]
         kind = dimension
@@ -511,17 +514,44 @@ TINY_CONFIGS = {
         start_exp = 3
         stop_exp = 8
         """,
+    **{f"correlation_{system}": f"""
+        [experiment]
+        kind = correlation
+        system = {system}
+        seed = 122
+        output = {{out}}
+        [correlation]
+        phi = dyadicmix:10
+        lags = 0..8
+        samples = 1000
+        """ for system in ("doubling", "cat")},
 }
+PLAIN = (str, int, float, bool, type(None))
+
+
+def _assert_plain(value, path):
+    """The runner writes data and summary as returned: exactly dicts with str
+    keys, lists, str, int, float, bool and None (no numpy scalar, no tuple)."""
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_plain(item, f"{path}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _assert_plain(item, f"{path}[{i}]")
+    else:
+        assert type(value) in PLAIN, f"{path}: {type(value).__name__} {value!r}"
 
 
 @pytest.mark.parametrize("name", TINY_CONFIGS)
 def test_worker_count_never_changes_the_data(tmp_path, name):
-    text = re.sub(r"^(\s*(%s)\s*=\s*)\S+$" % "|".join(TINY),
-                  lambda m: m.group(1) + TINY[m.group(2)], TINY_CONFIGS[name], flags=re.M)
+    text = TINY_CONFIGS[name]
     results = [run(parse_config_text(text.format(out=tmp_path / f"w{w}.json")), workers=w)
                for w in (1, 2)]
     assert [r["meta"]["workers"] for r in results] == [1, 2]
     assert data_section_bytes(results[0]) == data_section_bytes(results[1])
+    for section in ("data", "summary"):
+        _assert_plain(results[0][section], section)
 
 
 # the estimator-level contrapositive is meaningful only where the exponent

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from ergolab import parallel
 from ergolab.cli import main
 from ergolab.kinds import FUNCTION_SPECS, parse_function_spec
 from ergolab.observables import OBSERVABLE_RULES, parse_observable
 from ergolab.observed import OBSERVATION_MAPS, parse_observation_map
+from ergolab.parallel import ENV_WORKERS
 from ergolab.systems import SYSTEMS, system_from_id
 
 
@@ -170,6 +172,12 @@ INTERSECTION_CONFIG = CONFIG.replace("kind = dimension", "kind = intersection-bo
 BAD_FIELDS = {
     "workers": (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = two\n"),
                 "experiment.workers"),
+    # a fork pool starts every worker at its first task
+    "workers-above-bound": (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = 100000\n"),
+                            "experiment.workers"),
+    "workers-0": (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = 0\n"),
+                  "experiment.workers"),
+    "workers-flag-above-bound": (CONFIG, "experiment.workers", "--workers", "257"),
     "precision-bits": (CONFIG.replace("seed = 5\n", "seed = 5\nprecision_bits = -5\n"),
                        "experiment.precision_bits"),
     # an unbounded B would spend minutes building the system (isqrt for golden)
@@ -181,6 +189,10 @@ BAD_FIELDS = {
                                         "--precision-bits", "65537"),
     "radius": (RETURN_CONFIG, "return-stats.radius"),
     "bc-measures": (BC_CONFIG, "borel-cantelli.measures"),
+    "bc-k-max-above-bound": (
+        BC_CONFIG.replace("k_max = 100\n", "k_max = 10000000000000\n").replace(
+            "measures = foo\n", ""),
+        "borel-cantelli.k_max"),
     "per-octave": (CONFIG.replace("stop_exp = 10", "stop_exp = 10\nper_octave = x"),
                    "ladder.per_octave"),
     "start-exp": (CONFIG.replace("start_exp = 3", "start_exp = two"), "ladder.start_exp"),
@@ -240,6 +252,22 @@ def test_bad_field_exits_2_without_traceback(tmp_path, capsys, row):
     assert "Traceback" not in err
     assert not (tmp_path / "o.json").exists()
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "257"])
+def test_bad_worker_environment_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                         value):
+    started = []
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+    monkeypatch.setenv(ENV_WORKERS, value)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(BC_CONFIG.replace("measures = foo\n", "").format(
+        out=tmp_path / "o.json"))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError]: {ENV_WORKERS}" in err
+    assert "Traceback" not in err
+    assert not started and not list(tmp_path.glob("o.*"))
 
 
 def test_output_flag_naming_a_directory_exits_2_before_the_run(tmp_path, capsys):

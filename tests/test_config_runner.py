@@ -4,6 +4,8 @@ import pytest
 
 from ergolab.config import parse_config_text
 from ergolab.errors import ConfigError, SchemaMismatchError
+from ergolab.kinds import MAX_K_MAX
+from ergolab.parallel import ENV_WORKERS, MAX_WORKERS
 from ergolab.runner import (
     _atomic_write_text,
     catalog_listing,
@@ -186,6 +188,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(text, {"precision_bits": MAX_PRECISION_BITS + 1})
         assert err.value.field == "experiment.precision_bits"
+
+    def test_workers_bound_loads_and_one_more_is_named(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_WORKERS, raising=False)
+        text = DIMENSION_CONFIG.format(out=tmp_path / "r.json")
+        assert parse_config_text(text, {"workers": MAX_WORKERS}).workers == MAX_WORKERS
+        assert 1 <= parse_config_text(text).workers <= MAX_WORKERS
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, {"workers": MAX_WORKERS + 1})
+        assert err.value.field == "experiment.workers"
+        monkeypatch.setenv(ENV_WORKERS, str(MAX_WORKERS + 1))
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == ENV_WORKERS
+        assert parse_config_text(text, {"workers": 3}).workers == 3  # the key wins
+
+    def test_k_max_bound_loads_and_one_more_is_named(self, tmp_path):
+        config = parse_config_text(bc_config_text(tmp_path / "r.json", k_max=MAX_K_MAX))
+        assert config.params.k_max == MAX_K_MAX
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bc_config_text(tmp_path / "r.json", k_max=MAX_K_MAX + 1))
+        assert err.value.field == "borel-cantelli.k_max"
 
     @pytest.mark.parametrize("radius", ["-0.1", "0"])
     def test_non_positive_return_radius_named(self, tmp_path, radius):

@@ -6,6 +6,7 @@ from ergolab.observables import (
     MAX_FREQUENCY,
     DistToPoint,
     DistToProjectedPoint,
+    PushforwardDist,
     RadiusLadder,
 )
 from ergolab.observed import (
@@ -87,6 +88,15 @@ class TestObservedHitting:
             obs = observed_hitting_time(CAT, x, (0.5,), proj, 0.01, cap=5_000)
             plain = hitting_time(CAT, x, f, 0.01, cap=5_000)
             assert obs.tau == plain.tau
+
+    @pytest.mark.parametrize("image_point, r", [((0.9,), 0.1), ((0.4,), -0.1)])
+    def test_constant_map_equals_pushforward_hitting(self, image_point, r):
+        # the constant 0.4 is never within r of the image point: no hit
+        const = Constant((0.4,))
+        x = CAT.sample_invariant(seed=13, count=1)[0]
+        obs = observed_hitting_time(CAT, x, image_point, const, r, cap=50)
+        plain = hitting_time(CAT, x, PushforwardDist(const, image_point), r, cap=50)
+        assert obs.tau == plain.tau is None
 
     def test_censoring(self):
         proj = CoordinateProjection((0,), 2)
