@@ -18,6 +18,7 @@ from .hitting import (
     ExponentEstimate,
     HittingRecord,
     bc_counter_series,
+    bc_targets,
     estimate_R,
     hitting_time,
     ladder_hitting_times,

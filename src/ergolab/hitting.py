@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllCensoredError, InvalidBetaError
-from .observables import exact_dimension, exact_measure, fit_line, sliding_slopes
+from .observables import exact_measure, fit_line, sliding_slopes
 
 DEFAULT_SCAN_BLOCK = 1 << 13
 SCAN_BATCH_ROWS = 1 << 14  # orbit rows a first_hits step holds, whatever the start count
@@ -90,22 +90,13 @@ def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
     return taus, censored
 
 
-def hitting_records(system, points, f, ladder, cap, first_id=0):
-    """``first_hits`` of the starts as one list of records per start, in rung
-    order and non-decreasing in tau; point ids count from ``first_id``."""
-    radii = list(ladder)
-    taus, censored = first_hits(system, points, f, radii, cap)
-    return [
-        [HittingRecord(point_id=i, radius=r, tau=None if cut else t, cap=cap)
-         for r, t, cut in zip(radii, row, cuts)]
-        for i, (row, cuts) in enumerate(zip(taus.tolist(), censored.tolist()), first_id)
-    ]
-
-
 def ladder_hitting_times(system, x, f, ladder, cap, point_id=0):
-    """Hitting records for every rung of a decreasing ladder: the one-start
-    case of ``hitting_records``."""
-    return hitting_records(system, [x], f, ladder, cap, point_id)[0]
+    """Hitting records for every rung of a decreasing ladder: ``first_hits``
+    of one start, in rung order and non-decreasing in tau."""
+    radii = list(ladder)
+    taus, censored = first_hits(system, [x], f, radii, cap)
+    return [HittingRecord(point_id=point_id, radius=r, tau=t, cap=cap)
+            for r, t in zip(radii, np.where(censored, None, taus)[0].tolist())]
 
 
 def hitting_time(system, x, f, r, cap):
@@ -137,25 +128,24 @@ def default_window(n_usable):
     return max(4, math.ceil(WINDOW_FRACTION * n_usable))
 
 
-def estimate_R(system, x, f, ladder, cap, window=None, records=None):
+def estimate_R(system, x, f, ladder, cap, window=None, taus=None):
     """Hitting-exponent estimate over a radius ladder for one start point.
 
-    Censored rungs are dropped before fitting.  The default window spans
-    ceil(0.9 m) of the m usable rungs, wide enough to tame the log-scale
-    noise of single hitting times while keeping distinct windows for the
-    lim sup / lim inf split.
+    ``taus`` are the start's hitting times, one per rung with None for a
+    censored rung; when absent, x is scanned.  Censored rungs are dropped
+    before fitting.  The default window spans ceil(0.9 m) of the m usable
+    rungs, wide enough to tame the log-scale noise of single hitting times
+    while keeping distinct windows for the lim sup / lim inf split.
     """
-    if records is None:
-        records = ladder_hitting_times(system, x, f, ladder, cap)
-    taus = [rec.tau for rec in records]
+    if taus is None:
+        taus = [rec.tau for rec in ladder_hitting_times(system, x, f, ladder, cap)]
+    usable = [(r, t) for r, t in zip(ladder, taus) if t is not None]
     # nesting makes tau non-increasing in r; violations would be a scan bug
-    usable_taus = [t for t in taus if t is not None]
-    if any(a > b for a, b in zip(usable_taus, usable_taus[1:])):
+    if any(a[1] > b[1] for a, b in zip(usable, usable[1:])):
         raise ValueError(f"hitting times must be non-decreasing along the ladder: {taus}")
-    usable = [(rec.radius, rec.tau) for rec in records if rec.tau is not None]
     if not usable:
         raise AllCensoredError("every rung censored at the cap")
-    censor_fraction = 1.0 - len(usable) / len(records)
+    censor_fraction = 1.0 - len(usable) / len(taus)
     x_pairs = np.array([-math.log(r) for r, _ in usable])
     y_pairs = np.array([math.log(t) for _, t in usable])
     pairs = tuple(zip(x_pairs.tolist(), y_pairs.tolist()))
@@ -194,50 +184,49 @@ def power_law_radii(beta, k_max):
     return np.concatenate([[1.0], tail])
 
 
-def bc_counter_series(system, x, f, beta, k_max, measures="exact", seed=0,
-                      n_samples=200_000, d_upper=None):
-    """Cumulative counter Z_k of orbit entries into the shrinking targets
-    {f <= i^-beta} at time i, with E(Z_k) = sum of target measures.
+def bc_checkpoints(k_max):
+    """The k at which a counter series reads Z_k: every k up to 1000, else
+    about 200 log-spaced k from 0 to k_max."""
+    if k_max <= 1000:
+        return list(range(k_max + 1))
+    marks = np.unique(np.geomspace(1, k_max, 200).astype(int))
+    return sorted(set([0, *marks.tolist(), k_max]))
 
-    beta must satisfy 0 < beta < 1/d_upper, where d_upper is the upper
-    sublevel exponent (closed form when available, else estimated or passed
-    explicitly).  The i = 0 rung uses r_0 = 1 with its measure clamped to
-    the full space.
 
-    measures: "exact" (closed form required) or "mc" (empirical sublevel law
-    from one invariant sample).  Z_k is reported at every k up to 1000, else at
-    about 200 log-spaced k from 0 to k_max.
+def bc_targets(system, f, beta, k_max, d_upper, measures="exact", seed=0,
+               n_samples=200_000):
+    """The shrinking targets {f <= r_i} of a Borel-Cantelli run: the radii
+    r_i = i^-beta for i = 0..k_max, and the expected counts
+    E(Z_k) = sum over i <= k of mu{f <= r_i} at the k of ``bc_checkpoints``.
+
+    beta must satisfy 0 < beta < 1/d_upper, d_upper the upper sublevel
+    exponent (closed form or estimated).  The i = 0 rung uses r_0 = 1 with
+    its measure clamped to the full space.  measures: "exact" (closed form
+    required) or "mc" (empirical sublevel law from one invariant sample).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if d_upper is None:
-        d_upper = exact_dimension(system, f)
-    if d_upper is None:
-        raise InvalidBetaError(
-            "no closed-form sublevel exponent: pass d_upper explicitly"
-        )
     if d_upper > 0 and not 0 < beta < 1.0 / d_upper:
         raise InvalidBetaError(f"beta must lie in (0, {1.0 / d_upper}); got {beta}")
     if beta <= 0:
         raise InvalidBetaError("beta must be positive")
-
     radii = power_law_radii(beta, k_max)
-    mu = _measures_for(system, f, radii, measures, seed, n_samples)
+    expected = np.cumsum(_measures_for(system, f, radii, measures, seed, n_samples))
+    return radii, expected[bc_checkpoints(k_max)]
 
-    hits = np.empty(k_max + 1, dtype=bool)
-    for n0, coords in system.orbit_blocks(x, 0, k_max + 1, block=DEFAULT_SCAN_BLOCK):
+
+def bc_counter_series(system, x, f, radii, expected):
+    """Cumulative counter Z_k of orbit entries into the targets
+    {f <= radii[i]} at time i, read at the k of ``bc_checkpoints`` against
+    the expected counts there (see ``bc_targets``).
+    """
+    hits = np.empty(len(radii), dtype=bool)
+    for n0, coords in system.orbit_blocks(x, 0, len(radii), block=DEFAULT_SCAN_BLOCK):
         vals = f.values(coords)
         hits[n0:n0 + len(vals)] = vals <= radii[n0:n0 + len(vals)]
     z = np.cumsum(hits)
-    expected = np.cumsum(mu)
-
-    if k_max <= 1000:
-        checkpoints = range(k_max + 1)
-    else:
-        marks = np.unique(np.geomspace(1, k_max, 200).astype(int))
-        checkpoints = sorted(set([0, *marks.tolist(), k_max]))
-    return [BCCounter(k=int(k), z=int(z[k]), expected=float(expected[k]),
-                      ratio=float(z[k] / expected[k])) for k in checkpoints]
+    return [BCCounter(k=k, z=int(z[k]), expected=float(e), ratio=float(z[k] / e))
+            for k, e in zip(bc_checkpoints(len(radii) - 1), expected)]
 
 
 def _measures_for(system, f, radii, measures, seed, n_samples):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSeriesError
 from .flow import approach_series, log_grid
 from .grammar import Rule, parse_numbers, parse_spec
-from .hitting import bc_counter_series, estimate_R, hitting_records, hitting_time
+from .hitting import bc_counter_series, bc_targets, estimate_R, first_hits, hitting_time
 from .mixing import (
     cosine_wave,
     constant_function,
@@ -68,6 +68,17 @@ MAX_GRID_STEPS = 10_000
 # of k_max + 1 and scans k_max steps (one doubling point at 10^7: 1.1 s and a
 # 359 MB peak); the acceptance config uses 10^5
 MAX_K_MAX = 10_000_000
+# bounds on the other count fields, so that a typo fails at load time; each
+# is at least 10x the largest acceptance or default value [in brackets], and
+# the cost of a run at the bound is from timings at workers 1, linear in it
+# Monte Carlo draws [4 * 10^5]: 2.5 min and 5 GB for a 9-lag cat correlation
+MAX_SAMPLES = 10_000_000
+# start points [500]: 2 min and 1.5 GB for Borel-Cantelli at k_max = 10^5
+MAX_POINTS = 10_000
+# return-stats starts [10^4]: 5 s on cat
+MAX_RETURN_SAMPLES = 100_000
+# flow-analogue steps per point [10^6]: 13 s a cat point, in flat memory
+MAX_N_MAX = 100_000_000
 
 REQUIRED = object()
 
@@ -116,6 +127,8 @@ def integer(low, high=None):
 
 
 count = integer(1)
+sample_count = integer(1, MAX_SAMPLES)
+point_count = integer(1, MAX_POINTS)
 
 
 def finite(value):
@@ -245,10 +258,10 @@ def _quartiles(values):
 # per-point tasks (top level so they pickle for the process pool)
 
 
-def _ladder_task(system, f, ladder, cap, window, part):
-    first_id, points = part
-    return [(records, estimate_R(system, None, f, ladder, cap, window=window, records=records))
-            for records in hitting_records(system, points, f, ladder, cap, first_id)]
+def _ladder_task(system, f, ladder, cap, window, points):
+    taus, censored = first_hits(system, points, f, ladder, cap)
+    return [(row, estimate_R(system, None, f, ladder, cap, window=window, taus=row))
+            for row in np.where(censored, None, taus).tolist()]
 
 
 def _rank_dimension_task(system, image_map, ladder, seed, n_per_rung, window, item):
@@ -259,15 +272,16 @@ def _rank_dimension_task(system, image_map, ladder, seed, n_per_rung, window, it
 
 
 def _ladder_scans(config, f, workers):
-    """The cap, the starts and each start's (records, estimate); a pool task
-    scans a slice of the starts together, sliced the way ``pmap`` chunks."""
+    """The cap and each start's (taus, estimate), tau None on a censored
+    rung; a pool task scans a slice of the starts together, sliced the way
+    ``pmap`` chunks."""
     system, ladder, p = config.system, config.ladder, config.params
     cap = _cap_for(config, system, f, min(ladder))
     points = system.sample_invariant(config.seed, p.points)
     size = chunk_size(p.points, workers)
     task = partial(_ladder_task, system, f, ladder, cap, p.window)
-    parts = [(lo, points[lo:lo + size]) for lo in range(0, p.points, size)]
-    return cap, points, [pair for part in pmap(task, parts, workers) for pair in part]
+    parts = [points[lo:lo + size] for lo in range(0, p.points, size)]
+    return cap, [pair for part in pmap(task, parts, workers) for pair in part]
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +291,11 @@ def _ladder_scans(config, f, workers):
 def _run_hitting(config, workers):
     system, f, ladder = config.system, config.observable, config.ladder
     window = config.params.window
-    cap, _, results = _ladder_scans(config, f, workers)
+    cap, results = _ladder_scans(config, f, workers)
 
     estimates = [est for _, est in results]
-    record_rows = [[rec.point_id, rec.radius, rec.tau if rec.tau else "", int(rec.censored)]
-                   for records, _ in results for rec in records]
+    record_rows = [[i, r, t if t else "", int(t is None)]
+                   for i, (taus, _) in enumerate(results) for r, t in zip(ladder, taus)]
     d_est = estimate_dimension(f, ladder, system, subseed(config.seed, "dims"),
                                n_per_rung=200_000)
     med_upper = float(median(e.r_upper for e in estimates))
@@ -354,10 +368,10 @@ def _run_borel_cantelli(config, workers):
             f, RadiusLadder.dyadic(3, 10), system,
             subseed(config.seed, "bc-dim"), 100_000,
         ).d_upper
+    radii, expected = bc_targets(system, f, p.beta, p.k_max, d_upper, p.measures,
+                                 subseed(config.seed, "bc-mc"), p.mc_samples)
     points = system.sample_invariant(config.seed, p.points)
-    task = partial(bc_counter_series, system, f=f, beta=p.beta, k_max=p.k_max,
-                   measures=p.measures, seed=subseed(config.seed, "bc-mc"),
-                   n_samples=p.mc_samples, d_upper=d_upper)
+    task = partial(bc_counter_series, system, f=f, radii=radii, expected=expected)
     results = pmap(task, points, workers)
 
     rows = []
@@ -496,10 +510,9 @@ def _run_return_stats(config, workers):
 def _run_observed_exponent(config, workers):
     system, p, ladder = config.system, config.params, config.ladder
     f = PushforwardDist(p.map, p.image_point)
-    cap, points, results = _ladder_scans(config, f, workers)
+    cap, results = _ladder_scans(config, f, workers)
     estimates = [est for _, est in results]
-    dim_est = pushforward_dimension(system, p.map, points[0], ladder,
-                                    subseed(config.seed, "pf-dim"), 100_000)
+    dim_est = estimate_dimension(f, ladder, system, subseed(config.seed, "pf-dim"), 100_000)
     rows = [[i, est.exponent, est.r_upper, est.r_lower, est.censor_fraction]
             for i, est in enumerate(estimates)]
     summary = {
@@ -629,13 +642,13 @@ def _check_flow_analogue(config):
 
 KINDS = {
     "dimension": Kind(
-        {"samples_per_rung": Field(count, "100000"), "window": Field(count, "4")},
+        {"samples_per_rung": Field(sample_count, "100000"), "window": Field(count, "4")},
         _run_dimension,
         "slope={slope:.3f} [{d_lower:.3f}, {d_upper:.3f}]".format_map,
         shared=("observable", "ladder"),
     ),
     "hitting": Kind(
-        {"points": Field(count), "cap": Field(count, None), "window": Field(count, None)},
+        {"points": Field(point_count), "cap": Field(count, None), "window": Field(count, None)},
         _run_hitting,
         "R_up={R_upper[median]:.3f} R_low={R_lower[median]:.3f} "
         "d_up={d_upper:.3f} d_low={d_lower:.3f}".format_map,
@@ -646,9 +659,9 @@ KINDS = {
         {
             "beta": Field(finite),  # its range (0, 1/d_upper) is checked by the run
             "k_max": Field(integer(1, MAX_K_MAX)),
-            "points": Field(count),
+            "points": Field(point_count),
             "measures": Field(choice("exact", "mc"), "exact"),
-            "mc_samples": Field(count, "200000"),
+            "mc_samples": Field(sample_count, "200000"),
         },
         _run_borel_cantelli,
         "Z/E final={final_ratio[median]:.3f} mean={final_ratio_mean:.3f} "
@@ -660,17 +673,17 @@ KINDS = {
             "phi": Field(parse_function_spec, dim=True),
             "psi": Field(parse_function_spec, None, dim=True),  # None: psi = phi
             "lags": Field(parse_lag_spec),
-            "samples": Field(integer(1000), "100000"),  # estimate_correlation's floor
+            "samples": Field(integer(1000, MAX_SAMPLES), "100000"),  # estimate_correlation's floor
         },
         _run_correlation, _correlation_headline,
     ),
     "intersection-bound": Kind(
         {
             "pairs": Field(_pairs),
-            "samples": Field(count, "100000"),
+            "samples": Field(sample_count, "100000"),
             "decay_phi": Field(parse_function_spec, "dyadicmix:10", dim=True),
             "decay_lags": Field(parse_lag_spec, "1..8"),
-            "decay_samples": Field(integer(1000), "300000"),
+            "decay_samples": Field(integer(1000, MAX_SAMPLES), "300000"),
         },
         _run_intersection_bound,
         "pairs={checked} all_hold={all_hold}".format_map,
@@ -680,7 +693,7 @@ KINDS = {
     "return-stats": Kind(
         {
             "radius": Field(positive),
-            "samples": Field(count),
+            "samples": Field(integer(1, MAX_RETURN_SAMPLES)),
             "cap": Field(count, None),
             "l_values": Field(parse_numbers, "20"),
             "grid_max": Field(positive, "5.0"),
@@ -696,11 +709,11 @@ KINDS = {
         {
             "mode": Field(choice(*_OBSERVED_MODES)),
             "map": Field(parse_observation_map, dim=True),
-            "points": Field(count),
+            "points": Field(point_count),
             # None: derived (hitting-exponent) or 4000 (equality)
             "cap": Field(count, None),
             "image_point": Field(parse_numbers, None),
-            "samples_per_rung": Field(count, "50000"),
+            "samples_per_rung": Field(sample_count, "50000"),
             # None: ceil(0.9 x usable rungs) (hitting-exponent) or 4 (rank-dimension)
             "window": Field(count, None),
         },
@@ -712,8 +725,8 @@ KINDS = {
     "flow-analogue": Kind(
         {
             "projection": Field(partial(parse_spec, PROJECTIONS, "projection"), "identity", True),
-            "points": Field(count),
-            "n_max": Field(count),
+            "points": Field(point_count),
+            "n_max": Field(integer(1, MAX_N_MAX)),
             "target": Field(parse_numbers),
             "tail_decades": Field(positive, "3.0"),
         },

@@ -385,14 +385,6 @@ class MeasureEstimate:
     sample_count: int
     exact: bool = False
 
-    @property
-    def lower(self):
-        return max(self.estimate - self.half_width, 0.0)
-
-    @property
-    def upper(self):
-        return min(self.estimate + self.half_width, 1.0)
-
 
 def estimate_measure(f, r, system, seed, n_samples):
     """mu{f <= r}: closed form when available, else a Monte Carlo fraction."""

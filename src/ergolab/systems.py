@@ -213,6 +213,8 @@ class ToralAutomorphism(_SystemBase):
 
     def _jump(self, nums, modulus, n):
         """Numerators n steps on; a unimodular map keeps the denominator."""
+        if n == 0:
+            return list(nums)
         mat = self.matrix if n == 1 else _matrix_power(self.matrix, n, modulus)
         return [sum(m * v for m, v in zip(row, nums)) % modulus for row in mat]
 

@@ -493,8 +493,9 @@ def test_criterion_11_worker_count_determinism(lab, tmp_path):
 
 
 # each acceptance config at a tiny size, plus the one kind no acceptance
-# config runs and correlations on the engines none correlates on; the decay
-# fit keeps enough samples to find six lags
+# config runs, correlations on the engines none correlates on, Monte Carlo
+# counter targets and an observed exponent on mp; the decay fit keeps enough
+# samples to find six lags
 TINY = {"points": "3", "samples": "40", "samples_per_rung": "2000", "n_max": "20000",
         "k_max": "2000", "decay_samples": "100000"}
 TINY_CONFIGS = {
@@ -525,6 +526,38 @@ TINY_CONFIGS = {
         lags = 0..8
         samples = 1000
         """ for system in ("doubling", "cat")},
+    "borel_cantelli_mc": """
+        [experiment]
+        kind = borel-cantelli
+        system = doubling
+        seed = 123
+        output = {out}
+        [observable]
+        rule = dist:0.375
+        [borel-cantelli]
+        beta = 0.5
+        k_max = 2000
+        points = 3
+        measures = mc
+        mc_samples = 20000
+        """,
+    "observed_exponent_mp": """
+        [experiment]
+        kind = observed
+        system = mp:0.3
+        seed = 124
+        output = {out}
+        [observed]
+        mode = hitting-exponent
+        map = proj:1
+        image_point = 0.0
+        points = 3
+        cap = 20000
+        [ladder]
+        kind = dyadic
+        start_exp = 3
+        stop_exp = 8
+        """,
 }
 PLAIN = (str, int, float, bool, type(None))
 

@@ -169,6 +169,8 @@ HITTING_CONFIG = CONFIG.replace("kind = dimension", "kind = hitting").replace(
 INTERSECTION_CONFIG = CONFIG.replace("kind = dimension", "kind = intersection-bound").replace(
     "[dimension]\nsamples_per_rung = 500", "[intersection-bound]\npairs = 8:2")
 
+TYPO = "10000000000000"  # 10^13, far above every count field's bound
+
 BAD_FIELDS = {
     "workers": (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = two\n"),
                 "experiment.workers"),
@@ -237,6 +239,37 @@ BAD_FIELDS = {
     "output-separator": (RETURN_OK.replace("{out}", "{dir}/new/"), "experiment.output"),
     "grid-step": (RETURN_OK + "grid_step = 1e-320\n", "return-stats"),
     "grid-max": (RETURN_OK + "grid_max = 1e9\n", "return-stats"),
+    # count fields that size one allocation or one scan
+    "correlation-samples-above-bound": (
+        CORRELATION_CONFIG.replace("samples = 1000", f"samples = {TYPO}"), "correlation.samples"),
+    "intersection-samples-above-bound": (
+        INTERSECTION_CONFIG.replace("pairs = 8:2", f"pairs = 8:2\nsamples = {TYPO}"),
+        "intersection-bound.samples"),
+    "decay-samples-above-bound": (
+        INTERSECTION_CONFIG.replace("pairs = 8:2", f"pairs = 8:2\ndecay_samples = {TYPO}"),
+        "intersection-bound.decay_samples"),
+    "bc-mc-samples-above-bound": (
+        BC_CONFIG.replace("measures = foo", f"measures = mc\nmc_samples = {TYPO}"),
+        "borel-cantelli.mc_samples"),
+    "bc-points-above-bound": (
+        BC_CONFIG.replace("points = 2", f"points = {TYPO}").replace("measures = foo\n", ""),
+        "borel-cantelli.points"),
+    "return-samples-above-bound": (RETURN_OK.replace("samples = 20", f"samples = {TYPO}"),
+                                   "return-stats.samples"),
+    "dimension-samples-above-bound": (
+        CONFIG.replace("samples_per_rung = 500", f"samples_per_rung = {TYPO}"),
+        "dimension.samples_per_rung"),
+    "observed-samples-above-bound": (
+        OBSERVED_CONFIG.replace("points = 2", f"points = 2\nsamples_per_rung = {TYPO}"),
+        "observed.samples_per_rung"),
+    "observed-points-above-bound": (OBSERVED_CONFIG.replace("points = 2", f"points = {TYPO}"),
+                                    "observed.points"),
+    "hitting-points-above-bound": (HITTING_CONFIG.replace("points = 2", f"points = {TYPO}"),
+                                   "hitting.points"),
+    "flow-points-above-bound": (FLOW_CONFIG.replace("points = 2", f"points = {TYPO}"),
+                                "flow-analogue.points"),
+    "flow-n-max-above-bound": (FLOW_CONFIG.replace("n_max = 100", f"n_max = {TYPO}"),
+                               "flow-analogue.n_max"),
 }
 
 
@@ -266,6 +299,24 @@ def test_bad_worker_environment_exits_2_before_any_pool(tmp_path, capsys, monkey
     assert main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"ConfigError]: {ENV_WORKERS}" in err
+    assert "Traceback" not in err
+    assert not started and not list(tmp_path.glob("o.*"))
+
+
+def test_missing_closed_form_exits_2_before_any_pool(tmp_path, capsys, monkeypatch):
+    # cat's dist: rule has no closed-form measure for r in (0.5, sqrt(2)/2),
+    # and 3^-0.4 lies there: the run's targets fail before any start is scanned
+    started = []
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(
+        BC_CONFIG.replace("system = doubling", "system = cat")
+        .replace("dist:0.375", "dist:0.3,0.7").replace("beta = 0.5", "beta = 0.4")
+        .replace("points = 2", "points = 4").replace("measures = foo", "measures = exact")
+        .format(out=tmp_path / "o.json"))
+    assert main(["run", str(cfg_path), "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error[InvalidBetaError]: no closed-form measure" in err
     assert "Traceback" not in err
     assert not started and not list(tmp_path.glob("o.*"))
 

@@ -1,11 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
+from ergolab import hitting, parallel
 from ergolab.config import parse_config_text
-from ergolab.errors import ConfigError, SchemaMismatchError
-from ergolab.kinds import MAX_K_MAX
+from ergolab.errors import ConfigError, InvalidBetaError, SchemaMismatchError
+from ergolab.kinds import MAX_K_MAX, MAX_N_MAX, MAX_POINTS, MAX_RETURN_SAMPLES, MAX_SAMPLES
+from ergolab.observables import PushforwardDist, estimate_dimension
 from ergolab.parallel import ENV_WORKERS, MAX_WORKERS
+from ergolab.rand import subseed
 from ergolab.runner import (
     _atomic_write_text,
     catalog_listing,
@@ -128,6 +132,34 @@ decay_lags = {lags}
 """,
 }
 
+# every count field bounded at load time: (kind, sections with {value}, bound)
+_RULE = "[observable]\nrule = dist:0.3,0.7\n"
+_LADDER = "[ladder]\nkind = dyadic\nstart_exp = 1\nstop_exp = 8\n"
+_BC = _RULE + "[borel-cantelli]\nbeta = 0.3\nk_max = 100\n"
+_FLOW = "[flow-analogue]\ntarget = 0.31,0.77\n"
+_RANK = _LADDER + "[observed]\nmode = rank-dimension\nmap = identity\n"
+COUNT_BOUNDS = {
+    "correlation.samples": (
+        "[correlation]\nphi = cos:1\nlags = 1..3\nsamples = {value}", MAX_SAMPLES),
+    "intersection-bound.samples": (
+        _RULE + _LADDER + "[intersection-bound]\npairs = 7:2\nsamples = {value}", MAX_SAMPLES),
+    "intersection-bound.decay_samples": (
+        _RULE + _LADDER + "[intersection-bound]\npairs = 7:2\ndecay_samples = {value}",
+        MAX_SAMPLES),
+    "borel-cantelli.mc_samples": (_BC + "points = 2\nmc_samples = {value}", MAX_SAMPLES),
+    "borel-cantelli.points": (_BC + "points = {value}", MAX_POINTS),
+    "return-stats.samples": (
+        _RULE + "[return-stats]\nradius = 0.05\nsamples = {value}", MAX_RETURN_SAMPLES),
+    "dimension.samples_per_rung": (
+        _RULE + _LADDER + "[dimension]\nsamples_per_rung = {value}", MAX_SAMPLES),
+    "hitting.points": (_RULE + _LADDER + "[hitting]\npoints = {value}", MAX_POINTS),
+    "observed.points": (_RANK + "points = {value}", MAX_POINTS),
+    "observed.samples_per_rung": (_RANK + "points = 2\nsamples_per_rung = {value}",
+                                  MAX_SAMPLES),
+    "flow-analogue.points": (_FLOW + "points = {value}\nn_max = 100", MAX_POINTS),
+    "flow-analogue.n_max": (_FLOW + "points = 2\nn_max = {value}", MAX_N_MAX),
+}
+
 
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
@@ -209,6 +241,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(bc_config_text(tmp_path / "r.json", k_max=MAX_K_MAX + 1))
         assert err.value.field == "borel-cantelli.k_max"
+
+    @pytest.mark.parametrize("field", COUNT_BOUNDS)
+    def test_count_bound_loads_and_one_more_is_named(self, tmp_path, field):
+        kind, key = field.split(".")
+        sections, bound = COUNT_BOUNDS[field]
+        text = (f"[experiment]\nkind = {kind}\nsystem = cat\nseed = 5\n"
+                f"output = {tmp_path / 'r.json'}\n{sections}\n")
+        assert getattr(parse_config_text(text.format(value=bound)).params, key) == bound
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text.format(value=bound + 1))
+        assert err.value.field == field
 
     @pytest.mark.parametrize("radius", ["-0.1", "0"])
     def test_non_positive_return_radius_named(self, tmp_path, radius):
@@ -378,6 +421,46 @@ class TestRunner:
         result = run(cfg, workers=1)
         assert calls == {"sample_conditioned": 1, "conditioned_return_times": 1}
         assert len(result["data"]["indicators"]) == 2
+
+    def test_borel_cantelli_builds_its_targets_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = hitting.exact_measure
+
+        def counting(system, f, r):
+            calls.append(np.shape(r))
+            return real(system, f, r)
+
+        monkeypatch.setattr(hitting, "exact_measure", counting)
+        text = bc_config_text(tmp_path / "r.json", points=3, measures="exact")
+        result = run(parse_config_text(text), workers=1)
+        assert calls == [(101,)]  # one call over all k_max + 1 radii, not one per point
+        assert {row[0] for row in result["data"]["counters"]} == {0, 1, 2}
+
+    def test_missing_closed_form_raises_before_any_pool(self, tmp_path, monkeypatch):
+        # cat's dist: rule has no closed-form measure for r in (0.5, sqrt(2)/2),
+        # and 3^-0.4 lies there
+        started = []
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        text = bc_config_text(tmp_path / "r.json", beta="0.4", points="4", measures="exact")
+        config = parse_config_text(text.replace("system = doubling", "system = cat")
+                                   .replace("dist:0.375", "dist:0.3,0.7"))
+        with pytest.raises(InvalidBetaError, match="no closed-form measure"):
+            run(config, workers=2)
+        assert not started and not list(tmp_path.iterdir())
+
+    def test_observed_exponent_reports_the_dimension_at_its_target(self, tmp_path):
+        # on mp the pushforward measure near the neutral fixed point 0 scales
+        # differently from its scaling at a typical image point
+        text = ("[experiment]\nkind = observed\nsystem = mp:0.3\nseed = 5\n"
+                f"output = {tmp_path / 'r.json'}\n[observed]\nmode = hitting-exponent\n"
+                "map = proj:1\nimage_point = 0.0\npoints = 2\ncap = 20000\n"
+                "[ladder]\nkind = dyadic\nstart_exp = 3\nstop_exp = 8\n")
+        config = parse_config_text(text)
+        f = PushforwardDist(config.params.map, config.params.image_point)
+        at_target = estimate_dimension(f, config.ladder, config.system,
+                                       subseed(5, "pf-dim"), 100_000).slope
+        assert run(config, workers=1)["summary"]["pushforward_dimension"] == at_target
+        assert at_target < 0.9
 
     def test_float_serialization_round_trips(self, tmp_path):
         out = tmp_path / "dim.json"

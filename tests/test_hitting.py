@@ -13,6 +13,7 @@ from ergolab.hitting import (
     SCAN_BATCH_ROWS,
     HittingRecord,
     bc_counter_series,
+    bc_targets,
     default_window,
     estimate_R,
     first_hits,
@@ -20,7 +21,7 @@ from ergolab.hitting import (
     ladder_hitting_times,
     power_law_radii,
 )
-from ergolab.observables import DistToPoint, RadiusLadder
+from ergolab.observables import DistToPoint, RadiusLadder, exact_dimension
 from ergolab.points import FractionPoint, ReservoirPoint
 from ergolab.reservoir import BitReservoir
 from ergolab.systems import (
@@ -267,15 +268,20 @@ class TestEstimateR:
                          RadiusLadder((0.4, 0.34, 0.05, 0.04)), cap=100)
         assert est.censor_fraction == pytest.approx(0.5)
 
-    def test_out_of_order_records_rejected(self):
+    def test_out_of_order_taus_rejected(self):
         # a shorter time at a smaller rung breaks nesting: a scan bug, not data
-        records = [
-            HittingRecord(point_id=0, radius=r, tau=t, cap=100)
-            for r, t in ((0.1, 5), (0.05, 3), (0.01, 40))
-        ]
         with pytest.raises(ValueError, match="non-decreasing"):
-            estimate_R(None, None, None, [0.1, 0.05, 0.01], cap=100,
-                       records=records)
+            estimate_R(None, None, None, [0.1, 0.05, 0.01], cap=100, taus=[5, 3, 40])
+
+    def test_given_taus_fit_as_the_scan_does(self):
+        sys = Doubling()
+        f = DistToPoint((0.375,))
+        ladder = RadiusLadder((0.4, 0.2, 0.1, 0.05, 1e-4))
+        x = sys.sample_invariant(seed=11, count=1)[0]
+        taus = [rec.tau for rec in ladder_hitting_times(sys, x, f, ladder, cap=100)]
+        assert None in taus  # a censored rung is passed as None
+        assert (estimate_R(None, None, f, ladder, cap=100, taus=taus)
+                == estimate_R(sys, x, f, ladder, cap=100))
 
     def test_default_window_rule(self):
         assert default_window(12) == 11
@@ -298,15 +304,20 @@ class TestEstimateR:
         assert min(ups) >= 2.0  # at this depth every start sees the jump
 
 
+def bc_series(system, x, f, beta, k_max, d_upper=None, **options):
+    """The counter of one start against its run's targets."""
+    if d_upper is None:
+        d_upper = exact_dimension(system, f)
+    radii, expected = bc_targets(system, f, beta, k_max, d_upper, **options)
+    return bc_counter_series(system, x, f, radii, expected)
+
+
 class TestBorelCantelliCounter:
     def test_identity_double_counts_everything(self):
         sys = IdentitySystem()
         x = frac_point("3/8")
         f = DistToPoint((0.375,))  # f(x) = 0 on the whole orbit
-        series = bc_counter_series(
-            sys, x, f, beta=0.5, k_max=50,
-            measures="exact", d_upper=1.0,
-        )
+        series = bc_series(sys, x, f, beta=0.5, k_max=50, measures="exact", d_upper=1.0)
         final = series[-1]
         assert final.k == 50 and final.z == 51
         expected = sum(min(2.0 * (i ** -0.5 if i else 1.0), 1.0) for i in range(51))
@@ -329,7 +340,7 @@ class TestBorelCantelliCounter:
         sys = Doubling()
         f = DistToPoint((0.375,))
         x = sys.sample_invariant(seed=5, count=1)[0]
-        series = bc_counter_series(sys, x, f, beta=0.5, k_max=20_000)
+        series = bc_series(sys, x, f, beta=0.5, k_max=20_000)
         final = series[-1]
         assert 0.6 <= final.ratio <= 1.4
         ks = [c.k for c in series]
@@ -341,26 +352,34 @@ class TestBorelCantelliCounter:
         sys = Doubling()
         f = DistToPoint((0.375,))
         x = sys.sample_invariant(seed=6, count=1)[0]
-        series = bc_counter_series(sys, x, f, beta=0.5, k_max=500)
+        series = bc_series(sys, x, f, beta=0.5, k_max=500)
         es = [c.expected for c in series]
         assert all(a < b for a, b in zip(es, es[1:]))
 
     def test_invalid_beta(self):
         sys = Doubling()
         f = DistToPoint((0.375,))
-        x = sys.sample_invariant(seed=0, count=1)[0]
         with pytest.raises(InvalidBetaError):
-            bc_counter_series(sys, x, f, beta=1.0, k_max=100)
+            bc_targets(sys, f, beta=1.0, k_max=100, d_upper=1.0)
         with pytest.raises(InvalidBetaError):
-            bc_counter_series(sys, x, f, beta=-0.1, k_max=100)
+            bc_targets(sys, f, beta=-0.1, k_max=100, d_upper=1.0)
+        with pytest.raises(InvalidBetaError):  # d_upper = 0 leaves only beta > 0
+            bc_targets(sys, f, beta=0.0, k_max=100, d_upper=0.0)
+
+    def test_missing_closed_form_fails_before_any_scan(self):
+        # cat's dist: rule has no closed form for r in (0.5, sqrt(2)/2), and
+        # 3^-0.4 lies there
+        cat = ToralAutomorphism(CAT_MATRIX)
+        with pytest.raises(InvalidBetaError, match="no closed-form measure"):
+            bc_targets(cat, DistToPoint((0.3, 0.7)), beta=0.4, k_max=100, d_upper=2.0)
 
     def test_mc_measures_close_to_exact(self):
         sys = Doubling()
         f = DistToPoint((0.375,))
         x = sys.sample_invariant(seed=9, count=1)[0]
-        exact = bc_counter_series(sys, x, f, beta=0.5, k_max=300)
-        mc = bc_counter_series(sys, x, f, beta=0.5, k_max=300,
-                               measures="mc", seed=1, n_samples=400_000)
+        exact = bc_series(sys, x, f, beta=0.5, k_max=300)
+        mc = bc_series(sys, x, f, beta=0.5, k_max=300, measures="mc", seed=1,
+                       n_samples=400_000)
         assert mc[-1].z == exact[-1].z
         assert mc[-1].expected == pytest.approx(exact[-1].expected, rel=0.05)
 
@@ -376,11 +395,16 @@ class TestBorelCantelliCounter:
 
         monkeypatch.setattr(hitting, "exact_measure", counting)
         sys = Doubling()
-        x = sys.sample_invariant(seed=6, count=1)[0]
-        series = bc_counter_series(sys, x, DistToPoint((0.375,)), beta=0.5, k_max=500)
+        f = DistToPoint((0.375,))
+        radii, expected = bc_targets(sys, f, beta=0.5, k_max=500, d_upper=1.0)
         assert calls == [(501,)]
-        radii = power_law_radii(0.5, 500)
-        assert series[-1].expected == float(np.cumsum(np.minimum(2.0 * radii, 1.0))[-1])
+        assert radii.tolist() == power_law_radii(0.5, 500).tolist()
+        # every k up to 1000 is a checkpoint
+        assert expected.tolist() == np.cumsum(np.minimum(2.0 * radii, 1.0)).tolist()
+        for x in sys.sample_invariant(seed=6, count=3):
+            series = bc_counter_series(sys, x, f, radii, expected)
+            assert series[-1].expected == float(expected[-1])
+        assert calls == [(501,)]  # scanning reads the targets, never the measures
 
     def test_counter_bounds_validated(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,17 @@ class TestOrbitBlocks:
         tail = sys.orbit_values(p, 17, 50)
         assert np.allclose(whole[17:], tail)
 
+    def test_cat_start_at_zero_raises_no_matrix_power(self, monkeypatch):
+        import ergolab.systems as systems
+
+        cat = ToralAutomorphism(CAT_MATRIX)
+        points = cat.sample_invariant(seed=3, count=4)
+        offset = cat.orbit_batch(points, 1, 9)  # rows from time 1 take A^1
+        monkeypatch.setattr(systems, "_matrix_power", lambda *args: pytest.fail(str(args)))
+        vals = cat.orbit_batch(points, 0, 9)
+        assert np.array_equal(vals[:, 1:], offset)
+        assert np.array_equal(vals[:, 0], [_truncated(512)(p) for p in points])
+
     def test_rotation_block_accuracy(self):
         # block anchors are exact; within-block float drift stays tiny
         sys = CircleRotation.golden()
