@@ -31,7 +31,8 @@ def _output_path(value):
 _EXPERIMENT = {
     "kind": Field(choice(*KINDS)),
     "system": Field(nonempty),
-    "seed": Field(int),  # required: no implicit entropy
+    # required: no implicit entropy; the random streams key on 64 bits
+    "seed": Field(integer(0, (1 << 64) - 1)),
     "output": Field(_output_path),
     "workers": Field(int, None),  # its range is checked with ERGOLAB_WORKERS
     "precision_bits": Field(integer(1, MAX_PRECISION_BITS), None),

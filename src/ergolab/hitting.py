@@ -64,12 +64,8 @@ def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
     group = max(1, SCAN_BATCH_ROWS // chunk)
     for lo in range(0, len(points) if radii.size else 0, group):  # no rung: no scan
         active = np.arange(lo, min(lo + group, len(points)))
-        states = [system._block_start(points[i], 1) for i in active]
-        n = 1
-        while active.size and n <= cap:
-            into = (n - 1) % block
-            size = min(chunk, block - into, cap + 1 - n)
-            coords, states = system._batch_step(states, size, into)
+        for n, coords, live in system._blocks(points[lo:lo + group], 1, cap + 1, block, chunk):
+            size = coords.shape[1]
             vals = f.values(coords.reshape(active.size * size, -1)).reshape(-1, size)
             todo = np.arange(active.size)  # rows that may pass their next rung here
             while todo.size:
@@ -80,10 +76,8 @@ def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
                 taus[ids, reached[ids]] = n + first
                 reached[ids] = np.searchsorted(-radii, -vals[todo, first], side="right")
                 todo = todo[reached[ids] < radii.size]
-            done = reached[active] == radii.size
-            active = active[~done]
-            states = [state for state, d in zip(states, done) if not d]
-            n += size
+            live[:] = reached[active] < radii.size  # the rest retire
+            active = active[live]
     taus = np.maximum.accumulate(taus, axis=1)  # each passage's tau on every rung it hit
     censored = np.arange(radii.size) >= reached[:, None]
     taus[censored] = cap

@@ -21,26 +21,29 @@ Engines
 
 Bulk orbit evaluation (`orbit_blocks`) yields float coordinate arrays for
 the estimators; the underlying state stays exact for the exact engines.
-An engine defines two things: ``_block_start(p, start)``, its state at
-``start``, and ``_batch_step(states, size, into)``, the next ``size`` rows of
-many states at once.  ``_SystemBase._blocks`` is the one block loop over
-them, behind ``orbit_blocks``, ``orbit_values`` and ``orbit_batch``;
-``hitting.first_hits`` drives ``_batch_step`` itself, as it retires starts
-mid-block.
-A scan's state is no point object: a rotation's or automorphism's integer
-numerators over one denominator (2^B for sampled starts), the doubling
-map's (reservoir, offset) pair.  Floats, per engine: the reservoir's 64-bit window
-rounded to nearest (the top 2^10 read 1 - 2^-53); 2-d automorphisms on a
-dyadic lattice of at least 53 bits truncate to 53 bits, other automorphisms
-round to nearest; rotations round each block's exact anchor to nearest and
-add float offsets j alpha, within 1e-11 of exact (1.4e-12 over a 16 384-row
-golden block); Manneville-Pomeau is its own double-precision orbit.  Every
-error is far below the estimators' radii.
+An engine defines three things: ``_block_start(p, start)``, its state at
+``start``; ``_batch_step(states, size, into)``, the next ``size`` rows of
+many states at once; and ``_point``, the point a state stands for.
+``_SystemBase._blocks`` is the one block loop over them, behind
+``orbit_blocks``, ``orbit_values``, ``orbit_batch`` and
+``hitting.first_hits``, which retires starts mid-block through the loop's
+live mask; ``orbit_window(p, n)`` is ``_point(*_block_start(p, n))``.
+A scan's state is a plain tuple, no point object, and ``_point(*state)``
+builds its point: an automorphism's or rotation's integer numerators over one
+denominator (2^B for sampled starts), ``(nums, den)``; the doubling map's
+``(reservoir, offset)``; Manneville-Pomeau's ``(x,)``.  Floats, per engine:
+the reservoir's 64-bit window rounded to nearest (the top 2^10 read
+1 - 2^-53); 2-d automorphisms on a dyadic lattice of at least 53 bits
+truncate to 53 bits, other automorphisms round to nearest; rotations round
+each block's exact anchor to nearest and add float offsets j alpha, within
+1e-11 of exact (1.4e-12 over a 16 384-row golden block); Manneville-Pomeau
+is its own double-precision orbit.  Every error is far below the estimators'
+radii.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import compress, cycle, islice
 from math import factorial, isqrt, lcm
 
 import numpy as np
@@ -70,11 +73,11 @@ class _SystemBase:
             raise ValueError("step index must be non-negative")
         if n == 0:
             return p
-        return self._advance(p, n)
+        return self._point(*self._block_start(p, n))
 
     def step(self, p):
         """One application of the map, exactly for the exact engines."""
-        return self._advance(p, 1)
+        return self.orbit_window(p, 1)
 
     # Every engine re-binds orbit_blocks and defines sample_invariant in its
     # own class body: perfbench/tracing.py wraps vars(cls)[name] per engine,
@@ -86,20 +89,29 @@ class _SystemBase:
         estimator.  The one-point view of ``_blocks``; no work happens
         before the first block is drawn.
         """
-        for n, coords in self._blocks([p], start, stop, block):
+        for n, coords, _ in self._blocks([p], start, stop, block):
             yield n, coords[0]
 
-    def _blocks(self, points, start, stop, block):
-        """Yield (n0, coords) with coords[k, i] = float coords of
-        T^(n0+i)(points[k]): the one block loop.  An engine supplies its
-        state at ``start`` (``_block_start``) and a step
-        ``_batch_step(states, size, into)`` giving the next ``size``
-        coordinates of each state, ``into`` steps into its block, as an
-        (n, size, d) array and the states after them."""
+    def _blocks(self, points, start, stop, block, chunk=None):
+        """Yield (n0, coords, live), coords[k, i] the float coords of
+        T^(n0+i) of the k-th live point: the one block loop over
+        ``_block_start`` and ``_batch_step(states, size, into)``, ``into``
+        steps into a block of ``block`` steps counted from ``start``.  A
+        chunk is a whole block, or at most ``chunk`` steps of one.  ``live``
+        is a fresh all-True mask: clearing an entry retires that point
+        before the next chunk, and the loop ends once none is left."""
+        if start < 0:
+            raise ValueError("step index must be non-negative")
         states = [self._block_start(p, start) for p in points]
-        for n in range(start, stop, block):
-            coords, states = self._batch_step(states, min(block, stop - n), 0)
-            yield n, coords
+        n = start
+        while states and n < stop:
+            into = (n - start) % block
+            coords, states = self._batch_step(
+                states, min(chunk or block, block - into, stop - n), into)
+            live = np.ones(len(states), dtype=bool)
+            yield n, coords, live
+            states = list(compress(states, live))
+            n += coords.shape[1]
 
     def orbit_values(self, p, start, stop):
         """Float coordinates of T^n(p) for n in [start, stop) as one array."""
@@ -108,9 +120,9 @@ class _SystemBase:
     def orbit_batch(self, points, start, stop):
         """``orbit_values(p, start, stop)`` of every point p, stepped together:
         a (len(points), stop - start, d) array."""
-        parts = [coords for _, coords in self._blocks(points, start, stop, DEFAULT_BLOCK)]
+        parts = [coords for _, coords, _ in self._blocks(points, start, stop, DEFAULT_BLOCK)]
         if not parts:
-            return np.empty((len(points), 0, self.dim))
+            return np.empty((len(points), max(stop - start, 0), self.dim))
         return np.concatenate(parts, axis=1)
 
     def sample_invariant_floats(self, seed, count):
@@ -126,9 +138,7 @@ class Doubling(_SystemBase):
     dim = 1
     mixing_class = "exponential"
 
-    def _advance(self, p, n):
-        return ReservoirPoint(p.bits, p.offset + n)
-
+    _point = ReservoirPoint
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start):
@@ -218,9 +228,7 @@ class ToralAutomorphism(_SystemBase):
         mat = self.matrix if n == 1 else _matrix_power(self.matrix, n, modulus)
         return [sum(m * v for m, v in zip(row, nums)) % modulus for row in mat]
 
-    def _advance(self, p, n):
-        return FractionPoint.on_lattice(self._jump(p.nums, p.den, n), p.den)
-
+    _point = FractionPoint.on_lattice
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start):
@@ -417,20 +425,14 @@ class CircleRotation(_SystemBase):
         alpha = sum(Fraction(1, 10 ** factorial(n)) for n in range(1, 7))
         return cls.from_fraction(alpha, precision_bits)
 
-    def _jump(self, p, n):
-        """p + n alpha mod 1 as num / den, den = lcm(p.den, 2^B), not reduced."""
-        den = lcm(p.den, 1 << self.precision_bits)
-        return (p.nums[0] * (den // p.den)
-                + n * self.alpha_numerator * (den >> self.precision_bits)) % den, den
-
-    def _advance(self, p, n):
-        num, den = self._jump(p, n)
-        return FractionPoint.on_lattice((num,), den)
-
+    _point = FractionPoint.on_lattice
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start):
-        return self._jump(p, start)
+        # p + start alpha mod 1 over den = lcm(p.den, 2^B), not reduced
+        den = lcm(p.den, 1 << self.precision_bits)
+        return ((p.nums[0] * (den // p.den)
+                 + start * self.alpha_numerator * (den >> self.precision_bits)) % den,), den
 
     def _batch_step(self, states, size, into):
         # Per block: exact rational anchor, then float offsets j * alpha; a
@@ -438,10 +440,10 @@ class CircleRotation(_SystemBase):
         # Within-block error <= block * 2^-53 ~ 7e-12, far below any radius.
         alpha = self.alpha_numerator / (1 << self.precision_bits)  # = step / den, rounded
         anchors, after = [], []
-        for num, den in states:
+        for (num,), den in states:
             step = self.alpha_numerator * (den >> self.precision_bits)  # alpha = step / den
             anchors.append((num - into * step) % den / den)
-            after.append(((num + size * step) % den, den))
+            after.append((((num + size * step) % den,), den))
         vals = (np.array(anchors)[:, None] + np.arange(into, into + size) * alpha) % 1.0
         return vals[..., None], after
 
@@ -483,21 +485,19 @@ class MannevillePomeau(_SystemBase):
                 x -= 1.0
         return x
 
-    def _advance(self, p, n):
-        # strides of 4096 steps, then the rest, so the flags stay short
-        x = self._orbit(p.coords[0], [0.0] * (n // 4096), 4096)
-        return FloatPoint((self._orbit(x, [0.0], n % 4096),))
-
+    _point = staticmethod(lambda x: FloatPoint((x,)))
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start):
-        return float(self.orbit_window(p, start).coords[0])
+        # strides of 4096 steps, then the rest, so the flags stay short
+        x = self._orbit(p.coords[0], [0.0] * (start // 4096), 4096)
+        return (self._orbit(x, [0.0], start % 4096),)
 
     def _batch_step(self, states, size, into):
         coords, after = np.empty((len(states), size, 1)), []
-        for i, x in enumerate(states):
+        for i, (x,) in enumerate(states):
             vals = [0.0] * size
-            after.append(self._orbit(x, vals, 1))
+            after.append((self._orbit(x, vals, 1),))
             coords[i, :, 0] = vals
         return coords, after
 
@@ -512,7 +512,7 @@ class MannevillePomeau(_SystemBase):
         x = float(rng.random())
         while x == 0.0:
             x = float(rng.random())
-        x = self._advance(FloatPoint((x,)), self.BURN_IN).coords[0]
+        x = self.orbit_window(FloatPoint((x,)), self.BURN_IN).coords[0]
         out = np.empty(count)
         self._orbit(x, out, self.STRIDE)
         return out.reshape(-1, 1)

@@ -180,6 +180,11 @@ BAD_FIELDS = {
     "workers-0": (CONFIG.replace("seed = 5\n", "seed = 5\nworkers = 0\n"),
                   "experiment.workers"),
     "workers-flag-above-bound": (CONFIG, "experiment.workers", "--workers", "257"),
+    # the random streams key on 64 bits: a wider seed would alias another
+    "seed-negative": (CONFIG.replace("seed = 5\n", "seed = -1\n"), "experiment.seed"),
+    "seed-above-bound": (CONFIG.replace("seed = 5\n", f"seed = {1 << 64}\n"),
+                         "experiment.seed"),
+    "seed-flag-above-bound": (CONFIG, "experiment.seed", "--seed", str(1 << 64)),
     "precision-bits": (CONFIG.replace("seed = 5\n", "seed = 5\nprecision_bits = -5\n"),
                        "experiment.precision_bits"),
     # an unbounded B would spend minutes building the system (isqrt for golden)

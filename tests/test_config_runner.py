@@ -221,6 +221,15 @@ class TestConfigParsing:
             parse_config_text(text, {"precision_bits": MAX_PRECISION_BITS + 1})
         assert err.value.field == "experiment.precision_bits"
 
+    def test_seed_bounds_load_and_one_beyond_is_named(self, tmp_path):
+        text = DIMENSION_CONFIG.format(out=tmp_path / "r.json")
+        for seed in (0, (1 << 64) - 1):
+            assert parse_config_text(text, {"seed": seed}).seed == seed
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text, {"seed": seed})
+            assert err.value.field == "experiment.seed"
+
     def test_workers_bound_loads_and_one_more_is_named(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_WORKERS, raising=False)
         text = DIMENSION_CONFIG.format(out=tmp_path / "r.json")

@@ -226,6 +226,32 @@ class TestFirstHits:
         assert censored.any() and not censored.all()
         assert (taus[censored] == 7).all() and (taus[~censored] <= 7).all()
 
+    @pytest.mark.parametrize("batch_rows", [1, SCAN_BATCH_ROWS])  # one start a group, or all
+    @pytest.mark.parametrize("case, radii", [
+        ("doubling-reservoir", [0.05, 0.001]), ("golden", [0.05, 0.0005]),
+        ("cat", [0.1, 0.03]), ("mp", [0.05, 0.0012])])
+    def test_retired_starts_are_not_stepped(self, monkeypatch, case, radii, batch_rows):
+        # a start is stepped to the end of the chunk its deepest rung is hit
+        # in, or to the cap; at block 100 the 64-step chunks end at steps
+        # 64, 100, 164, 200, ...
+        system, f = SCAN_CASES[case]
+        cap, block, chunk = 700, 100, 64
+        rows, step = [], type(system)._batch_step
+
+        def counting(self, states, size, into):
+            rows.append(len(states) * size)
+            return step(self, states, size, into)
+
+        monkeypatch.setattr(type(system), "_batch_step", counting)
+        monkeypatch.setattr("ergolab.hitting.SCAN_BATCH_ROWS", batch_rows)
+        taus, censored = first_hits(system, system.sample_invariant(11, 12), f, radii, cap, block)
+        ends = []
+        for last in taus[:, -1].tolist():  # the cap when censored
+            blocks, into = divmod(last - 1, block)
+            ends.append(min(blocks * block + (chunk if into < chunk else block), cap))
+        assert len(set(ends)) >= 3  # starts retire apart
+        assert sum(rows) == sum(ends)
+
     def test_ladder_records_are_the_first_hits_of_one_start(self):
         system, f = SCAN_CASES["cat"]
         x = system.sample_invariant(8, 1)[0]

@@ -362,6 +362,26 @@ def test_each_engine_binds_the_traced_methods(cls):
     # the per-engine layer metrics wrap vars(cls)[name]: an inherited
     # orbit_blocks or sample_invariant would leave them reading 0
     assert {"orbit_blocks", "sample_invariant"} <= set(vars(cls))
+    # the engine contract: a state-to-point map, a start state and one
+    # batched step; a jump is _point(*_block_start(p, n)), with no other
+    assert {"_point", "_block_start", "_batch_step"} <= set(vars(cls))
+    assert not hasattr(cls, "_advance")
+
+
+@pytest.mark.parametrize("system_id, point", [
+    ("doubling", None), ("cat", None), ("cat", ("1/5", "2/5")),
+    ("rotation:golden", None), ("mp:0.5", None)],
+    ids=["doubling", "cat", "cat-fifths", "golden", "mp"])
+def test_negative_start_is_refused_and_no_points_give_no_rows(system_id, point):
+    # unchecked, a negative start loops without end on cat (_matrix_power),
+    # dies in numpy on doubling and steps backwards on rotations
+    sys = system_from_id(system_id)
+    p = frac_point(*point) if point else sys.sample_invariant(seed=3, count=1)[0]
+    for call in (lambda: sys.orbit_window(p, -1), lambda: next(sys.orbit_blocks(p, -1, 5)),
+                 lambda: sys.orbit_values(p, -5, -4), lambda: sys.orbit_batch([p], -1, 3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+    assert sys.orbit_batch([], 0, 10).shape == (0, 10, sys.dim)
 
 
 def test_cat_preserves_distance_structure():
