@@ -255,7 +255,7 @@ def _quartiles(values):
 
 
 # ---------------------------------------------------------------------------
-# per-point tasks (top level so they pickle for the process pool)
+# per-point tasks
 
 
 def _ladder_task(system, f, ladder, cap, window, points):
@@ -273,8 +273,8 @@ def _rank_dimension_task(system, image_map, ladder, seed, n_per_rung, window, it
 
 def _ladder_scans(config, f, workers):
     """The cap and each start's (taus, estimate), tau None on a censored
-    rung; a pool task scans a slice of the starts together, sliced the way
-    ``pmap`` chunks."""
+    rung; a task scans a slice of the starts together, about four slices
+    per worker."""
     system, ladder, p = config.system, config.ladder, config.params
     cap = _cap_for(config, system, f, min(ladder))
     points = system.sample_invariant(config.seed, p.points)

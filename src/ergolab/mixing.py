@@ -14,7 +14,7 @@ every sum still runs over the whole sample in one order, so the bytes are
 the same at any worker count.  Orbit engines (cat, rotations,
 Manneville-Pomeau) and the joint preimage counts of the intersection check
 stay in process.  The correlation functions are module-level value
-functions bound with ``functools.partial``, so pool tasks can pickle them.
+functions bound with ``functools.partial``.
 """
 
 import math

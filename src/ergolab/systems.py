@@ -43,7 +43,7 @@ radii.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, cycle, islice
+from itertools import compress
 from math import factorial, isqrt, lcm
 
 import numpy as np
@@ -472,33 +472,29 @@ class MannevillePomeau(_SystemBase):
         if not 0.0 < self.s < 1.0:
             raise ValueError("Manneville-Pomeau parameter s must lie in (0, 1)")
 
-    def _orbit(self, x, out, stride):
-        """The engine's one loop: write x and every ``stride``-th orbit point
-        after it into out; return the point ``stride`` steps after the last."""
-        e, i = 1.0 + self.s, 0
-        for write in islice(cycle((True,) + (False,) * (stride - 1)), len(out) * stride):
-            if write:
-                out[i] = x
-                i += 1
-            x += x ** e
-            if x >= 1.0:
-                x -= 1.0
-        return x
+    def _orbit(self, x, count, stride):
+        """The engine's one loop: x and every ``stride``-th orbit point after
+        it, ``count`` in all, and the point ``stride`` steps after the last."""
+        e, out, steps = 1.0 + self.s, [], range(stride)
+        for _ in range(count):
+            out.append(x)
+            for _ in steps:
+                x += x ** e
+                if x >= 1.0:
+                    x -= 1.0
+        return out, x
 
     _point = staticmethod(lambda x: FloatPoint((x,)))
     orbit_blocks = _SystemBase.orbit_blocks
 
     def _block_start(self, p, start):
-        # strides of 4096 steps, then the rest, so the flags stay short
-        x = self._orbit(p.coords[0], [0.0] * (start // 4096), 4096)
-        return (self._orbit(x, [0.0], start % 4096),)
+        return (self._orbit(p.coords[0], 1, start)[1],)
 
     def _batch_step(self, states, size, into):
         coords, after = np.empty((len(states), size, 1)), []
         for i, (x,) in enumerate(states):
-            vals = [0.0] * size
-            after.append((self._orbit(x, vals, 1),))
-            coords[i, :, 0] = vals
+            coords[i, :, 0], x = self._orbit(x, size, 1)
+            after.append((x,))
         return coords, after
 
     def sample_invariant(self, seed, count):
@@ -513,9 +509,7 @@ class MannevillePomeau(_SystemBase):
         while x == 0.0:
             x = float(rng.random())
         x = self.orbit_window(FloatPoint((x,)), self.BURN_IN).coords[0]
-        out = np.empty(count)
-        self._orbit(x, out, self.STRIDE)
-        return out.reshape(-1, 1)
+        return np.array(self._orbit(x, count, self.STRIDE)[0]).reshape(-1, 1)
 
 
 CAT_MATRIX = ((2, 1), (1, 1))

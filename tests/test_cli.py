@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from ergolab import parallel
 from ergolab.cli import main
 from ergolab.kinds import FUNCTION_SPECS, parse_function_spec
 from ergolab.observables import OBSERVABLE_RULES, parse_observable
@@ -294,9 +293,7 @@ def test_bad_field_exits_2_without_traceback(tmp_path, capsys, row):
 
 @pytest.mark.parametrize("value", ["abc", "0", "257"])
 def test_bad_worker_environment_exits_2_before_any_pool(tmp_path, capsys, monkeypatch,
-                                                         value):
-    started = []
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+                                                         forks, value):
     monkeypatch.setenv(ENV_WORKERS, value)
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(BC_CONFIG.replace("measures = foo\n", "").format(
@@ -305,14 +302,27 @@ def test_bad_worker_environment_exits_2_before_any_pool(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert f"ConfigError]: {ENV_WORKERS}" in err
     assert "Traceback" not in err
-    assert not started and not list(tmp_path.glob("o.*"))
+    assert not forks and not list(tmp_path.glob("o.*"))
 
 
-def test_missing_closed_form_exits_2_before_any_pool(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_error_raised_in_a_worker_exits_2_without_traceback(tmp_path, capsys, workers):
+    # cap = 1 censors every rung, and the estimate fails inside a pool task
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(
+        HITTING_CONFIG.replace("system = cat", "system = doubling")
+        .replace("dist:0.25,0.75", "dist:0.375").replace("stop_exp = 10", "stop_exp = 8")
+        .replace("points = 2", "points = 4\ncap = 1").format(out=tmp_path / "o.json"))
+    assert main(["run", str(cfg_path), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert "error[AllCensoredError]: every rung censored at the cap" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("o.*"))
+
+
+def test_missing_closed_form_exits_2_before_any_pool(tmp_path, capsys, forks):
     # cat's dist: rule has no closed-form measure for r in (0.5, sqrt(2)/2),
     # and 3^-0.4 lies there: the run's targets fail before any start is scanned
-    started = []
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(
         BC_CONFIG.replace("system = doubling", "system = cat")
@@ -323,7 +333,7 @@ def test_missing_closed_form_exits_2_before_any_pool(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "error[InvalidBetaError]: no closed-form measure" in err
     assert "Traceback" not in err
-    assert not started and not list(tmp_path.glob("o.*"))
+    assert not forks and not list(tmp_path.glob("o.*"))
 
 
 def test_output_flag_naming_a_directory_exits_2_before_the_run(tmp_path, capsys):

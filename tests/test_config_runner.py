@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergolab import hitting, parallel
+from ergolab import hitting
 from ergolab.config import parse_config_text
 from ergolab.errors import ConfigError, InvalidBetaError, SchemaMismatchError
 from ergolab.kinds import MAX_K_MAX, MAX_N_MAX, MAX_POINTS, MAX_RETURN_SAMPLES, MAX_SAMPLES
@@ -445,17 +445,15 @@ class TestRunner:
         assert calls == [(101,)]  # one call over all k_max + 1 radii, not one per point
         assert {row[0] for row in result["data"]["counters"]} == {0, 1, 2}
 
-    def test_missing_closed_form_raises_before_any_pool(self, tmp_path, monkeypatch):
+    def test_missing_closed_form_raises_before_any_pool(self, tmp_path, forks):
         # cat's dist: rule has no closed-form measure for r in (0.5, sqrt(2)/2),
         # and 3^-0.4 lies there
-        started = []
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda **kw: started.append(kw))
         text = bc_config_text(tmp_path / "r.json", beta="0.4", points="4", measures="exact")
         config = parse_config_text(text.replace("system = doubling", "system = cat")
                                    .replace("dist:0.375", "dist:0.3,0.7"))
         with pytest.raises(InvalidBetaError, match="no closed-form measure"):
             run(config, workers=2)
-        assert not started and not list(tmp_path.iterdir())
+        assert not forks and not list(tmp_path.iterdir())
 
     def test_observed_exponent_reports_the_dimension_at_its_target(self, tmp_path):
         # on mp the pushforward measure near the neutral fixed point 0 scales

@@ -301,6 +301,18 @@ class TestSampling:
         again = sys.sample_invariant(seed=7, count=100)
         assert [p.coords for p in again] == [p.coords for p in pts]
 
+    @pytest.mark.parametrize("stride", [1, 10, 4096])
+    def test_mp_orbit_matches_a_plain_loop_bit_for_bit(self, stride):
+        sys = MannevillePomeau(0.3)
+        x, expected = 0.1234567, []
+        for _ in range(7):
+            expected.append(x)
+            for _ in range(stride):
+                x += x ** (1 + sys.s)
+                if x >= 1.0:
+                    x -= 1.0
+        assert sys._orbit(0.1234567, 7, stride) == (expected, x)
+
     def test_seed_determinism(self):
         sys = Doubling()
         a = sys.sample_invariant(seed=9, count=10)
