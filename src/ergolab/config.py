@@ -161,4 +161,8 @@ def parse_config_text(text, overrides=None):
 
 def load_config(path, overrides=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), overrides)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(path), f"not UTF-8 text ({exc})") from None
+    return parse_config_text(text, overrides)

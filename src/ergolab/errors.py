@@ -34,8 +34,12 @@ class ConfigError(ErgolabError):
 
     def __init__(self, field, message):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):
+        return ConfigError, (self.field, self.message)
 
 
 class SchemaMismatchError(ErgolabError):
-    """Result files with incompatible schema versions were combined."""
+    """A file is not a result, or results of mixed schema versions were combined."""

@@ -44,7 +44,7 @@ from .observed import (
     parse_observation_map,
     pushforward_dimension,
 )
-from .parallel import chunk_size, pmap
+from .parallel import pmap
 from .rand import master_rng, subseed
 from .returns import (
     count_jump_clusters,
@@ -273,14 +273,13 @@ def _rank_dimension_task(system, image_map, ladder, seed, n_per_rung, window, it
 
 def _ladder_scans(config, f, workers):
     """The cap and each start's (taus, estimate), tau None on a censored
-    rung; a task scans a slice of the starts together, about four slices
-    per worker."""
+    rung; each worker scans one contiguous slice of the starts together."""
     system, ladder, p = config.system, config.ladder, config.params
     cap = _cap_for(config, system, f, min(ladder))
     points = system.sample_invariant(config.seed, p.points)
-    size = chunk_size(p.points, workers)
     task = partial(_ladder_task, system, f, ladder, cap, p.window)
-    parts = [points[lo:lo + size] for lo in range(0, p.points, size)]
+    k = min(workers, p.points)
+    parts = [points[i * p.points // k:(i + 1) * p.points // k] for i in range(k)]
     return cap, [pair for part in pmap(task, parts, workers) for pair in part]
 
 

@@ -9,12 +9,11 @@ fitted envelope, inflated by its residual, stands in for the unknowable true
 decay function when bounding intersection measures.
 
 On the doubling reservoir the correlation estimate draws its sample once,
-in the parent, and fans its lags out over the pool in contiguous groups;
+in the parent, and maps its lags over the workers (``parallel.pmap``);
 every sum still runs over the whole sample in one order, so the bytes are
 the same at any worker count.  Orbit engines (cat, rotations,
 Manneville-Pomeau) and the joint preimage counts of the intersection check
-stay in process.  The correlation functions are module-level value
-functions bound with ``functools.partial``.
+stay in process.
 """
 
 import math
@@ -192,22 +191,12 @@ def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
     return columns
 
 
-def _covariances(phis, psi_c):
-    """(|Cov|, 95 % half-width) of each phi column against the centered psi
+def _covariance(phi, psi_c):
+    """(|Cov|, 95 % half-width) of a phi column against the centered psi
     column; the half-width comes from the sample variance of the centered
     products (normal approximation)."""
-    pairs = []
-    for phi in phis:
-        prod = (phi - phi.mean()) * psi_c
-        hw = Z_95 * float(prod.std(ddof=1)) / math.sqrt(len(prod))
-        pairs.append((abs(float(prod.mean())), hw))
-    return pairs
-
-
-def _reservoir_lag_group(task):
-    """Pool task: the covariance pairs of one contiguous group of lags."""
-    rows, phi, psi_c, lags = task
-    return _covariances((_reservoir_column(rows, phi, lag) for lag in lags), psi_c)
+    prod = (phi - phi.mean()) * psi_c
+    return abs(float(prod.mean())), Z_95 * float(prod.std(ddof=1)) / math.sqrt(len(prod))
 
 
 # n_samples stays the sixth positional argument: perfbench's span counter
@@ -215,11 +204,11 @@ def _reservoir_lag_group(task):
 def estimate_correlation(system, phi, psi, lags, seed, n_samples, workers=1):
     """Monte Carlo |Cov(phi o T^n, psi)| for each lag n, with 95 % half-widths.
 
-    On the doubling reservoir the lags split into ``min(workers, len(lags))``
-    contiguous groups, one pool task each; every task gets the whole sample
-    and the centered psi, so each sum runs over the same arrays in the same
-    order and the bytes do not depend on ``workers``.  Orbit engines run one
-    group in process: shipping their sample costs more than stepping it.
+    On the doubling reservoir ``pmap`` maps the lags themselves over the
+    workers; every lag reads the one sample and the centered psi, which
+    reach the workers through the fork, so each sum runs over the same
+    arrays in the same order and the bytes do not depend on ``workers``.
+    Orbit engines step their sample in process, every lag at once.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -229,14 +218,13 @@ def estimate_correlation(system, phi, psi, lags, seed, n_samples, workers=1):
         rows = _reservoir_rows(byte_seed, n_samples, max(lags))
         psi_c = _reservoir_column(rows, psi, 0)
         psi_c -= psi_c.mean()
-        k = min(workers, len(lags))
-        tasks = [(rows, phi, psi_c, lags[i * len(lags) // k:(i + 1) * len(lags) // k])
-                 for i in range(k)]
-        pairs = [pair for part in pmap(_reservoir_lag_group, tasks, workers) for pair in part]
+        pairs = pmap(lambda lag: _covariance(_reservoir_column(rows, phi, lag), psi_c), lags,
+                     workers)
     else:
         lagged = _lagged_values(system, (psi,) + (phi,) * len(lags), (0, *lags), byte_seed,
                                 seed, n_samples)
-        pairs = _covariances(lagged[1:], lagged[0] - lagged[0].mean())
+        psi_c = lagged[0] - lagged[0].mean()
+        pairs = [_covariance(column, psi_c) for column in lagged[1:]]
     return CorrelationSeries(
         lags=lags,
         values=tuple(v for v, _ in pairs),

@@ -36,12 +36,6 @@ def resolve_workers(requested=None):
     return requested
 
 
-def chunk_size(count, workers):
-    """Items per task when a caller slices its own work: about four tasks
-    per worker."""
-    return max(1, count // (workers * 4))
-
-
 class _RemoteTraceback(Exception):
     """A worker's formatted traceback, chained as the cause of its error."""
 

@@ -21,6 +21,7 @@ from .observed import OBSERVATION_MAPS
 from .systems import SYSTEMS, system_from_id
 
 SCHEMA_VERSION = "1"
+RESULT_KEYS = {"schema_version", "config", "meta", "data", "summary"}
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +94,15 @@ def run(config, workers=None):
 
 
 def load_result(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A persisted result; SchemaMismatchError names a file that is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            result = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SchemaMismatchError(f"{path}: not a result file ({exc})") from None
+    if not isinstance(result, dict) or not RESULT_KEYS <= result.keys():
+        raise SchemaMismatchError(f"{path}: not a result file (keys {sorted(RESULT_KEYS)})")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -580,9 +580,9 @@ def _assert_plain(value, path):
 def test_worker_count_never_changes_the_data(tmp_path, name):
     text = TINY_CONFIGS[name]
     results = [run(parse_config_text(text.format(out=tmp_path / f"w{w}.json")), workers=w)
-               for w in (1, 2)]
-    assert [r["meta"]["workers"] for r in results] == [1, 2]
-    assert data_section_bytes(results[0]) == data_section_bytes(results[1])
+               for w in (1, 2, 3)]
+    assert [r["meta"]["workers"] for r in results] == [1, 2, 3]
+    assert all(data_section_bytes(r) == data_section_bytes(results[0]) for r in results)
     for section in ("data", "summary"):
         _assert_plain(results[0][section], section)
 

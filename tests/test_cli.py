@@ -96,6 +96,33 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "ConfigError" in err
 
 
+def test_config_that_is_not_utf8_exits_2_without_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "bin.ini"
+    cfg_path.write_bytes(b"\xff\xfe[experiment]\n")
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError]: {cfg_path}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+NOT_RESULTS = {
+    "markdown": "# ergolab\n".encode(),
+    "not-utf8": b"\xff\xfe{}",
+    "no-config": b'{"schema_version": "1"}',
+    "list": b"[1]",
+}
+
+
+@pytest.mark.parametrize("content", NOT_RESULTS.values(), ids=NOT_RESULTS.keys())
+def test_report_on_a_file_that_is_not_a_result_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "not-a-result.json"
+    path.write_bytes(content)
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[SchemaMismatchError]: {path}: not a result file" in err
+    assert "Traceback" not in err
+
+
 BC_CONFIG = """
 [experiment]
 kind = borel-cantelli

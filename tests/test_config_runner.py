@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ergolab import hitting
+from ergolab import hitting, kinds
 from ergolab.config import parse_config_text
 from ergolab.errors import ConfigError, InvalidBetaError, SchemaMismatchError
 from ergolab.kinds import MAX_K_MAX, MAX_N_MAX, MAX_POINTS, MAX_RETURN_SAMPLES, MAX_SAMPLES
@@ -355,7 +355,7 @@ class TestRunner:
                 "points = 13"),
     ], ids=["hitting-mp", "hitting-cat", "observed-exponent"])
     def test_ladder_scans_do_not_depend_on_worker_count(self, tmp_path, system, sections):
-        # 13 starts: slices of 3, 1 and 1 start at workers 1, 2 and 3
+        # 13 starts: one slice at workers 1, of 6 and 7 starts at 2, of 4, 4 and 5 at 3
         kind = "observed" if "[observed]" in sections else "hitting"
         text = (f"[experiment]\nkind = {kind}\nsystem = {system}\nseed = 31\n"
                 "output = {out}\n[ladder]\nkind = dyadic\nstart_exp = 2\nstop_exp = 7\n"
@@ -365,6 +365,24 @@ class TestRunner:
         assert [r["meta"]["workers"] for r in results] == [1, 2, 3]
         assert len(results[0]["data"]["per_point"]) == 13
         assert len({data_section_bytes(r) for r in results}) == 1
+
+    def test_ladder_scans_give_each_worker_one_slice(self, tmp_path, monkeypatch):
+        calls, scanned, first_hits = [], [], kinds.first_hits
+
+        def serial_pmap(fn, items, workers):
+            calls.append((workers, [len(part) for part in items]))
+            return [fn(item) for item in items]
+
+        def recording(system, points, *args):
+            scanned.append(len(points))
+            return first_hits(system, points, *args)
+
+        monkeypatch.setattr(kinds, "pmap", serial_pmap)
+        monkeypatch.setattr(kinds, "first_hits", recording)
+        for workers in (1, 2, 5, 20):
+            run(parse_config_text(HITTING_CONFIG.format(out=tmp_path / "h.json")), workers)
+        assert calls == [(1, [12]), (2, [6, 6]), (5, [2, 2, 3, 2, 3]), (20, [1] * 12)]
+        assert scanned == [12, 6, 6, 2, 2, 3, 2, 3] + [1] * 12
 
     def test_persisted_file_round_trips(self, tmp_path):
         out = tmp_path / "h.json"

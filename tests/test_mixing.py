@@ -164,8 +164,8 @@ class TestEstimateCorrelation:
 
 
 class TestWorkerCount:
-    """The reservoir path fans its lags out over the pool; the bytes must not
-    depend on how many groups they fall into."""
+    """The reservoir path maps its lags over the workers; the bytes must not
+    depend on how many workers share them."""
 
     LAGS = (1, 2, 3, 5, 8, 13)
 
@@ -178,22 +178,18 @@ class TestWorkerCount:
         assert all(s.values == runs[0].values for s in runs)
         assert all(s.half_widths == runs[0].half_widths for s in runs)
 
-    def test_reservoir_lags_split_into_contiguous_groups(self, monkeypatch):
+    def test_reservoir_lags_reach_pmap_themselves(self, monkeypatch):
         calls = []
 
         def serial_pmap(fn, items, workers):
-            calls.append((workers, [task[3] for task in items]))
+            calls.append((workers, tuple(items)))
             return [fn(item) for item in items]
 
         monkeypatch.setattr(mixing, "pmap", serial_pmap)
         phi = cosine_wave(3)
         for workers in (1, 4, 9):
             estimate_correlation(DOUBLING, phi, phi, self.LAGS, 4, 1000, workers=workers)
-        assert calls == [
-            (1, [self.LAGS]),
-            (4, [(1,), (2, 3), (5,), (8, 13)]),
-            (9, [(1,), (2,), (3,), (5,), (8,), (13,)]),
-        ]
+        assert calls == [(1, self.LAGS), (4, self.LAGS), (9, self.LAGS)]
 
 
 # one spec per correlation-function prefix, and obs: once per observable rule (on T^2)
@@ -211,7 +207,8 @@ def test_function_examples_cover_every_prefix():
 
 @pytest.mark.parametrize("spec", FUNCTION_EXAMPLES)
 def test_correlation_function_survives_a_pickle_round_trip(spec):
-    # pool tasks receive phi by pickle
+    # pmap's workers receive phi through the fork, but a correlation function
+    # stays a plain value that a pickle round trip keeps, bytes and all
     f = parse_function_spec(spec, 2)
     g = pickle.loads(pickle.dumps(f))
     coords = np.random.default_rng(7).random((1000, 2))

@@ -1,11 +1,12 @@
 import os
+import pickle
 import signal
 import time
 
 import pytest
 
-from ergolab import parallel
-from ergolab.errors import ConfigError, DegenerateLadderError
+from ergolab import errors, parallel
+from ergolab.errors import DegenerateLadderError
 from ergolab.parallel import ENV_WORKERS, MAX_WORKERS, pmap, resolve_workers
 
 
@@ -68,13 +69,43 @@ def test_pmap_reraises_a_task_error_as_its_type():
         pmap(_fail_on_three, range(6), workers=2)
 
 
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.ErgolabError)]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_survives_a_pickle_round_trip(cls):
+    # a task's error reaches pmap's caller through a pickle
+    error = cls("section.field", "bad") if cls is errors.ConfigError else cls("bad")
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is cls
+    assert str(back) == str(error)
+    assert getattr(back, "field", None) == getattr(error, "field", None)
+
+
+def _fail_with_config_error(x):
+    raise errors.ConfigError("section.field", f"item {x}")
+
+
+def test_a_config_error_raised_in_a_worker_arrives_as_itself():
+    with pytest.raises(errors.ConfigError, match="section.field: item 0") as caught:
+        pmap(_fail_with_config_error, range(4), workers=2)
+    assert caught.value.field == "section.field"
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, field, message):
+        super().__init__(f"{field}: {message}")
+
+
 def _fail_with_two_arguments(x):
-    raise ConfigError("section.field", f"item {x}")
+    raise _TwoArgumentError("section.field", f"item {x}")
 
 
 def test_pmap_sends_an_error_that_cannot_travel_as_its_text():
-    # ConfigError's pickle calls its two-argument constructor with one argument
-    with pytest.raises(RuntimeError, match="ConfigError: section.field: item 0"):
+    # the default exception pickle calls this two-argument constructor with
+    # one argument, so the error cannot be rebuilt in the parent
+    with pytest.raises(RuntimeError, match="_TwoArgumentError: section.field: item 0"):
         pmap(_fail_with_two_arguments, range(4), workers=2)
 
 
