@@ -60,7 +60,6 @@ from .points import FloatPoint, FractionPoint, ReservoirPoint, torus_distance
 from .returns import (
     ReturnCurve,
     ReturnSample,
-    TrivialityIndicator,
     exp_law_distance,
     return_curve,
     return_sample,

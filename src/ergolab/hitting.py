@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllCensoredError, InvalidBetaError
-from .observables import exact_measure, fit_line, sliding_slopes
+from .observables import _mc_hits, exact_measure, fit_line, sliding_slopes
 
 DEFAULT_SCAN_BLOCK = 1 << 13
 SCAN_BATCH_ROWS = 1 << 14  # orbit rows a first_hits step holds, whatever the start count
@@ -233,8 +233,5 @@ def _measures_for(system, f, radii, measures, seed, n_samples):
             )
         return mu
     if measures == "mc":
-        coords = system.sample_invariant_floats(seed, n_samples)
-        vals = np.sort(f.values(coords))
-        counts = np.searchsorted(vals, radii, side="right")
-        return counts / n_samples
+        return np.array(_mc_hits(f, radii, system, seed, n_samples)) / n_samples
     raise ValueError("measures must be 'exact' or 'mc'")

@@ -480,13 +480,13 @@ def _run_return_stats(config, workers):
                            measure=measure_est.estimate)
     curve = return_curve(sample, t_grid)
     kac_product, kac_stderr = kac_statistic(sample)
-    indicators = [triviality_indicator(sample, l) for l in p.l_values]
+    indicators = [(l, triviality_indicator(sample, l)) for l in p.l_values]
     curve_rows = [
         [t, g, int(flag)] for t, g, flag in zip(curve.t_grid, curve.g_values, curve.flagged)
     ]
     data = {
         "curve": curve_rows,
-        "indicators": [[ind.l_value, ind.value, ind.half_width] for ind in indicators],
+        "indicators": [[l, ind.estimate, ind.half_width] for l, ind in indicators],
     }
     summary = {
         "radius": r,

@@ -27,7 +27,6 @@ from .observables import (
     MAX_FREQUENCY,
     Z_95,
     MeasureEstimate,
-    binomial_half_width,
     estimate_measure,
     fit_line,
 )
@@ -328,5 +327,4 @@ def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
     at_k, at_j = _lagged_values(system, (f, f), (k, j), subseed(seed, "joint-bytes"),
                                 subseed(seed, "joint"), n_samples)
     hits = int(np.count_nonzero((at_k <= r_k) & (at_j <= r_j)))
-    return MeasureEstimate(hits / n_samples, binomial_half_width(hits, n_samples),
-                           n_samples)
+    return MeasureEstimate.from_hits(hits, n_samples)

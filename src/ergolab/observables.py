@@ -2,14 +2,17 @@
 
 An observable f >= 0 induces targets {f <= r} (boundary inclusive).  This
 module provides the observable catalog, the linear mollifier interpolating
-between nested sublevel indicators, Monte Carlo and closed-form measure
-estimation, and the log-log slope estimator for the sublevel scaling
-exponents (the lim sup / lim inf analogues of local dimension).
+between nested sublevel indicators, the sublevel measures mu{f <= r}, and
+the log-log slope estimator for the sublevel scaling exponents (the lim sup /
+lim inf analogues of local dimension).  One resolver, ``_closed_form``, gives
+an observable's Lebesgue law and exponent; one helper, ``_mc_hits``, draws and
+counts every Monte Carlo sample, and ``MeasureEstimate.from_hits`` turns each
+count into an estimate.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from statistics import NormalDist
 
 import numpy as np
@@ -280,13 +283,29 @@ def mollifier(f, r_prev, r, point):
 # measures
 
 
-_BALL_VOLUME = {1: 2.0}
-
-
+@lru_cache(maxsize=None)
 def _ball_volume(k):
-    if k not in _BALL_VOLUME:
-        _BALL_VOLUME[k] = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-    return _BALL_VOLUME[k]
+    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+
+
+def _closed_form(f):
+    """(law, exponent) of f under Lebesgue measure, or None.
+
+    ``law`` maps an array of radii r >= 0 to the float64 array of mu{f <= r},
+    or to None when some radius has no closed form.  ``exponent`` is the
+    limiting sublevel exponent lim log mu{f <= r} / log r, or None when the
+    closed form does not pin it.
+    """
+    if isinstance(f, (DistToPoint, DistToProjectedPoint)):
+        return partial(_ball_measures, len(f.target)), float(len(f.target))
+    if isinstance(f, Slack) and (inner := _closed_form(f.inner)) is not None:
+        at_margin = inner[0](np.array([f.margin]))
+        return (lambda radii: inner[0](radii + f.margin),
+                0.0 if at_margin is not None and at_margin[0] > 0 else None)
+    if isinstance(f, PushforwardDist) and hasattr(f.image_map, "sublevel_measure"):
+        image_map = f.image_map
+        return partial(_pointwise, image_map.sublevel_measure), image_map.sublevel_dimension()
+    return None
 
 
 def exact_measure(system, f, r):
@@ -305,31 +324,12 @@ def exact_measure(system, f, r):
     live = ~(radii < 0)
     out = np.zeros(radii.shape)
     if live.any():
-        law = _lebesgue_sublevel(f) if system.lebesgue else None
-        vals = law(radii[live]) if law is not None else None
+        closed = _closed_form(f) if system.lebesgue else None
+        vals = closed[0](radii[live]) if closed is not None else None
         if vals is None:
             return None
         out[live] = vals
     return float(out) if out.ndim == 0 else out
-
-
-def _lebesgue_sublevel(f):
-    """Law radii -> mu{f <= r} over an array of radii r >= 0, or None.
-
-    A law returns a float64 array, or None when some radius has no closed
-    form.
-    """
-    if isinstance(f, DistToPoint):
-        return partial(_ball_measures, f.dim)
-    if isinstance(f, DistToProjectedPoint):
-        return partial(_ball_measures, len(f.axes))
-    if isinstance(f, Slack):
-        inner = _lebesgue_sublevel(f.inner)
-        return None if inner is None else lambda radii: inner(radii + f.margin)
-    if isinstance(f, PushforwardDist):
-        law = getattr(f.image_map, "sublevel_measure", None)
-        return None if law is None else partial(_pointwise, law)
-    return None
 
 
 def _pointwise(law, radii):
@@ -359,21 +359,8 @@ def _ball_measure(k, r):
 
 def exact_dimension(system, f):
     """Limiting sublevel exponent when the closed form pins it; else None."""
-    if not system.lebesgue:
-        return None
-    if isinstance(f, DistToPoint):
-        return float(f.dim)
-    if isinstance(f, DistToProjectedPoint):
-        return float(len(f.axes))
-    if isinstance(f, Slack):
-        inner = exact_measure(system, f.inner, f.margin)
-        if inner is not None and inner > 0:
-            return 0.0
-        return None
-    if isinstance(f, PushforwardDist):
-        dim = getattr(f.image_map, "sublevel_dimension", None)
-        return dim() if dim is not None else None
-    return None
+    closed = _closed_form(f) if system.lebesgue else None
+    return closed[1] if closed is not None else None
 
 
 @dataclass(frozen=True)
@@ -385,6 +372,19 @@ class MeasureEstimate:
     sample_count: int
     exact: bool = False
 
+    @classmethod
+    def from_hits(cls, hits, n):
+        """The Monte Carlo fraction hits / n with its 95 % half-width."""
+        return cls(hits / n, binomial_half_width(hits, n), n)
+
+
+def _mc_hits(f, radii, system, seed, n_samples):
+    """Counts of one invariant sample of ``n_samples`` points in {f <= r},
+    one per radius r of ``radii``."""
+    vals = f.values(system.sample_invariant_floats(seed, n_samples))
+    vals.sort()
+    return np.searchsorted(vals, radii, side="right").tolist()
+
 
 def estimate_measure(f, r, system, seed, n_samples):
     """mu{f <= r}: closed form when available, else a Monte Carlo fraction."""
@@ -393,33 +393,22 @@ def estimate_measure(f, r, system, seed, n_samples):
         return MeasureEstimate(closed, 0.0, 0, exact=True)
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    coords = system.sample_invariant_floats(seed, n_samples)
-    hits = int(np.count_nonzero(f.values(coords) <= r))
-    return MeasureEstimate(hits / n_samples,
-                           binomial_half_width(hits, n_samples), n_samples)
+    (hits,) = _mc_hits(f, [r], system, seed, n_samples)
+    return MeasureEstimate.from_hits(hits, n_samples)
 
 
 def measure_profile(f, ladder, system, seed, n_samples):
     """Measure estimates for every rung, sharing one invariant sample.
 
     Sharing the sample makes the profile exactly monotone in r and prices
-    the whole ladder at one sampling pass.
+    the whole ladder at one sampling pass, made only for rungs that lack a
+    closed form.
     """
-    exact_vals = [exact_measure(system, f, r) for r in ladder]
-    if all(v is not None for v in exact_vals):
-        return [MeasureEstimate(v, 0.0, 0, exact=True) for v in exact_vals]
-    coords = system.sample_invariant_floats(seed, n_samples)
-    vals = f.values(coords)
-    out = []
-    for r, closed in zip(ladder, exact_vals):
-        if closed is not None:
-            out.append(MeasureEstimate(closed, 0.0, 0, exact=True))
-            continue
-        hits = int(np.count_nonzero(vals <= r))
-        out.append(MeasureEstimate(hits / n_samples,
-                                   binomial_half_width(hits, n_samples),
-                                   n_samples))
-    return out
+    closed = [exact_measure(system, f, r) for r in ladder]
+    open_radii = [r for r, v in zip(ladder, closed) if v is None]
+    hits = iter(_mc_hits(f, open_radii, system, seed, n_samples) if open_radii else ())
+    return [MeasureEstimate(v, 0.0, 0, exact=True) if v is not None
+            else MeasureEstimate.from_hits(next(hits), n_samples) for v in closed]
 
 
 # ---------------------------------------------------------------------------

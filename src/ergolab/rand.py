@@ -110,7 +110,7 @@ def point_bytes(seed: int, count: int, nbytes: int) -> list:
 
 def subseed(seed: int, label: str) -> int:
     """Derive a 64-bit stream seed for a named sub-task of an experiment."""
-    h = np.uint64(seed & _MASK64)
+    h = seed & _MASK64
     for ch in label.encode("utf-8"):
-        h = np.uint64((int(h) ^ ch) * 0x100000001B3 & _MASK64)
-    return int(h)
+        h = ((h ^ ch) * 0x100000001B3) & _MASK64
+    return h

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import RejectionStallError
 from .hitting import DEFAULT_SCAN_BLOCK, first_hits
-from .observables import DistToPoint, binomial_half_width, estimate_measure
+from .observables import DistToPoint, MeasureEstimate, estimate_measure
 from .points import FractionPoint, ReservoirPoint
 from .rand import master_rng, point_bytes, subseed
 from .reservoir import BitReservoir
@@ -253,22 +253,8 @@ def exp_law_distance(curve):
     )
 
 
-@dataclass(frozen=True)
-class TrivialityIndicator:
-    """Conditioned mass of returns longer than l mean-return times."""
-
-    l_value: float
-    radius: float
-    value: float
-    half_width: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("indicator is a probability")
-
-
 def triviality_indicator(sample, l_value):
-    """Empirical mu{x in S_r : tau > l/mu} / mu(S_r), with a 95 % half-width.
+    """Empirical mu{x in S_r : tau > l/mu} / mu(S_r), as a MeasureEstimate.
 
     Reads the same sample as return_curve, so the indicator at l equals the
     curve at t = l whenever l/mu is not an attained integer.
@@ -276,10 +262,7 @@ def triviality_indicator(sample, l_value):
     n = len(sample.taus)
     threshold = l_value / sample.measure
     hits = int(np.count_nonzero((sample.taus > threshold) | sample.censored))
-    return TrivialityIndicator(
-        l_value=float(l_value), radius=sample.radius, value=hits / n,
-        half_width=binomial_half_width(hits, n),
-    )
+    return MeasureEstimate.from_hits(hits, n)
 
 
 def kac_statistic(sample):

@@ -94,7 +94,8 @@ def run(config, workers=None):
 
 
 def load_result(path):
-    """A persisted result; SchemaMismatchError names a file that is not one."""
+    """A persisted result; SchemaMismatchError names a file that is not one,
+    or whose config, meta or summary lacks a field its report row reads."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             result = json.load(fh)
@@ -102,6 +103,10 @@ def load_result(path):
         raise SchemaMismatchError(f"{path}: not a result file ({exc})") from None
     if not isinstance(result, dict) or not RESULT_KEYS <= result.keys():
         raise SchemaMismatchError(f"{path}: not a result file (keys {sorted(RESULT_KEYS)})")
+    try:
+        _report_row(result)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatchError(f"{path}: not a result file ({exc!r})") from None
     return result
 
 

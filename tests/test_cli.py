@@ -105,11 +105,26 @@ def test_config_that_is_not_utf8_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _result_bytes(kind):
+    # a valid config and meta over an empty summary
+    return json.dumps({
+        "schema_version": "1",
+        "config": {"experiment.kind": kind, "experiment.system": "doubling",
+                   "experiment.seed": "5"},
+        "meta": {"engine": {"exact": True, "caveats": []}},
+        "data": {},
+        "summary": {},
+    }).encode()
+
+
 NOT_RESULTS = {
     "markdown": "# ergolab\n".encode(),
     "not-utf8": b"\xff\xfe{}",
     "no-config": b'{"schema_version": "1"}',
     "list": b"[1]",
+    "hollow": b'{"schema_version":"1","config":{},"meta":{},"data":{},"summary":{}}',
+    "empty-summary": _result_bytes("hitting"),
+    "unknown-kind": _result_bytes("nope"),
 }
 
 

@@ -26,6 +26,7 @@ from ergolab.observables import (
     parse_observable,
     sliding_slopes,
 )
+from ergolab import hitting
 from ergolab.hitting import power_law_radii
 from ergolab.observed import CircleWave, Constant, CoordinateProjection, LinearMap
 from ergolab.points import FloatPoint, squared_norms
@@ -167,6 +168,15 @@ class TestExactMeasure:
         assert exact_dimension(TORUS, DistToPoint((0.5, 0.5))) == 2.0
         assert exact_dimension(TORUS, DistToProjectedPoint((1,), (0.5,))) == 1.0
         assert exact_dimension(CIRCLE, Slack(DistToPoint((0.5,)), 0.05)) == 0.0
+        # a slack with no mass at its margin: the closed form pins no exponent
+        assert exact_dimension(CIRCLE, Slack(DistToPoint((0.5,)), 0.0)) is None
+        # pushforwards read their map's published exponent; a linear map has none
+        for spec, dim in (("proj:1:0.5", 1.0), ("wave:3:1,0", 1.0),
+                          ("const:0.5:0.5", 0.0), ("linear:[[1,1]]:0.5", None)):
+            assert exact_dimension(TORUS, parse_observable("pushdist:" + spec, 2)) == dim
+        # no closed form of any observable under a non-Lebesgue invariant measure
+        for spec in ("dist:0.5", "projdist:1:0.5", "slack:0.05:dist:0.5", "pushdist:proj:1:0.5"):
+            assert exact_dimension(MannevillePomeau(0.3), parse_observable(spec, 1)) is None
 
 
 class TestExactMeasureArray:
@@ -287,6 +297,23 @@ class TestMonteCarloMeasure:
         prof = measure_profile(f, ladder, CIRCLE, seed=5, n_samples=20_000)
         ests = [e.estimate for e in prof]
         assert all(a >= b for a, b in zip(ests, ests[1:]))
+
+    @pytest.mark.parametrize("system,f", [
+        (MannevillePomeau(0.3), DistToPoint((0.5,))),
+        (CIRCLE, WeightedSum(((1.0, DistToPoint((0.375,))),))),
+    ], ids=["mp", "weighted-sum"])
+    def test_every_route_counts_the_same_fraction(self, system, f):
+        # estimate_measure, measure_profile and the Borel-Cantelli targets'
+        # Monte Carlo measures at one seed and sample size
+        ladder = RadiusLadder.dyadic(2, 8)
+        seed, n = 3, 2_000
+        profile = measure_profile(f, ladder, system, seed, n)
+        targets = hitting._measures_for(system, f, np.array(ladder.radii), "mc", seed, n)
+        for r, rung, mu in zip(ladder, profile, targets.tolist()):
+            est = estimate_measure(f, r, system, seed, n)
+            assert not est.exact and est.sample_count == n
+            assert est == rung
+            assert est.estimate == mu
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

@@ -250,19 +250,19 @@ class TestTrivialityIndicator:
         sample = return_sample(GOLDEN, f, r, seed=13, count=2_000)
         curve = return_curve(sample, t_grid=(0.0, 0.5, 1.0))
         ind = triviality_indicator(sample, 0.5)
-        assert ind.value == curve.value_at(0.5)
+        assert ind.estimate == curve.value_at(0.5)
 
     def test_small_l_catches_everything(self):
         f = DistToPoint((0.375,))
         ind = triviality_indicator(
             return_sample(DOUBLING, f, 2.0 ** -6, seed=14, count=500), 1e-9)
-        assert ind.value == 1.0
+        assert ind.estimate == 1.0
 
     def test_markov_bound_at_twenty(self):
         f = DistToPoint((0.375,))
         ind = triviality_indicator(
             return_sample(DOUBLING, f, 2.0 ** -7, seed=15, count=3_000), 20.0)
-        assert ind.value <= 0.05 + 3.0 * ind.half_width
+        assert ind.estimate <= 0.05 + 3.0 * ind.half_width
 
 
 class TestKac:
