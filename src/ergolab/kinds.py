@@ -71,7 +71,7 @@ MAX_K_MAX = 10_000_000
 # bounds on the other count fields, so that a typo fails at load time; each
 # is at least 10x the largest acceptance or default value [in brackets], and
 # the cost of a run at the bound is from timings at workers 1, linear in it
-# Monte Carlo draws [4 * 10^5]: 2.5 min and 5 GB for a 9-lag cat correlation
+# Monte Carlo draws [4 * 10^5]: 2.4 min and 1 GB for a 9-lag cat correlation
 MAX_SAMPLES = 10_000_000
 # start points [500]: 2 min and 1.5 GB for Borel-Cantelli at k_max = 10^5
 MAX_POINTS = 10_000

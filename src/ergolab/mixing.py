@@ -8,15 +8,19 @@ power law on the lags that clear the noise floor (3x the half-width); the
 fitted envelope, inflated by its residual, stands in for the unknowable true
 decay function when bounding intersection measures.
 
-On the doubling reservoir the correlation estimate draws its sample once,
-in the parent, and maps its lags over the workers (``parallel.pmap``);
-every sum still runs over the whole sample in one order, so the bytes are
-the same at any worker count.  Orbit engines (cat, rotations,
-Manneville-Pomeau) and the joint preimage counts of the intersection check
-stay in process.
+A correlation holds one float column per lag and never a whole exact
+sample.  On the doubling reservoir the estimate draws its byte rows once,
+in the parent, and maps its lags over the workers (``parallel.pmap``).  On
+the orbit engines (cat, rotations, Manneville-Pomeau) it maps groups of
+sample points over the workers, each group drawing and stepping its own
+points.  Either way every sum runs over the whole sample in one order, and
+each covariance is computed in its lag's column, so the bytes are the same
+at any worker count.  The joint preimage counts of the intersection check
+step their groups in process.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,9 +35,10 @@ from .observables import (
     fit_line,
 )
 from .parallel import pmap
+from .points import FloatPoint
 from .rand import master_rng, subseed
 from .reservoir import bulk_window_floats
-from .systems import Doubling
+from .systems import Doubling, MannevillePomeau
 
 NOISE_FLOOR_FACTOR = 3.0
 MIN_USABLE_LAGS = 6
@@ -168,34 +173,68 @@ def _reservoir_column(rows, fn, lag):
     return column
 
 
-def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples):
+def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples, workers=1):
     """fns[i] at time lags[i] along the orbits of ``n_samples`` invariant
-    sample points: one whole column per lag.
+    sample points: yields one whole column per lag, in order.
 
-    Doubling reservoir points are raw byte rows drawn from ``byte_seed``;
-    other systems step groups of ``sample_invariant(point_seed)`` points
-    together (``orbit_batch``) and fill every column one group at a time.
+    Doubling reservoir points are raw byte rows drawn from ``byte_seed``,
+    and each column is read from them when asked for.  Other systems step
+    groups of ``_CHUNK // (max_lag + 1)`` points of the ``point_seed``
+    sample together (``orbit_batch``), one ``pmap`` task per group, and each
+    task returns only its rows of the columns, which are joined column by
+    column.  An exact engine's task draws its own points
+    (``sample_invariant``'s index range); Manneville-Pomeau's sample is one
+    orbit, drawn here as floats, which the tasks read through the fork.
     """
     if isinstance(system, Doubling):
         rows = _reservoir_rows(byte_seed, n_samples, max(lags))
-        return [_reservoir_column(rows, fn, lag) for fn, lag in zip(fns, lags)]
+        for fn, lag in zip(fns, lags):
+            yield _reservoir_column(rows, fn, lag)
+        return
     max_lag = max(lags)
-    points = system.sample_invariant(point_seed, n_samples)
-    columns = np.empty((len(lags), n_samples))
     group = max(1, _CHUNK // (max_lag + 1))
-    for lo in range(0, n_samples, group):
-        vals = system.orbit_batch(points[lo:lo + group], 0, max_lag + 1)
-        for column, fn, lag in zip(columns, fns, lags):
-            column[lo:lo + len(vals)] = fn.values(vals[:, lag])
-    return columns
+    if isinstance(system, MannevillePomeau):
+        floats = system.sample_invariant_floats(point_seed, n_samples)
+        draw = lambda lo: [FloatPoint(tuple(x)) for x in floats[lo:lo + group]]
+    else:
+        draw = lambda lo: system.sample_invariant(point_seed, min(group, n_samples - lo), lo)
+
+    def group_rows(lo):
+        vals = system.orbit_batch(draw(lo), 0, max_lag + 1)
+        return [fn.values(vals[:, lag]) for fn, lag in zip(fns, lags)]
+
+    parts = pmap(group_rows, range(0, n_samples, group), workers)
+    for _ in fns:  # each column's group rows go as it is joined
+        yield np.concatenate([part.pop(0) for part in parts])
 
 
 def _covariance(phi, psi_c):
     """(|Cov|, 95 % half-width) of a phi column against the centered psi
-    column; the half-width comes from the sample variance of the centered
-    products (normal approximation)."""
-    prod = (phi - phi.mean()) * psi_c
-    return abs(float(prod.mean())), Z_95 * float(prod.std(ddof=1)) / math.sqrt(len(prod))
+    column, computed in ``phi``, which it overwrites; the half-width comes
+    from the sample variance of the centered products (normal
+    approximation).  The steps are the float operations of
+    ``prod = (phi - phi.mean()) * psi_c`` and of numpy's
+    ``prod.std(ddof=1)``, in their order, so the bytes are theirs."""
+    n = len(phi)
+    phi -= phi.mean()
+    phi *= psi_c
+    mean = float(phi.mean())
+    phi -= mean
+    phi *= phi
+    std = math.sqrt(float(phi.sum()) / (n - 1))
+    return abs(mean), Z_95 * std / math.sqrt(n)
+
+
+def _checked_lags(lags):
+    """``lags`` as a tuple of ints; ValueError unless they are integers >= 0,
+    strictly increasing."""
+    try:
+        lags = tuple(operator.index(n) for n in lags)
+    except TypeError:
+        raise ValueError(f"lags must be integers, got {lags!r}") from None
+    if not lags or lags[0] < 0 or any(b <= a for a, b in zip(lags, lags[1:])):
+        raise ValueError(f"lags must be integers >= 0, strictly increasing, got {lags}")
+    return lags
 
 
 # n_samples stays the sixth positional argument: perfbench's span counter
@@ -203,15 +242,17 @@ def _covariance(phi, psi_c):
 def estimate_correlation(system, phi, psi, lags, seed, n_samples, workers=1):
     """Monte Carlo |Cov(phi o T^n, psi)| for each lag n, with 95 % half-widths.
 
-    On the doubling reservoir ``pmap`` maps the lags themselves over the
-    workers; every lag reads the one sample and the centered psi, which
-    reach the workers through the fork, so each sum runs over the same
-    arrays in the same order and the bytes do not depend on ``workers``.
-    Orbit engines step their sample in process, every lag at once.
+    ``lags`` must be integers >= 0, strictly increasing (ValueError before
+    any draw otherwise).  On the doubling reservoir ``pmap`` maps the lags
+    themselves over the workers; every lag reads the one sample and the
+    centered psi, which reach the workers through the fork.  Orbit engines
+    map groups of sample points over the workers (``_lagged_values``).  Each
+    sum runs over the same arrays in the same order, so the bytes do not
+    depend on ``workers``.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    lags = tuple(int(n) for n in lags)
+    lags = _checked_lags(lags)
     byte_seed = subseed(seed, "corr-bytes")
     if isinstance(system, Doubling):
         rows = _reservoir_rows(byte_seed, n_samples, max(lags))
@@ -221,9 +262,10 @@ def estimate_correlation(system, phi, psi, lags, seed, n_samples, workers=1):
                      workers)
     else:
         lagged = _lagged_values(system, (psi,) + (phi,) * len(lags), (0, *lags), byte_seed,
-                                seed, n_samples)
-        psi_c = lagged[0] - lagged[0].mean()
-        pairs = [_covariance(column, psi_c) for column in lagged[1:]]
+                                seed, n_samples, workers)
+        psi_c = next(lagged)
+        psi_c -= psi_c.mean()
+        pairs = [_covariance(column, psi_c) for column in lagged]
     return CorrelationSeries(
         lags=lags,
         values=tuple(v for v, _ in pairs),

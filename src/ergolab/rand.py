@@ -100,10 +100,10 @@ def point_words(seed: int, indices, n: int) -> np.ndarray:
     return out[:, :n]
 
 
-def point_bytes(seed: int, count: int, nbytes: int) -> list:
-    """``point_rng(seed, i).bytes(nbytes)`` for every index i below ``count``:
-    the first ``nbytes`` of each stream's little-endian words."""
-    words = point_words(seed, range(count), -(-nbytes // 8))
+def point_bytes(seed: int, count: int, nbytes: int, first: int = 0) -> list:
+    """``point_rng(seed, i).bytes(nbytes)`` for the ``count`` indices i from
+    ``first`` on: the first ``nbytes`` of each stream's little-endian words."""
+    words = point_words(seed, range(first, first + count), -(-nbytes // 8))
     data = words.astype("<u8", copy=False).tobytes()
     return [data[k:k + nbytes] for k in range(0, len(data), 8 * words.shape[1])]
 

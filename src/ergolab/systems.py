@@ -41,6 +41,7 @@ is its own double-precision orbit.  Every error is far below the estimators'
 radii.
 """
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -155,13 +156,13 @@ class Doubling(_SystemBase):
         return [ReservoirPoint(BitReservoir(seed, i)) for i in range(count)]
 
 
-def _dyadic_draw(seed, count, bits):
+def _dyadic_draw(seed, count, bits, first=0):
     """Numerators over 2^B of uniform B-bit dyadic fractions, one from each
-    per-index stream of indices 0..count-1: its first ceil(B / 8) bytes,
-    big-endian, top B bits."""
+    per-index stream of indices first..first+count-1: its first ceil(B / 8)
+    bytes, big-endian, top B bits."""
     nbytes = (bits + 7) // 8
     return [int.from_bytes(raw, "big") >> (nbytes * 8 - bits)
-            for raw in point_bytes(seed, count, nbytes)]
+            for raw in point_bytes(seed, count, nbytes, first)]
 
 
 def _int_matrix(rows):
@@ -255,10 +256,12 @@ class ToralAutomorphism(_SystemBase):
                 after[i] = v, modulus
         return coords, after
 
-    def sample_invariant(self, seed, count):
+    def sample_invariant(self, seed, count, first=0):
+        """Points first..first+count-1 of the draw under ``seed``; point i
+        reads the streams of indices i d .. i d + d - 1."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        nums = _dyadic_draw(seed, count * self.dim, self.precision_bits)
+        nums = _dyadic_draw(seed, count * self.dim, self.precision_bits, first * self.dim)
         return [FractionPoint.on_lattice(nums[i:i + self.dim], 1 << self.precision_bits)
                 for i in range(0, len(nums), self.dim)]
 
@@ -447,11 +450,12 @@ class CircleRotation(_SystemBase):
         vals = (np.array(anchors)[:, None] + np.arange(into, into + size) * alpha) % 1.0
         return vals[..., None], after
 
-    def sample_invariant(self, seed, count):
+    def sample_invariant(self, seed, count, first=0):
+        """Points first..first+count-1 of the draw under ``seed``."""
         if count < 1:
             raise ValueError("count must be >= 1")
         return [FractionPoint.on_lattice((x,), 1 << self.precision_bits)
-                for x in _dyadic_draw(seed, count, self.precision_bits)]
+                for x in _dyadic_draw(seed, count, self.precision_bits, first)]
 
 
 @dataclass(frozen=True)
@@ -474,8 +478,9 @@ class MannevillePomeau(_SystemBase):
 
     def _orbit(self, x, count, stride):
         """The engine's one loop: x and every ``stride``-th orbit point after
-        it, ``count`` in all, and the point ``stride`` steps after the last."""
-        e, out, steps = 1.0 + self.s, [], range(stride)
+        it, ``count`` in all (8 bytes each), and the point ``stride`` steps
+        after the last."""
+        e, out, steps = 1.0 + self.s, array("d"), range(stride)
         for _ in range(count):
             out.append(x)
             for _ in steps:
@@ -509,7 +514,7 @@ class MannevillePomeau(_SystemBase):
         while x == 0.0:
             x = float(rng.random())
         x = self.orbit_window(FloatPoint((x,)), self.BURN_IN).coords[0]
-        return np.array(self._orbit(x, count, self.STRIDE)[0]).reshape(-1, 1)
+        return np.frombuffer(self._orbit(x, count, self.STRIDE)[0]).reshape(-1, 1)
 
 
 CAT_MATRIX = ((2, 1), (1, 1))

@@ -1,9 +1,15 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ergolab
 from ergolab import mixing
 from ergolab.errors import DegenerateSeriesError, NoDecayFitError
 from ergolab.kinds import FUNCTION_SPECS, parse_function_spec
@@ -163,14 +169,48 @@ class TestEstimateCorrelation:
             estimate_correlation(DOUBLING, cosine_wave(1), cosine_wave(1), [1], 0, 100)
 
 
+class TestLagValidation:
+    """Bad lags raise ValueError before any sample is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def refuse(*args):
+            pytest.fail("drew a sample")
+
+        monkeypatch.setattr(mixing, "_reservoir_rows", refuse)
+        monkeypatch.setattr(mixing, "_lagged_values", refuse)
+
+    def test_negative_lag_on_cat(self):
+        # on the orbit path lag -1 would read the last lag's column
+        phi = cosine_wave(1)
+        with pytest.raises(ValueError, match="lags"):
+            estimate_correlation(system_from_id("cat"), phi, phi, (-1, 2), 0, 2000)
+
+    def test_negative_lag_on_the_reservoir(self):
+        # on the reservoir path lag -1 would index past the byte rows
+        phi = cosine_wave(1)
+        with pytest.raises(ValueError, match="lags"):
+            estimate_correlation(DOUBLING, phi, phi, (-1, 2), 0, 2000)
+
+    @pytest.mark.parametrize("lags", [(3, 1, 2), (1, 1), (), (0.5, 2)])
+    def test_unsorted_empty_or_fractional_lags(self, lags):
+        # caught before the estimate, not by CorrelationSeries after it
+        phi = cosine_wave(1)
+        with pytest.raises(ValueError, match="lags"):
+            estimate_correlation(DOUBLING, phi, phi, lags, 0, 2000)
+
+
 class TestWorkerCount:
-    """The reservoir path maps its lags over the workers; the bytes must not
-    depend on how many workers share them."""
+    """The reservoir path maps its lags over the workers, the orbit path its
+    groups of points; the bytes must not depend on how many workers share
+    them."""
 
     LAGS = (1, 2, 3, 5, 8, 13)
 
     @pytest.mark.parametrize("system_id", ["doubling", "cat", "rotation:golden", "mp:0.3"])
-    def test_estimate_does_not_depend_on_worker_count(self, system_id):
+    def test_estimate_does_not_depend_on_worker_count(self, system_id, monkeypatch):
+        # 350-point groups: 9 of them, the last short, strided over the workers
+        monkeypatch.setattr(mixing, "_CHUNK", 350 * (max(self.LAGS) + 1))
         system = system_from_id(system_id)
         phi, psi = dyadic_harmonic_mix(6), cosine_wave(-2)
         runs = [estimate_correlation(system, phi, psi, self.LAGS, 4, 3000, workers=w)
@@ -190,6 +230,59 @@ class TestWorkerCount:
         for workers in (1, 4, 9):
             estimate_correlation(DOUBLING, phi, phi, self.LAGS, 4, 1000, workers=workers)
         assert calls == [(1, self.LAGS), (4, self.LAGS), (9, self.LAGS)]
+
+
+# lengths from 1000 up, odd ones, and n = 1 (mod 1024): a one-element tail
+# past whole summation blocks
+_LENGTHS = st.one_of(st.integers(1000, 5000), st.integers(500, 4000).map(lambda k: 2 * k + 1),
+                     st.integers(1, 64).map(lambda k: 1024 * k + 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n=_LENGTHS, seed=st.integers(0, 2 ** 32 - 1),
+       phi_scale=st.sampled_from([1.0, 1e-150, 3.7e100, 0.0]),  # 0: a constant column
+       psi_scale=st.sampled_from([1.0, 2.0 ** -40, 1e12, 0.0]),
+       shift=st.sampled_from([0.0, 0.5, -1e6]))
+def test_in_place_covariance_is_the_two_temporary_formula(n, seed, phi_scale, psi_scale, shift):
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(n) * phi_scale + shift
+    psi_c = rng.standard_normal(n) * psi_scale
+    psi_c -= psi_c.mean()
+    prod = (phi - phi.mean()) * psi_c
+    want = abs(float(prod.mean())), Z_95 * float(prod.std(ddof=1)) / math.sqrt(n)
+    psi_bytes = psi_c.tobytes()
+    got = mixing._covariance(phi, psi_c)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert psi_c.tobytes() == psi_bytes
+
+
+_MEMORY_PROBE = """
+import sys
+from ergolab.kinds import parse_function_spec
+from ergolab.mixing import estimate_correlation
+from ergolab.systems import system_from_id
+phi = parse_function_spec("dyadicmix:10", 2)
+estimate_correlation(system_from_id("cat"), phi, phi, range(9), 0, int(sys.argv[1]), workers=1)
+print([line for line in open("/proc/self/status") if line.startswith("VmHWM:")][0].split()[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_cat_correlation_peak_grows_by_its_columns_alone():
+    # lags 0..8 and psi hold ten float columns, 80 bytes a sample; a whole
+    # exact sample of 512-bit cat points would add about 400 more.  Each
+    # size runs in a fresh interpreter and reads its own peak, VmHWM:
+    # ru_maxrss would carry this process's peak across the exec
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ergolab.__file__)), os.environ.get("PYTHONPATH", "")]))
+
+    def peak_bytes(n):
+        out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE, str(n)], env=env,
+                             capture_output=True, text=True, check=True)
+        return int(out.stdout) * 1024
+
+    small, large = 20_000, 80_000
+    assert (peak_bytes(large) - peak_bytes(small)) / (large - small) <= 250
 
 
 # one spec per correlation-function prefix, and obs: once per observable rule (on T^2)

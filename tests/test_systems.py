@@ -311,7 +311,8 @@ class TestSampling:
                 x += x ** (1 + sys.s)
                 if x >= 1.0:
                     x -= 1.0
-        assert sys._orbit(0.1234567, 7, stride) == (expected, x)
+        out, last = sys._orbit(0.1234567, 7, stride)
+        assert (list(out), last) == (expected, x)
 
     def test_seed_determinism(self):
         sys = Doubling()
@@ -338,6 +339,18 @@ class TestSampling:
                 pre = np.mean((lo <= imgs) & (imgs < hi))
             se = np.sqrt(mass * (1 - mass) / n)
             assert abs(pre - mass) <= 3 * se, sys_id
+
+    @pytest.mark.parametrize("sys", [
+        ToralAutomorphism(CAT_MATRIX),
+        ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1))),
+        CircleRotation.golden(),
+        CircleRotation.from_fraction(Fraction(2, 7)),
+    ], ids=["cat", "torus-3d", "golden", "rational"])
+    def test_index_range_is_the_slice_of_one_draw(self, sys):
+        # per-index streams: points lo..hi come without drawing 0..lo
+        whole = sys.sample_invariant(seed=31, count=40)
+        for first, count in ((0, 40), (0, 1), (13, 9), (39, 1)):
+            assert sys.sample_invariant(31, count, first) == whole[first:first + count]
 
 
 class TestCatalog:
