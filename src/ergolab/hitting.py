@@ -3,9 +3,10 @@ shrinking-target counter with its expectation.
 
 Hitting time is the first n >= 1 with f(T^n x) <= r; n = 0 never counts.
 Because the sublevels nest, one orbit pass serves a whole radius ladder: a
-scan records the first passage below every rung it crosses.  Censored rungs
-(no hit up to the cap) are excluded from slope fits and reported as a
-censor fraction; fitted exponents are then lower bounds only.
+scan records the first passage below every rung it crosses, and
+``estimate_R`` fits the times it gave.  Censored rungs (no hit up to the
+cap) are excluded from fits and reported as a censor fraction; fitted
+exponents are then lower bounds only.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllCensoredError, InvalidBetaError
-from .observables import _mc_hits, exact_measure, fit_line, sliding_slopes
+from .observables import _mc_hits, exact_measure, window_slopes
 
 DEFAULT_SCAN_BLOCK = 1 << 13
 SCAN_BATCH_ROWS = 1 << 14  # orbit rows a first_hits step holds, whatever the start count
@@ -23,12 +24,10 @@ WINDOW_FRACTION = 0.9
 
 @dataclass(frozen=True)
 class HittingRecord:
-    """One (point, radius) hitting observation; tau None means censored."""
+    """One start's hitting time at one radius; tau None means censored."""
 
-    point_id: int
     radius: float
     tau: int | None
-    cap: int
 
     def __post_init__(self):
         if self.tau is not None and self.tau < 1:
@@ -37,11 +36,6 @@ class HittingRecord:
     @property
     def censored(self):
         return self.tau is None
-
-    @property
-    def steps_used(self):
-        """Orbit steps the scan took: tau, or the cap when censored."""
-        return self.cap if self.tau is None else self.tau
 
 
 def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
@@ -84,13 +78,12 @@ def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
     return taus, censored
 
 
-def ladder_hitting_times(system, x, f, ladder, cap, point_id=0):
+def ladder_hitting_times(system, x, f, ladder, cap):
     """Hitting records for every rung of a decreasing ladder: ``first_hits``
     of one start, in rung order and non-decreasing in tau."""
     radii = list(ladder)
     taus, censored = first_hits(system, [x], f, radii, cap)
-    return [HittingRecord(point_id=point_id, radius=r, tau=t, cap=cap)
-            for r, t in zip(radii, np.where(censored, None, taus)[0].tolist())]
+    return [HittingRecord(r, t) for r, t in zip(radii, np.where(censored, None, taus)[0].tolist())]
 
 
 def hitting_time(system, x, f, r, cap):
@@ -122,17 +115,15 @@ def default_window(n_usable):
     return max(4, math.ceil(WINDOW_FRACTION * n_usable))
 
 
-def estimate_R(system, x, f, ladder, cap, window=None, taus=None):
-    """Hitting-exponent estimate over a radius ladder for one start point.
+def estimate_R(ladder, taus, window=None):
+    """Hitting-exponent estimate of one start from its hitting times over a
+    radius ladder, one per rung with None for a censored rung.
 
-    ``taus`` are the start's hitting times, one per rung with None for a
-    censored rung; when absent, x is scanned.  Censored rungs are dropped
-    before fitting.  The default window spans ceil(0.9 m) of the m usable
-    rungs, wide enough to tame the log-scale noise of single hitting times
-    while keeping distinct windows for the lim sup / lim inf split.
+    Censored rungs are dropped before fitting.  The default window spans
+    ceil(0.9 m) of the m usable rungs, wide enough to tame the log-scale
+    noise of single hitting times while keeping distinct windows for the
+    lim sup / lim inf split.
     """
-    if taus is None:
-        taus = [rec.tau for rec in ladder_hitting_times(system, x, f, ladder, cap)]
     usable = [(r, t) for r, t in zip(ladder, taus) if t is not None]
     # nesting makes tau non-increasing in r; violations would be a scan bug
     if any(a[1] > b[1] for a, b in zip(usable, usable[1:])):
@@ -145,17 +136,9 @@ def estimate_R(system, x, f, ladder, cap, window=None, taus=None):
     pairs = tuple(zip(x_pairs.tolist(), y_pairs.tolist()))
     if len(usable) == 1:
         return ExponentEstimate(0.0, 0.0, 0.0, pairs, censor_fraction)
-    width = window or default_window(len(usable))
-    width = min(max(width, 2), len(usable))
-    slopes = sliding_slopes(x_pairs, y_pairs, width)
-    exponent, _, _ = fit_line(x_pairs, y_pairs)
-    return ExponentEstimate(
-        r_upper=float(slopes.max()),
-        r_lower=float(slopes.min()),
-        exponent=exponent,
-        pairs=pairs,
-        censor_fraction=censor_fraction,
-    )
+    r_upper, r_lower, exponent, _ = window_slopes(x_pairs, y_pairs,
+                                                  window or default_window(len(usable)))
+    return ExponentEstimate(r_upper, r_lower, exponent, pairs, censor_fraction)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .mixing import (
     dyadic_harmonic_mix,
     estimate_correlation,
     fit_decay,
-    from_observable,
     intersection_bound_check,
 )
 from .observables import (
@@ -36,6 +35,7 @@ from .observables import (
     estimate_measure,
     exact_dimension,
     parse_observable,
+    torus_target,
 )
 from .observed import (
     OBSERVATION_MAPS,
@@ -48,6 +48,7 @@ from .parallel import pmap
 from .rand import master_rng, subseed
 from .returns import (
     count_jump_clusters,
+    direct_window,
     exp_law_distance,
     kac_statistic,
     return_curve,
@@ -174,8 +175,7 @@ FUNCTION_SPECS = {
     "dyadicmix:": Rule(lambda text, dim: dyadic_harmonic_mix(int(text)), "<depth>",
                        "sum of 2^-j cos(2 pi 2^j x) over j = 0..depth (depth <= 52)"),
     "const:": Rule(lambda text, dim: constant_function(finite(text)), "<c>", "the constant c"),
-    "obs:": Rule(lambda text, dim: from_observable(parse_observable(text, dim), text),
-                 "<rule>", "an observable rule"),
+    "obs:": Rule(parse_observable, "<rule>", "an observable rule"),
 }
 
 
@@ -260,7 +260,7 @@ def _quartiles(values):
 
 def _ladder_task(system, f, ladder, cap, window, points):
     taus, censored = first_hits(system, points, f, ladder, cap)
-    return [(row, estimate_R(system, None, f, ladder, cap, window=window, taus=row))
+    return [(row, estimate_R(ladder, row, window))
             for row in np.where(censored, None, taus).tolist()]
 
 
@@ -467,6 +467,10 @@ def _check_intersection_bound(config):
 def _check_return_stats(config):
     if config.params.grid_max / config.params.grid_step > MAX_GRID_STEPS:
         raise ConfigError("return-stats", f"grid_max / grid_step exceeds {MAX_GRID_STEPS} steps")
+    try:  # the target must hold a start of its direct draw
+        direct_window(config.system, config.observable, config.params.radius)
+    except ValueError as exc:
+        raise ConfigError("return-stats.radius", str(exc)) from None
 
 
 def _run_return_stats(config, workers):
@@ -588,9 +592,10 @@ def _check_observed(config):
     if p.mode == "hitting-exponent":
         if p.image_point is None:
             raise ConfigError("observed.image_point", "required by mode hitting-exponent")
-        if len(p.image_point) != p.map.codomain_dim:
-            raise ConfigError("observed.image_point",
-                              f"needs {p.map.codomain_dim} coordinates, one per image axis")
+        try:
+            torus_target(p.image_point, p.map.codomain_dim, p.map.periodic_codomain)
+        except ValueError as exc:
+            raise ConfigError("observed.image_point", f"{exc}, one per image axis") from None
 
 
 def _observed_headline(summary):
@@ -632,11 +637,10 @@ def _run_flow_analogue(config, workers):
 
 
 def _check_flow_analogue(config):
-    p = config.params
-    if len(p.target) != len(p.projection.axes):
-        raise ConfigError("flow-analogue.target",
-                          f"needs {len(p.projection.axes)} coordinates, "
-                          f"one per projected axis")
+    try:
+        torus_target(config.params.target, len(config.params.projection.axes))
+    except ValueError as exc:
+        raise ConfigError("flow-analogue.target", f"{exc}, one per projected axis") from None
 
 
 KINDS = {

@@ -2,8 +2,10 @@
 numerical consistency check of the sublevel intersection bound.
 
 Correlation here means Cov(phi o T^n, psi) estimated over invariant samples.
-Observable norms follow the sup + Lipschitz convention, with the two terms
-recorded separately.  The decay fit compares an exponential model against a
+A test function is anything with ``values``, ``sup_bound`` and
+``lipschitz``: the ``LipschitzFunction``s built here, or an observable itself.
+Norms follow the sup + Lipschitz convention, with the two terms recorded
+separately.  The decay fit compares an exponential model against a
 power law on the lags that clear the noise floor (3x the half-width); the
 fitted envelope, inflated by its residual, stands in for the unknowable true
 decay function when bounding intersection measures.
@@ -56,19 +58,9 @@ class LipschitzFunction:
     fn: object  # callable on (n, d) coordinate arrays
     sup_bound: float
     lipschitz: float
-    label: str = ""
-
-    @property
-    def norm(self):
-        """Lipschitz norm: sup + Lipschitz constant."""
-        return self.sup_bound + self.lipschitz
 
     def values(self, coords):
         return self.fn(coords)
-
-
-def from_observable(f, label=""):
-    return LipschitzFunction(f.values, f.sup_bound, f.lipschitz, label or repr(f))
 
 
 def _cosine_values(freq, coords):
@@ -79,8 +71,7 @@ def cosine_wave(freq):
     """cos(2 pi k x_1); a single Fourier mode of the first coordinate."""
     if abs(freq) > MAX_FREQUENCY:
         raise ValueError(f"frequency must lie in -{MAX_FREQUENCY}..{MAX_FREQUENCY}")
-    return LipschitzFunction(partial(_cosine_values, freq), 1.0, 2.0 * math.pi * abs(freq),
-                             f"cos:{freq}")
+    return LipschitzFunction(partial(_cosine_values, freq), 1.0, 2.0 * math.pi * abs(freq))
 
 
 def _constant_values(c, coords):
@@ -88,8 +79,7 @@ def _constant_values(c, coords):
 
 
 def constant_function(c):
-    return LipschitzFunction(partial(_constant_values, float(c)), abs(float(c)), 0.0,
-                             f"const:{c}")
+    return LipschitzFunction(partial(_constant_values, float(c)), abs(float(c)), 0.0)
 
 
 def _dyadic_mix_values(freqs, weights, coords):
@@ -124,8 +114,8 @@ def dyadic_harmonic_mix(depth=10):
     freqs = 2.0 ** np.arange(depth + 1)
     weights = 2.0 ** -np.arange(depth + 1)
     lip = float(2.0 * math.pi * (depth + 1))
-    return LipschitzFunction(partial(_dyadic_mix_values, freqs, weights), float(weights.sum()),
-                             lip, f"dyadicmix:{depth}")
+    return LipschitzFunction(partial(_dyadic_mix_values, freqs, weights),
+                             float(weights.sum()), lip)
 
 
 @dataclass(frozen=True)

@@ -169,17 +169,20 @@ def evaluate(f, point):
     return float(f.values(point.float_coords().reshape(1, -1))[0])
 
 
-def _torus_target(text, dim):
-    target = parse_numbers(text)
-    if len(target) != dim or not all(0.0 <= t < 1.0 for t in target):
-        raise ValueError(f"target needs {dim} coordinates in [0, 1): {text!r}")
+def torus_target(target, dim, periodic=True):
+    """``target`` when it has ``dim`` coordinates, each in [0, 1) on a
+    periodic codomain (differences fold correctly only there) and any finite
+    value on a flat one; else ValueError."""
+    if len(target) != dim or periodic and not all(0.0 <= t < 1.0 for t in target):
+        where = " in [0, 1)" if periodic else ""
+        raise ValueError(f"target needs {dim} coordinates{where}: {target}")
     return target
 
 
 def _projdist(text, dim):
     axes, _, target = text.partition(":")
     axes = parse_axes(axes, dim)
-    return DistToProjectedPoint(axes, _torus_target(target, len(axes)))
+    return DistToProjectedPoint(axes, torus_target(parse_numbers(target), len(axes)))
 
 
 def _slack(text, dim):
@@ -193,15 +196,13 @@ def _pushdist(text, dim):
 
     map_spec, _, image = text.rpartition(":")
     image_map = parse_observation_map(map_spec, dim)
-    image = parse_numbers(image)
-    if len(image) != image_map.codomain_dim:
-        raise ValueError(f"pushdist image point needs {image_map.codomain_dim} coordinates")
-    return PushforwardDist(image_map, image)
+    return PushforwardDist(image_map, torus_target(parse_numbers(image), image_map.codomain_dim,
+                                                   image_map.periodic_codomain))
 
 
 OBSERVABLE_RULES = {
-    "dist:": Rule(lambda text, dim: DistToPoint(_torus_target(text, dim)), "<c1,..,cd>",
-                  "distance to a point of [0, 1)^d"),
+    "dist:": Rule(lambda text, dim: DistToPoint(torus_target(parse_numbers(text), dim)),
+                  "<c1,..,cd>", "distance to a point of [0, 1)^d"),
     "projdist:": Rule(_projdist, "<axes>:<coords>",
                       "distance in the listed coordinates (1-based, distinct)"),
     "slack:": Rule(_slack, "<m>:<rule>", "max(0, f - m) for the inner rule f"),
@@ -446,6 +447,15 @@ def fit_line(x, y):
     return slope, intercept, stderr
 
 
+def window_slopes(x, y, width):
+    """The largest and smallest least-squares slopes over the windows of
+    ``width`` consecutive points (clamped to 2..len(x)), then the slope over
+    all the points and its standard error."""
+    slopes = sliding_slopes(x, y, min(max(int(width), 2), len(x)))
+    slope, _, stderr = fit_line(x, y)
+    return float(slopes.max()), float(slopes.min()), slope, stderr
+
+
 @dataclass(frozen=True)
 class DimensionEstimate:
     """Sliding-window slope summary of log mu(S_r) against log r."""
@@ -484,14 +494,5 @@ def estimate_dimension(f, ladder, system, seed, n_per_rung, window=4):
         )
     x = np.log([radii[k] for k in usable])
     y = np.log([estimates[k].estimate for k in usable])
-    width = min(max(int(window), 2), len(usable))
-    slopes = sliding_slopes(x, y, width)
-    slope, _, stderr = fit_line(x, y)
-    return DimensionEstimate(
-        d_upper=float(slopes.max()),
-        d_lower=float(slopes.min()),
-        slope=slope,
-        slope_stderr=stderr,
-        window=(usable[0], usable[-1]),
-        profile=tuple(estimates),
-    )
+    return DimensionEstimate(*window_slopes(x, y, window), window=(usable[0], usable[-1]),
+                             profile=tuple(estimates))

@@ -216,9 +216,8 @@ def observed_hitting_time(system, x, x0_image, image_map, r, cap):
         dists = image_map.image_distances(coords, y0)
         hits = np.flatnonzero(dists <= r)
         if hits.size:
-            tau = n0 + int(hits[0])
-            return HittingRecord(point_id=0, radius=r, tau=tau, cap=cap)
-    return HittingRecord(point_id=0, radius=r, tau=None, cap=cap)
+            return HittingRecord(r, n0 + int(hits[0]))
+    return HittingRecord(r, None)
 
 
 def pushforward_dimension(system, image_map, x0, ladder, seed, n_per_rung, window=4):

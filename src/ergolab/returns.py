@@ -44,59 +44,65 @@ def default_cap(mu):
 
 def sample_conditioned(system, f, r, seed, count, max_attempts=20_000_000):
     """``count`` points distributed as the invariant measure restricted to
-    {f <= r}: direct draws for interval and disc targets under Lebesgue,
-    rejection sampling otherwise."""
+    {f <= r}: direct draws for interval and disc targets under Lebesgue
+    (``direct_window``), rejection sampling otherwise."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    direct = _direct_sampler(system, f, r)
-    if direct is not None:
-        return direct(seed, count)
-    return _rejection_sample(system, f, r, seed, count, max_attempts)
+    window = direct_window(system, f, r)
+    if window is None:
+        return _rejection_sample(system, f, r, seed, count, max_attempts)
+    if f.dim == 2:
+        return _disc_dyadic_points(f.target, window, system.precision_bits, seed, count)
+    if isinstance(system, Doubling):
+        return _interval_reservoir_points(*window, seed, count)
+    return _interval_dyadic_points(*window, system.precision_bits, seed, count)
 
 
-def _direct_sampler(system, f, r):
+def direct_window(system, f, r):
+    """Where a direct draw of {f <= r} puts its starts: a disc's reach, its
+    radius less an edge guard that also covers its truncation to a lattice
+    coarser than a float, or an interval's lowest and highest lattice
+    numerators; None for a rejection-sampled target.  ValueError when the
+    target holds no admissible start."""
     if not (system.lebesgue and isinstance(f, DistToPoint)):
         return None
-    if f.dim == 1 and isinstance(system, Doubling):
-        return lambda seed, count: _interval_reservoir_points(
-            f.target[0], min(r, 0.5), seed, count
-        )
-    if f.dim == 1 and isinstance(system, CircleRotation):
-        bits = system.precision_bits
-        return lambda seed, count: _interval_dyadic_points(
-            f.target[0], min(r, 0.5), bits, seed, count
-        )
     if f.dim == 2 and isinstance(system, ToralAutomorphism) and r <= 0.5:
-        return lambda seed, count: _disc_dyadic_points(
-            f.target, r, system.precision_bits, seed, count
-        )
-    return None
+        bits = system.precision_bits
+        guard = _EDGE_GUARD + (math.sqrt(2.0) * 2.0 ** -bits if bits < 53 else 0.0)
+        if r <= guard:
+            raise ValueError(f"radius {r!r} does not exceed the disc sampler's edge guard "
+                             f"{guard!r} at {bits} bits")
+        return r - guard
+    if f.dim != 1 or not isinstance(system, (Doubling, CircleRotation)):
+        return None
+    bits = 64 if isinstance(system, Doubling) else system.precision_bits
+    center, r = f.target[0], min(r, 0.5)
+    lo = int(math.ceil((center - r + _EDGE_GUARD) * (1 << bits)))
+    hi = int(math.floor((center + r - _EDGE_GUARD) * (1 << bits)))
+    if r <= _EDGE_GUARD or lo > hi:
+        raise ValueError(f"no point of the 2^-{bits} lattice lies within the radius {r!r}, "
+                         f"less the edge guard 2^-50, of {center!r}")
+    return lo, hi
 
 
-def _interval_reservoir_points(center, r, seed, count):
+def _interval_reservoir_points(lo, hi, seed, count):
     # The prefix must carry full 64-bit entropy: drawing a float and scaling
     # leaves its low ~11 bits zero, and those zero blocks slide through the
     # observation window and align onto dyadic targets, faking short returns.
     rng = master_rng(subseed(seed, "conditioned-prefix"))
     scale = 1 << 64
-    lo = int(math.ceil((center - r + _EDGE_GUARD) * scale))
-    hi = int(math.floor((center + r - _EDGE_GUARD) * scale))
-    span = hi - lo + 1
-    draws = rng.integers(0, span, size=count, dtype=np.uint64).tolist()
+    draws = rng.integers(0, hi - lo + 1, size=count, dtype=np.uint64).tolist()
     return [ReservoirPoint(BitReservoir(seed, i, prefix=((lo + d) % scale).to_bytes(8, "big")))
             for i, d in enumerate(draws)]
 
 
-def _interval_dyadic_points(center, r, bits, seed, count):
-    scale = 1 << bits
-    lo = int(math.ceil((center - r + _EDGE_GUARD) * scale))
-    hi = int(math.floor((center + r - _EDGE_GUARD) * scale))
-    span = hi - lo + 1
+def _interval_dyadic_points(lo, hi, bits, seed, count):
+    scale, span = 1 << bits, hi - lo + 1
     return [FractionPoint.on_lattice(((lo + int.from_bytes(raw, "big") % span) % scale,), scale)
             for raw in point_bytes(subseed(seed, "conditioned"), count, (bits + 7) // 8 + 8)]
 
 
-def _disc_dyadic_points(center, r, bits, seed, count):
+def _disc_dyadic_points(center, reach, bits, seed, count):
     # polar draw at float resolution, low-order bits topped up with fresh
     # randomness so the points do not sit on a coarse dyadic sublattice.
     # Stream layout per start: two doubles (words 0 and 1), then each
@@ -112,7 +118,7 @@ def _disc_dyadic_points(center, r, bits, seed, count):
     points = []
     for raw in point_bytes(subseed(seed, "conditioned"), count, second + tail):
         u, v = [(int.from_bytes(raw[k:k + 8], "little") >> 11) * 2.0 ** -53 for k in (0, 8)]
-        rho = (r - _EDGE_GUARD) * math.sqrt(u)
+        rho = reach * math.sqrt(u)
         theta = 2.0 * math.pi * v
         nums = []
         for c, off, at in ((cx, rho * math.cos(theta), 16), (cy, rho * math.sin(theta), second)):
@@ -225,11 +231,6 @@ class ReturnCurve:
             raise ValueError("survival curve must be non-increasing")
         if any(not 0.0 <= v <= 1.0 for v in g):
             raise ValueError("survival values lie in [0, 1]")
-
-    def value_at(self, t):
-        if t not in self.t_grid:
-            raise KeyError(f"t={t} not on the grid")
-        return self.g_values[self.t_grid.index(t)]
 
 
 def return_curve(sample, t_grid=DEFAULT_T_GRID):

@@ -184,21 +184,6 @@ def _int_det(mat):
     return det
 
 
-def _int_inverse(mat):
-    """Inverse of a unimodular integer matrix (integer entries, via adjugate)."""
-    n = len(mat)
-    det = _int_det(mat)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(mat[r][c] for c in range(n) if c != j)
-                for r in range(n) if r != i
-            )
-            adj[j][i] = (-1) ** (i + j) * (_int_det(minor) if n > 1 else 1)
-    return tuple(tuple(v * det for v in row) for row in adj)  # det is +-1
-
-
 @dataclass(frozen=True)
 class ToralAutomorphism(_SystemBase):
     """Automorphism of T^d from a unimodular integer matrix."""
@@ -218,9 +203,6 @@ class ToralAutomorphism(_SystemBase):
     @property
     def dim(self):
         return len(self.matrix)
-
-    def inverse(self):
-        return ToralAutomorphism(_int_inverse(self.matrix), self.precision_bits)
 
     def _jump(self, nums, modulus, n):
         """Numerators n steps on; a unimodular map keeps the denominator."""

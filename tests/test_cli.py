@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ergolab.cli import main
+from ergolab.config import parse_config_text
 from ergolab.kinds import FUNCTION_SPECS, parse_function_spec
 from ergolab.observables import OBSERVABLE_RULES, parse_observable
 from ergolab.observed import OBSERVATION_MAPS, parse_observation_map
@@ -236,6 +237,33 @@ BAD_FIELDS = {
     "precision-bits-flag-above-bound": (CONFIG, "experiment.precision_bits",
                                         "--precision-bits", "65537"),
     "radius": (RETURN_CONFIG, "return-stats.radius"),
+    # a target that holds no start of its direct draw: a radius within the
+    # 2^-50 edge guard, a disc within the guard grown by the truncation to a
+    # lattice coarser than a float, an interval with no lattice point
+    "radius-doubling-guard": (RETURN_OK.replace("radius = 0.05", "radius = 1e-20"),
+                              "return-stats.radius"),
+    "radius-golden-guard": (
+        RETURN_OK.replace("system = doubling", "system = rotation:golden")
+        .replace("radius = 0.05", "radius = 1e-20"), "return-stats.radius"),
+    "radius-cat-guard": (
+        RETURN_OK.replace("system = doubling", "system = cat")
+        .replace("dist:0.375", "dist:0.3,0.7").replace("radius = 0.05", "radius = 1e-20"),
+        "return-stats.radius"),
+    "radius-golden-no-lattice-point": (
+        RETURN_OK.replace("system = doubling", "system = rotation:golden")
+        .replace("seed = 5\n", "seed = 5\nprecision_bits = 8\n")
+        .replace("dist:0.375", "dist:0.3").replace("radius = 0.05", "radius = 1e-4"),
+        "return-stats.radius"),
+    "radius-cat-40-bits": (
+        RETURN_OK.replace("system = doubling", "system = cat")
+        .replace("seed = 5\n", "seed = 5\nprecision_bits = 40\n")
+        .replace("dist:0.375", "dist:0.3,0.7").replace("radius = 0.05", "radius = 1e-13"),
+        "return-stats.radius"),
+    "radius-cat-20-bits": (
+        RETURN_OK.replace("system = doubling", "system = cat")
+        .replace("seed = 5\n", "seed = 5\nprecision_bits = 20\n")
+        .replace("dist:0.375", "dist:0.3,0.7").replace("radius = 0.05", "radius = 1e-7"),
+        "return-stats.radius"),
     "bc-measures": (BC_CONFIG, "borel-cantelli.measures"),
     "bc-k-max-above-bound": (
         BC_CONFIG.replace("k_max = 100\n", "k_max = 10000000000000\n").replace(
@@ -259,6 +287,22 @@ BAD_FIELDS = {
                         "observable.rule"),
     "flow-target": (FLOW_CONFIG.replace("0.31,0.77", "x"), "flow-analogue.target"),
     "flow-target-axes": (FLOW_CONFIG.replace("0.31,0.77", "0.31"), "flow-analogue.target"),
+    # torus coordinates lie in [0, 1), as dist: targets do
+    "flow-target-range": (FLOW_CONFIG.replace("0.31,0.77", "2.05,0.77"), "flow-analogue.target"),
+    "flow-target-negative": (FLOW_CONFIG.replace("0.31,0.77", "0.31,-0.23"),
+                             "flow-analogue.target"),
+    "image-point-range": (OBSERVED_CONFIG.replace("image_point = 0.5", "image_point = 1.5"),
+                          "observed.image_point"),
+    "image-point-linear-range": (
+        OBSERVED_CONFIG.replace("map = proj:1", "map = linear:[[1,1]]")
+        .replace("image_point = 0.5", "image_point = -0.25"), "observed.image_point"),
+    "image-point-identity-range": (
+        OBSERVED_CONFIG.replace("map = proj:1", "map = identity")
+        .replace("image_point = 0.5", "image_point = 0.5,1.0"), "observed.image_point"),
+    "pushdist-range": (CONFIG.replace("dist:0.25,0.75", "pushdist:proj:1:2.1"),
+                       "observable.rule"),
+    "pushdist-linear-range": (CONFIG.replace("dist:0.25,0.75", "pushdist:linear:[[1,0]]:1.0"),
+                              "observable.rule"),
     "cap-0": (HITTING_CONFIG + "cap = 0\n", "hitting.cap"),
     "window-0": (HITTING_CONFIG + "window = 0\n", "hitting.window"),
     "image-point": (OBSERVED_CONFIG.replace("image_point = 0.5\n", ""),
@@ -317,6 +361,18 @@ BAD_FIELDS = {
     "flow-n-max-above-bound": (FLOW_CONFIG.replace("n_max = 100", f"n_max = {TYPO}"),
                                "flow-analogue.n_max"),
 }
+
+
+@pytest.mark.parametrize("text", [
+    OBSERVED_CONFIG.replace("map = proj:1", "map = wave:1")
+    .replace("image_point = 0.5", "image_point = 1.5,-2.0"),
+    OBSERVED_CONFIG.replace("map = proj:1", "map = const:3")
+    .replace("image_point = 0.5", "image_point = 7"),
+    CONFIG.replace("dist:0.25,0.75", "pushdist:wave:1:1.5,-2.0"),
+], ids=["observed-wave", "observed-const", "pushdist-wave"])
+def test_flat_codomain_image_points_take_any_finite_value(tmp_path, text):
+    config = parse_config_text(text.format(out=tmp_path / "o.json"))
+    assert config.kind in ("observed", "dimension")
 
 
 @pytest.mark.parametrize("row", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())

@@ -75,7 +75,7 @@ class TestHittingTime:
     def test_periodic_orbit_censors(self):
         sys = Doubling()
         rec = hitting_time(sys, expansion_point(0x55), DistToPoint((0.0,)), 0.05, cap=100)
-        assert rec.censored and rec.cap == 100 and rec.steps_used == 100
+        assert rec.censored and rec.tau is None
 
     def test_rotation_quarter(self):
         # oracle: 0 -> 1/4 -> 1/2
@@ -91,7 +91,7 @@ class TestHittingTime:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            HittingRecord(point_id=0, radius=0.1, tau=0, cap=10)
+            HittingRecord(radius=0.1, tau=0)
 
 
 class TestLadderScan:
@@ -256,19 +256,23 @@ class TestFirstHits:
         system, f = SCAN_CASES["cat"]
         x = system.sample_invariant(8, 1)[0]
         ladder = RadiusLadder.dyadic(2, 6)
-        records = ladder_hitting_times(system, x, f, ladder, cap=3_000, point_id=5)
+        records = ladder_hitting_times(system, x, f, ladder, cap=3_000)
         expect = reference_ladder_scan(system, x, f, list(ladder), 3_000, DEFAULT_SCAN_BLOCK)
         assert [rec.tau for rec in records] == expect
         assert [rec.radius for rec in records] == list(ladder)
-        assert {rec.point_id for rec in records} == {5}
+
+
+def fit(system, x, f, ladder, cap, window=None):
+    """estimate_R over the hitting times ladder_hitting_times gives one start."""
+    taus = [rec.tau for rec in ladder_hitting_times(system, x, f, ladder, cap)]
+    return estimate_R(ladder, taus, window)
 
 
 class TestEstimateR:
     def test_constant_hits_give_zero_slopes(self):
         # f(Tx) = 0: tau = 1 at every rung
         sys = CircleRotation.from_fraction("1/2")
-        est = estimate_R(sys, frac_point(0), DistToPoint((0.5,)),
-                         RadiusLadder.dyadic(3, 10), cap=50)
+        est = fit(sys, frac_point(0), DistToPoint((0.5,)), RadiusLadder.dyadic(3, 10), cap=50)
         assert est.r_upper == est.r_lower == est.exponent == 0.0
         assert est.censor_fraction == 0.0
 
@@ -277,37 +281,38 @@ class TestEstimateR:
         f = DistToPoint((0.375,))
         ladder = RadiusLadder.dyadic(3, 14)
         x = sys.sample_invariant(seed=2024, count=1)[0]
-        est = estimate_R(sys, x, f, ladder, cap=50 * (1 << 13))
+        est = fit(sys, x, f, ladder, cap=50 * (1 << 13))
         assert 0.8 <= est.r_lower <= est.r_upper <= 1.2
         assert est.censor_fraction == 0.0
 
     def test_all_censored(self):
         sys = Doubling()
         with pytest.raises(AllCensoredError):
-            estimate_R(sys, expansion_point(0x55), DistToPoint((0.0,)),
-                       RadiusLadder.dyadic(5, 10), cap=50)
+            fit(sys, expansion_point(0x55), DistToPoint((0.0,)), RadiusLadder.dyadic(5, 10),
+                cap=50)
 
     def test_censored_rungs_reported(self):
         sys = Doubling()
         # periodic orbit at distance 1/3: rungs above 1/3 hit, below censor
-        est = estimate_R(sys, expansion_point(0x55), DistToPoint((0.0,)),
-                         RadiusLadder((0.4, 0.34, 0.05, 0.04)), cap=100)
+        est = fit(sys, expansion_point(0x55), DistToPoint((0.0,)),
+                  RadiusLadder((0.4, 0.34, 0.05, 0.04)), cap=100)
         assert est.censor_fraction == pytest.approx(0.5)
 
     def test_out_of_order_taus_rejected(self):
         # a shorter time at a smaller rung breaks nesting: a scan bug, not data
         with pytest.raises(ValueError, match="non-decreasing"):
-            estimate_R(None, None, None, [0.1, 0.05, 0.01], cap=100, taus=[5, 3, 40])
+            estimate_R([0.1, 0.05, 0.01], [5, 3, 40])
 
-    def test_given_taus_fit_as_the_scan_does(self):
+    def test_censored_rung_passes_as_none(self):
         sys = Doubling()
         f = DistToPoint((0.375,))
         ladder = RadiusLadder((0.4, 0.2, 0.1, 0.05, 1e-4))
         x = sys.sample_invariant(seed=11, count=1)[0]
         taus = [rec.tau for rec in ladder_hitting_times(sys, x, f, ladder, cap=100)]
         assert None in taus  # a censored rung is passed as None
-        assert (estimate_R(None, None, f, ladder, cap=100, taus=taus)
-                == estimate_R(sys, x, f, ladder, cap=100))
+        est = estimate_R(ladder, taus)
+        assert est.censor_fraction == pytest.approx(taus.count(None) / len(taus))
+        assert len(est.pairs) == len(taus) - taus.count(None)
 
     def test_default_window_rule(self):
         assert default_window(12) == 11
@@ -324,7 +329,7 @@ class TestEstimateR:
         ladder = RadiusLadder.dyadic(3, 20, per_octave=2)
         ups = []
         for x in sys.sample_invariant(seed=4, count=20):
-            est = estimate_R(sys, x, f, ladder, cap=2_000_000, window=4)
+            est = fit(sys, x, f, ladder, cap=2_000_000, window=4)
             ups.append(est.r_upper)
         assert np.median(ups) >= 2.0
         assert min(ups) >= 2.0  # at this depth every start sees the jump

@@ -102,7 +102,7 @@ class TestObservedHitting:
         proj = CoordinateProjection((0,), 2)
         x = CAT.sample_invariant(seed=8, count=1)[0]
         rec = observed_hitting_time(CAT, x, (0.5,), proj, 1e-9, cap=50)
-        assert rec.censored and rec.cap == 50
+        assert rec.censored
 
 
 class TestPushforwardDimension:

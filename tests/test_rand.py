@@ -15,12 +15,7 @@ from ergolab.observables import DistToPoint
 from ergolab.points import FractionPoint, ReservoirPoint
 from ergolab.rand import master_rng, point_bytes, point_rng, point_words, subseed
 from ergolab.reservoir import FIRST_WORDS, BitReservoir, stream_window_floats
-from ergolab.returns import (
-    _disc_dyadic_points,
-    _interval_dyadic_points,
-    _interval_reservoir_points,
-    return_sample,
-)
+from ergolab.returns import return_sample, sample_conditioned
 from ergolab.systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
 
 U64 = st.integers(0, (1 << 64) - 1)
@@ -111,7 +106,7 @@ def reference_interval_points(center, r, bits, seed, count):
     return points
 
 
-def reference_disc_points(center, r, bits, seed, count):
+def reference_disc_points(center, r, bits, seed, count, guard=_EDGE_GUARD):
     scale = 1 << bits
     cx, cy = center
     points = []
@@ -120,7 +115,7 @@ def reference_disc_points(center, r, bits, seed, count):
     for i in range(count):
         rng = point_rng(stream, i)
         u, v = rng.random(2)
-        rho = (r - _EDGE_GUARD) * math.sqrt(u)
+        rho = (r - guard) * math.sqrt(u)
         theta = 2.0 * math.pi * v
         coords = []
         for c, off in ((cx, rho * math.cos(theta)), (cy, rho * math.sin(theta))):
@@ -166,16 +161,19 @@ class ReferenceReservoir:
 class TestSamplersMatchPerIndexStreams:
     @pytest.mark.parametrize("bits", BITS)
     def test_interval_points(self, bits):
-        got = _interval_dyadic_points(0.375, 0.01, bits, 8, 60)
+        got = sample_conditioned(CircleRotation.golden(bits), DistToPoint((0.375,)), 0.01, 8, 60)
         assert got == reference_interval_points(0.375, 0.01, bits, 8, 60)
 
     @pytest.mark.parametrize("bits", BITS)
     def test_disc_points(self, bits):
-        got = _disc_dyadic_points((0.3, 0.7), 0.05, bits, 9, 60)
+        got = sample_conditioned(ToralAutomorphism(CAT_MATRIX, precision_bits=bits),
+                                 DistToPoint((0.3, 0.7)), 0.05, 9, 60)
         if bits >= 53:
             assert got == reference_disc_points((0.3, 0.7), 0.05, bits, 9, 60)
-        else:  # the loop's 53-bit heads, cut to the B-bit lattice
-            heads = reference_disc_points((0.3, 0.7), 0.05, 53, 9, 60)
+        else:  # the loop's 53-bit heads, drawn within the guard grown by the
+            # truncation, then cut to the B-bit lattice
+            guard = _EDGE_GUARD + math.sqrt(2.0) * 2.0 ** -bits
+            heads = reference_disc_points((0.3, 0.7), 0.05, 53, 9, 60, guard)
             assert got == [FractionPoint(tuple(Fraction(math.floor(c * 2**bits), 2**bits)
                                                for c in p.coords)) for p in heads]
 
@@ -199,7 +197,7 @@ class TestSamplersMatchPerIndexStreams:
         assert got == want
 
     def test_interval_reservoir_points(self):
-        got = _interval_reservoir_points(0.375, 0.01, 5, 40)
+        got = sample_conditioned(Doubling(), DistToPoint((0.375,)), 0.01, 5, 40)
         prefixes = reference_reservoir_prefixes(0.375, 0.01, 5, 40)
         rows = stream_window_floats([(p.bits, 3) for p in got], 90)
         for i, (p, prefix) in enumerate(zip(got, prefixes)):

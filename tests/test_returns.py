@@ -80,6 +80,35 @@ class TestConditionedSampling:
                                max_attempts=300_000)
 
 
+EDGE_GUARD = 2.0 ** -50
+
+
+@pytest.mark.parametrize("bits", [20, 40, 53, 64, 512])
+def test_conditioned_starts_lie_in_their_target(bits):
+    # the disc's guard grows by its truncation to a lattice coarser than a
+    # float; an interval needs a lattice point inside its guard
+    disc = EDGE_GUARD + (math.sqrt(2.0) * 2.0 ** -bits if bits < 53 else 0.0)
+    cases = [
+        (ToralAutomorphism(CAT_MATRIX, precision_bits=bits), DistToPoint((0.3, 0.7)), disc),
+        (CircleRotation.golden(bits), DistToPoint((0.375,)), max(EDGE_GUARD, 2.0 ** -bits)),
+        (DOUBLING, DistToPoint((0.375,)), EDGE_GUARD),
+    ]
+    for system, f, bound in cases:
+        for r in (bound * (1 + 2.0 ** -20), bound * 1.5, bound * 4, 1e-3):
+            pts = sample_conditioned(system, f, r, seed=bits, count=200)
+            engine = f.values(system.orbit_batch(pts, 0, 1)[:, 0])
+            rounded = np.array([evaluate(f, p) for p in pts])
+            assert (engine <= r).all() and (rounded <= r).all(), (system, r)
+        with pytest.raises(ValueError, match="guard"):
+            sample_conditioned(system, f, EDGE_GUARD, seed=bits, count=1)
+    if bits < 53:
+        with pytest.raises(ValueError, match="guard"):
+            sample_conditioned(cases[0][0], cases[0][1], disc, seed=bits, count=1)
+        with pytest.raises(ValueError, match="lattice"):  # no lattice point within 2^-B / 4
+            sample_conditioned(cases[1][0], DistToPoint((0.375 + 2.0 ** -(bits + 1),)),
+                               2.0 ** -(bits + 2), seed=bits, count=1)
+
+
 def _full_chunk_rejection(system, f, r, seed, count, max_attempts):
     # the reference sampler: every stream drawn as one whole chunk
     accepted, attempts, stream = [], 0, 0
@@ -250,7 +279,7 @@ class TestTrivialityIndicator:
         sample = return_sample(GOLDEN, f, r, seed=13, count=2_000)
         curve = return_curve(sample, t_grid=(0.0, 0.5, 1.0))
         ind = triviality_indicator(sample, 0.5)
-        assert ind.estimate == curve.value_at(0.5)
+        assert ind.estimate == curve.g_values[1]  # t = 0.5
 
     def test_small_l_catches_everything(self):
         f = DistToPoint((0.375,))
