@@ -20,7 +20,6 @@ from .hitting import (
     bc_counter_series,
     bc_targets,
     estimate_R,
-    hitting_time,
     ladder_hitting_times,
 )
 from .mixing import (

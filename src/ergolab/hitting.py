@@ -18,6 +18,7 @@ from .errors import AllCensoredError, InvalidBetaError
 from .observables import _mc_hits, exact_measure, window_slopes
 
 DEFAULT_SCAN_BLOCK = 1 << 13
+SCAN_CHUNK = 1 << 10  # orbit rows a ladder scan steps each start by
 SCAN_BATCH_ROWS = 1 << 14  # orbit rows a first_hits step holds, whatever the start count
 WINDOW_FRACTION = 0.9
 
@@ -38,27 +39,26 @@ class HittingRecord:
         return self.tau is None
 
 
-def first_hits(system, points, f, radii, cap, block=DEFAULT_SCAN_BLOCK):
+def first_hits(system, points, f, radii, cap, chunk=SCAN_CHUNK):
     """First n in [1, cap] with f(T^n x) <= r for every start x and every rung
     r of a non-increasing ladder: (taus, censored), (starts, rungs) arrays;
     censored taus hold cap.
 
-    Unresolved starts step in lockstep by chunks of an eighth of a block (at
-    least 64 steps) inside the blocks of ``orbit_blocks(x, 1, cap + 1, block)``,
-    so each sees the floats of its own scan, and retire once their deepest
-    rung is hit.  As the sublevels nest, the rungs hit are a prefix, and a
-    first passage below the next rung hits every rung down to its value.
+    Unresolved starts step in lockstep by ``chunk`` rows, the steps of
+    ``orbit_blocks(x, 1, cap + 1, chunk)``, so each sees the floats of its
+    own scan, and retire once their deepest rung is hit.  As the sublevels
+    nest, the rungs hit are a prefix, and a first passage below the next
+    rung hits every rung down to its value.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     radii = np.fromiter(radii, dtype=float)
     taus = np.zeros((len(points), radii.size), dtype=np.int64)  # set at each passage's top rung
     reached = np.zeros(len(points), dtype=np.intp)  # rungs hit so far
-    chunk = min(block, max(64, block // 8))
     group = max(1, SCAN_BATCH_ROWS // chunk)
     for lo in range(0, len(points) if radii.size else 0, group):  # no rung: no scan
         active = np.arange(lo, min(lo + group, len(points)))
-        for n, coords, live in system._blocks(points[lo:lo + group], 1, cap + 1, block, chunk):
+        for n, coords, live in system._blocks(points[lo:lo + group], 1, cap + 1, chunk):
             size = coords.shape[1]
             vals = f.values(coords.reshape(active.size * size, -1)).reshape(-1, size)
             todo = np.arange(active.size)  # rows that may pass their next rung here
@@ -84,11 +84,6 @@ def ladder_hitting_times(system, x, f, ladder, cap):
     radii = list(ladder)
     taus, censored = first_hits(system, [x], f, radii, cap)
     return [HittingRecord(r, t) for r, t in zip(radii, np.where(censored, None, taus)[0].tolist())]
-
-
-def hitting_time(system, x, f, r, cap):
-    """First n in [1, cap] with f(T^n x) <= r, else a censored record."""
-    return ladder_hitting_times(system, x, f, [float(r)], cap)[0]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSeriesError
 from .flow import approach_series, log_grid
 from .grammar import Rule, parse_numbers, parse_spec
-from .hitting import bc_counter_series, bc_targets, estimate_R, first_hits, hitting_time
+from .hitting import bc_counter_series, bc_targets, estimate_R, first_hits, ladder_hitting_times
 from .mixing import (
     cosine_wave,
     constant_function,
@@ -80,6 +80,9 @@ MAX_POINTS = 10_000
 MAX_RETURN_SAMPLES = 100_000
 # flow-analogue steps per point [10^6]: 13 s a cat point, in flat memory
 MAX_N_MAX = 100_000_000
+# scan caps, explicit or derived [10^7]: a censored start takes cap steps,
+# and a derived cap reached 10^25 at small radii
+MAX_CAP = 100_000_000
 
 REQUIRED = object()
 
@@ -130,6 +133,7 @@ def integer(low, high=None):
 count = integer(1)
 sample_count = integer(1, MAX_SAMPLES)
 point_count = integer(1, MAX_POINTS)
+scan_cap = integer(1, MAX_CAP)
 
 
 def finite(value):
@@ -235,14 +239,21 @@ SHARED = {
 # helpers
 
 
+def _derived_cap(config, hits, mu):
+    """ceil(hits / mu), the cap at which a start expects ``hits`` entries into
+    a target of measure mu; ConfigError above MAX_CAP, or when mu vanished."""
+    if mu <= 0 or hits / mu > MAX_CAP:
+        raise ConfigError(f"{config.kind}.cap", f"the derived cap, {hits:g} / the target measure "
+                          f"{mu:.3g}, exceeds {MAX_CAP}; use a larger radius or set cap")
+    return math.ceil(hits / mu)
+
+
 def _cap_for(config, system, f, smallest_r):
     """The explicit cap, else one giving 50 expected hits at the smallest radius."""
     if config.params.cap is not None:
         return config.params.cap
     est = estimate_measure(f, smallest_r, system, subseed(config.seed, "cap"), 200_000)
-    if est.estimate <= 0:
-        raise ConfigError(f"{config.kind}.cap", "target measure vanished; set cap explicitly")
-    return int(math.ceil(50.0 / est.estimate))
+    return _derived_cap(config, 50.0, est.estimate)
 
 
 def _quartiles(values):
@@ -480,7 +491,9 @@ def _run_return_stats(config, workers):
     t_grid = tuple(round(k * p.grid_step, 10) for k in range(steps + 1))
 
     measure_est = estimate_measure(f, r, system, subseed(config.seed, "measure"), 200_000)
-    sample = return_sample(system, f, r, config.seed, p.samples, cap=p.cap,
+    # 100 mean returns, as return_sample's default
+    cap = p.cap or _derived_cap(config, 100.0, measure_est.estimate)
+    sample = return_sample(system, f, r, config.seed, p.samples, cap=cap,
                            measure=measure_est.estimate)
     curve = return_curve(sample, t_grid)
     kac_product, kac_stderr = kac_statistic(sample)
@@ -564,10 +577,10 @@ def _run_observed_equality(config, workers):
     n_equal = 0
     for i, x in enumerate(points):
         base = system.sample_invariant(subseed(config.seed, f"base{i}"), 1)[0]
-        y0 = image_map.apply(base.float_coords().reshape(1, -1))[0]
+        y0 = tuple(image_map.apply(base.float_coords().reshape(1, -1))[0])
         r = float(2.0 ** -rng.integers(2, 8))
-        obs = observed_hitting_time(system, x, tuple(y0), image_map, r, cap)
-        plain = hitting_time(system, x, PushforwardDist(image_map, tuple(y0)), r, cap)
+        obs = observed_hitting_time(system, x, y0, image_map, r, cap)
+        plain = ladder_hitting_times(system, x, PushforwardDist(image_map, y0), [r], cap)[0]
         equal = (obs.tau == plain.tau)
         n_equal += equal
         rows.append([i, r, obs.tau if obs.tau else "", plain.tau if plain.tau else "",
@@ -651,7 +664,7 @@ KINDS = {
         shared=("observable", "ladder"),
     ),
     "hitting": Kind(
-        {"points": Field(point_count), "cap": Field(count, None), "window": Field(count, None)},
+        {"points": Field(point_count), "cap": Field(scan_cap, None), "window": Field(count, None)},
         _run_hitting,
         "R_up={R_upper[median]:.3f} R_low={R_lower[median]:.3f} "
         "d_up={d_upper:.3f} d_low={d_lower:.3f}".format_map,
@@ -697,7 +710,7 @@ KINDS = {
         {
             "radius": Field(positive),
             "samples": Field(integer(1, MAX_RETURN_SAMPLES)),
-            "cap": Field(count, None),
+            "cap": Field(scan_cap, None),
             "l_values": Field(parse_numbers, "20"),
             "grid_max": Field(positive, "5.0"),
             "grid_step": Field(positive, "0.1"),
@@ -714,7 +727,7 @@ KINDS = {
             "map": Field(parse_observation_map, dim=True),
             "points": Field(point_count),
             # None: derived (hitting-exponent) or 4000 (equality)
-            "cap": Field(count, None),
+            "cap": Field(scan_cap, None),
             "image_point": Field(parse_numbers, None),
             "samples_per_rung": Field(sample_count, "50000"),
             # None: ceil(0.9 x usable rungs) (hitting-exponent) or 4 (rank-dimension)

@@ -11,14 +11,16 @@ fitted envelope, inflated by its residual, stands in for the unknowable true
 decay function when bounding intersection measures.
 
 A correlation holds one float column per lag and never a whole exact
-sample.  On the doubling reservoir the estimate draws its byte rows once,
-in the parent, and maps its lags over the workers (``parallel.pmap``).  On
-the orbit engines (cat, rotations, Manneville-Pomeau) it maps groups of
-sample points over the workers, each group drawing and stepping its own
-points.  Either way every sum runs over the whole sample in one order, and
-each covariance is computed in its lag's column, so the bytes are the same
-at any worker count.  The joint preimage counts of the intersection check
-step their groups in process.
+sample.  ``_lagged_values`` gives the columns: on the doubling reservoir it
+draws byte rows once, in the parent, and reads a column from them when asked
+for; on the orbit engines (cat, rotations, Manneville-Pomeau) it maps groups
+of sample points over the workers (``parallel.pmap``), each group drawing and
+stepping its own points, and joins a column's group rows when asked for.  On
+every engine the estimate then maps its lags over the workers, one
+covariance per lag, computed in its lag's column.  Every sum runs over the
+whole sample in one order, so the bytes are the same at any worker count.
+The joint preimage counts of the intersection check step their groups in
+process.
 """
 
 import math
@@ -154,33 +156,30 @@ def _reservoir_rows(byte_seed, n_samples, max_lag):
     return rows
 
 
-def _reservoir_column(rows, fn, lag):
-    """fn at time ``lag`` along the orbits of the reservoir points ``rows``."""
-    column = np.empty(len(rows))
-    for lo in range(0, len(rows), _CHUNK):
-        column[lo:lo + _CHUNK] = fn.values(
-            bulk_window_floats(rows[lo:lo + _CHUNK], lag).reshape(-1, 1))
-    return column
-
-
 def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples, workers=1):
-    """fns[i] at time lags[i] along the orbits of ``n_samples`` invariant
-    sample points: yields one whole column per lag, in order.
+    """A column source over ``n_samples`` invariant sample points: column(i)
+    is the whole column of fns[i] at time lags[i] along their orbits.
 
     Doubling reservoir points are raw byte rows drawn from ``byte_seed``,
     and each column is read from them when asked for.  Other systems step
     groups of ``_CHUNK // (max_lag + 1)`` points of the ``point_seed``
     sample together (``orbit_batch``), one ``pmap`` task per group, and each
-    task returns only its rows of the columns, which are joined column by
-    column.  An exact engine's task draws its own points
+    task returns only its rows of the columns, which a column joins when
+    asked for.  An exact engine's task draws its own points
     (``sample_invariant``'s index range); Manneville-Pomeau's sample is one
     orbit, drawn here as floats, which the tasks read through the fork.
     """
     if isinstance(system, Doubling):
         rows = _reservoir_rows(byte_seed, n_samples, max(lags))
-        for fn, lag in zip(fns, lags):
-            yield _reservoir_column(rows, fn, lag)
-        return
+
+        def column(i):
+            out = np.empty(n_samples)
+            for lo in range(0, n_samples, _CHUNK):
+                out[lo:lo + _CHUNK] = fns[i].values(
+                    bulk_window_floats(rows[lo:lo + _CHUNK], lags[i]).reshape(-1, 1))
+            return out
+
+        return column
     max_lag = max(lags)
     group = max(1, _CHUNK // (max_lag + 1))
     if isinstance(system, MannevillePomeau):
@@ -194,8 +193,7 @@ def _lagged_values(system, fns, lags, byte_seed, point_seed, n_samples, workers=
         return [fn.values(vals[:, lag]) for fn, lag in zip(fns, lags)]
 
     parts = pmap(group_rows, range(0, n_samples, group), workers)
-    for _ in fns:  # each column's group rows go as it is joined
-        yield np.concatenate([part.pop(0) for part in parts])
+    return lambda i: np.concatenate([part[i] for part in parts])
 
 
 def _covariance(phi, psi_c):
@@ -233,29 +231,20 @@ def estimate_correlation(system, phi, psi, lags, seed, n_samples, workers=1):
     """Monte Carlo |Cov(phi o T^n, psi)| for each lag n, with 95 % half-widths.
 
     ``lags`` must be integers >= 0, strictly increasing (ValueError before
-    any draw otherwise).  On the doubling reservoir ``pmap`` maps the lags
-    themselves over the workers; every lag reads the one sample and the
-    centered psi, which reach the workers through the fork.  Orbit engines
-    map groups of sample points over the workers (``_lagged_values``).  Each
+    any draw otherwise).  On every engine ``pmap`` maps one covariance per
+    lag over the workers; each reads its lag's column (``_lagged_values``)
+    and the centered psi, which reach the workers through the fork.  Each
     sum runs over the same arrays in the same order, so the bytes do not
     depend on ``workers``.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     lags = _checked_lags(lags)
-    byte_seed = subseed(seed, "corr-bytes")
-    if isinstance(system, Doubling):
-        rows = _reservoir_rows(byte_seed, n_samples, max(lags))
-        psi_c = _reservoir_column(rows, psi, 0)
-        psi_c -= psi_c.mean()
-        pairs = pmap(lambda lag: _covariance(_reservoir_column(rows, phi, lag), psi_c), lags,
-                     workers)
-    else:
-        lagged = _lagged_values(system, (psi,) + (phi,) * len(lags), (0, *lags), byte_seed,
-                                seed, n_samples, workers)
-        psi_c = next(lagged)
-        psi_c -= psi_c.mean()
-        pairs = [_covariance(column, psi_c) for column in lagged]
+    column = _lagged_values(system, (psi,) + (phi,) * len(lags), (0, *lags),
+                            subseed(seed, "corr-bytes"), seed, n_samples, workers)
+    psi_c = column(0)
+    psi_c -= psi_c.mean()
+    pairs = pmap(lambda i: _covariance(column(i), psi_c), range(1, len(lags) + 1), workers)
     return CorrelationSeries(
         lags=lags,
         values=tuple(v for v, _ in pairs),
@@ -356,7 +345,8 @@ def intersection_bound_check(system, f, ladder, k, j, seed, n_samples, decay):
 
 
 def _joint_preimage_measure(system, f, r_k, r_j, k, j, seed, n_samples):
-    at_k, at_j = _lagged_values(system, (f, f), (k, j), subseed(seed, "joint-bytes"),
-                                subseed(seed, "joint"), n_samples)
+    column = _lagged_values(system, (f, f), (k, j), subseed(seed, "joint-bytes"),
+                            subseed(seed, "joint"), n_samples)
+    at_k, at_j = column(0), column(1)
     hits = int(np.count_nonzero((at_k <= r_k) & (at_j <= r_j)))
     return MeasureEstimate.from_hits(hits, n_samples)

@@ -24,6 +24,9 @@ from .points import torus_distances
 # largest |k| of the cos:<k> and wave:<k> Fourier modes: k x then keeps at
 # least 33 of a coordinate's 53 bits below the period
 MAX_FREQUENCY = 1 << 20
+# deepest chain of slack: rules a spec may nest: a chain is one slack with the
+# margins summed, and 400 rules exhaust the parser's recursion
+MAX_SLACK_DEPTH = 32
 
 
 Z_95 = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)  # the normal quantile of every 95 % interval
@@ -186,6 +189,8 @@ def _projdist(text, dim):
 
 
 def _slack(text, dim):
+    if text.count("slack:") >= MAX_SLACK_DEPTH:
+        raise ValueError(f"slack chains deeper than {MAX_SLACK_DEPTH} rules; sum the margins")
     margin, _, inner = text.partition(":")
     (margin,) = parse_numbers(margin)
     return Slack(parse_observable(inner, dim), margin)

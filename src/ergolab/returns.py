@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectionStallError
-from .hitting import DEFAULT_SCAN_BLOCK, first_hits
+from .hitting import SCAN_CHUNK, first_hits
 from .observables import DistToPoint, MeasureEstimate, estimate_measure
 from .points import FractionPoint, ReservoirPoint
 from .rand import master_rng, point_bytes, subseed
@@ -162,19 +162,20 @@ def _rejection_sample(system, f, r, seed, count, max_attempts):
     return accepted
 
 
-def _scan_block(mean_return):
-    """Orbit block size ~4 mean returns: one block usually settles a point."""
-    return int(min(max(64, 4 * mean_return), 1 << 14))
+def _scan_chunk(mean_return):
+    """Rows a return scan steps each start by: half a mean return, in 64..2048."""
+    return max(64, int(min(4 * mean_return, 1 << 14)) // 8)
 
 
-def conditioned_return_times(system, f, r, seed, count, cap, block=DEFAULT_SCAN_BLOCK):
-    """First-return times of conditioned starts; censored entries hold cap.
+def conditioned_return_times(system, f, r, seed, count, cap, chunk=SCAN_CHUNK):
+    """First-return times of conditioned starts, stepped ``chunk`` rows at a
+    time; censored entries hold cap.
 
     Returns (taus, censored): int64 array and boolean mask, index-aligned
     with sample_conditioned(system, f, r, seed, count).
     """
     points = sample_conditioned(system, f, r, seed, count)
-    taus, censored = first_hits(system, points, f, [float(r)], cap, block)
+    taus, censored = first_hits(system, points, f, [float(r)], cap, chunk)
     return taus[:, 0], censored[:, 0]
 
 
@@ -207,7 +208,7 @@ def return_sample(system, f, r, seed, count, cap=None, measure=None):
         raise ValueError("target has vanishing measure estimate")
     cap = cap or default_cap(mu)
     taus, censored = conditioned_return_times(system, f, r, seed, count, cap,
-                                              block=_scan_block(1.0 / mu))
+                                              chunk=_scan_chunk(1.0 / mu))
     return ReturnSample(radius=float(r), measure=float(mu), cap=int(cap),
                         taus=taus, censored=censored)
 

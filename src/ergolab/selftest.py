@@ -16,7 +16,7 @@ from .observables import (
     exact_measure,
     mollifier,
 )
-from .hitting import first_hits, hitting_time, power_law_radii
+from .hitting import first_hits, ladder_hitting_times, power_law_radii
 from .observed import Constant, CoordinateProjection, LinearMap, jacobian_rank
 from .points import FloatPoint, FractionPoint, ReservoirPoint, torus_distance
 from .reservoir import BitReservoir
@@ -42,13 +42,13 @@ def _cat_blocks_are_truncated(cat):
 
 def _batched_scan_is_plain_orbit(rotation):
     """first_hits over 40 starts and three rungs against each orbit_values.
-    Block 140 is neither a multiple of the 64-step chunk nor a divisor of cap
-    300; taus fall in every chunk of two blocks, most starts pass two rungs at
-    once, one deepest rung is censored.  Past step 140 the two block layouts'
-    rotation floats differ in the last bits, far from every radius."""
+    The 64-row chunk does not divide cap 300, so the last chunk is short;
+    taus fall in every chunk, most starts pass two rungs at once, one deepest
+    rung is censored.  Past step 64 the rotation floats of a chunked scan and
+    of one 300-row step differ in the last bits, far from every radius."""
     f, radii = DistToPoint((0.375,)), [0.03, 0.008, 0.002]
     points = rotation.sample_invariant(0, 40)
-    taus, censored = first_hits(rotation, points, f, radii, 300, block=140)
+    taus, censored = first_hits(rotation, points, f, radii, 300, chunk=64)
     hits = [[(f.values(rotation.orbit_values(p, 1, 301)) <= r).nonzero()[0] for r in radii]
             for p in points]
     return (taus.tolist() == [[int(h[0]) + 1 if h.size else 300 for h in row] for row in hits]
@@ -98,12 +98,11 @@ def _checks():
         abs(mollifier(DistToPoint((0.0,)), 0.2, 0.1, FloatPoint((0.15,))) - 0.5) < 1e-12
     )
     yield "hitting 1/5 -> tau = 2 at r = 0.25", lambda: (
-        hitting_time(doubling, one_fifth, DistToPoint((0.0,)),
-                     0.25, cap=100).tau == 2
+        ladder_hitting_times(doubling, one_fifth, DistToPoint((0.0,)), [0.25], 100)[0].tau == 2
     )
     yield "rotation hitting 0 -> 1/2 in two steps", lambda: (
-        hitting_time(quarter, FractionPoint((0,)), DistToPoint((0.5,)),
-                     0.1, cap=100).tau == 2
+        ladder_hitting_times(quarter, FractionPoint((0,)), DistToPoint((0.5,)), [0.1],
+                             100)[0].tau == 2
     )
     yield "batched ladder scan equals the plain orbit on the golden rotation", lambda: (
         _batched_scan_is_plain_orbit(CircleRotation.golden())

@@ -22,23 +22,24 @@ Engines
 Bulk orbit evaluation (`orbit_blocks`) yields float coordinate arrays for
 the estimators; the underlying state stays exact for the exact engines.
 An engine defines three things: ``_block_start(p, start)``, its state at
-``start``; ``_batch_step(states, size, into)``, the next ``size`` rows of
-many states at once; and ``_point``, the point a state stands for.
-``_SystemBase._blocks`` is the one block loop over them, behind
-``orbit_blocks``, ``orbit_values``, ``orbit_batch`` and
-``hitting.first_hits``, which retires starts mid-block through the loop's
-live mask; ``orbit_window(p, n)`` is ``_point(*_block_start(p, n))``.
+``start``; ``_batch_step(states, size)``, the next ``size`` rows of many
+states at once, computed from the states alone; and ``_point``, the point a
+state stands for.  ``_SystemBase._blocks`` is the one step loop over them,
+behind ``orbit_blocks``, ``orbit_values``, ``orbit_batch`` and
+``hitting.first_hits``, which retires starts between steps through the
+loop's live mask; ``orbit_window(p, n)`` is ``_point(*_block_start(p, n))``.
 A scan's state is a plain tuple, no point object, and ``_point(*state)``
 builds its point: an automorphism's or rotation's integer numerators over one
 denominator (2^B for sampled starts), ``(nums, den)``; the doubling map's
 ``(reservoir, offset)``; Manneville-Pomeau's ``(x,)``.  Floats, per engine:
 the reservoir's 64-bit window rounded to nearest (the top 2^10 read
 1 - 2^-53); 2-d automorphisms on a dyadic lattice of at least 53 bits
-truncate to 53 bits, other automorphisms round to nearest; rotations round
-each block's exact anchor to nearest and add float offsets j alpha, within
-1e-11 of exact (1.4e-12 over a 16 384-row golden block); Manneville-Pomeau
-is its own double-precision orbit.  Every error is far below the estimators'
-radii.
+truncate to 53 bits, other automorphisms round to nearest; a rotation step
+rounds its state to nearest and adds float offsets j alpha, so its floats
+depend on where steps start (at most 1.5e-13 from exact over a 1024-row
+golden step, 2.5e-12 over a 16 384-row one, measured over 8 starts);
+Manneville-Pomeau is its own double-precision orbit.  Every error is far
+below the estimators' radii.
 """
 
 from array import array
@@ -93,22 +94,19 @@ class _SystemBase:
         for n, coords, _ in self._blocks([p], start, stop, block):
             yield n, coords[0]
 
-    def _blocks(self, points, start, stop, block, chunk=None):
+    def _blocks(self, points, start, stop, rows):
         """Yield (n0, coords, live), coords[k, i] the float coords of
-        T^(n0+i) of the k-th live point: the one block loop over
-        ``_block_start`` and ``_batch_step(states, size, into)``, ``into``
-        steps into a block of ``block`` steps counted from ``start``.  A
-        chunk is a whole block, or at most ``chunk`` steps of one.  ``live``
-        is a fresh all-True mask: clearing an entry retires that point
-        before the next chunk, and the loop ends once none is left."""
+        T^(n0+i) of the k-th live point, ``rows`` steps at a time (fewer at
+        ``stop``): the one loop over ``_block_start`` and
+        ``_batch_step(states, size)``.  ``live`` is a fresh all-True mask:
+        clearing an entry retires that point before the next step, and the
+        loop ends once none is left."""
         if start < 0:
             raise ValueError("step index must be non-negative")
         states = [self._block_start(p, start) for p in points]
         n = start
         while states and n < stop:
-            into = (n - start) % block
-            coords, states = self._batch_step(
-                states, min(chunk or block, block - into, stop - n), into)
+            coords, states = self._batch_step(states, min(rows, stop - n))
             live = np.ones(len(states), dtype=bool)
             yield n, coords, live
             states = list(compress(states, live))
@@ -145,7 +143,7 @@ class Doubling(_SystemBase):
     def _block_start(self, p, start):
         return p.bits, p.offset + start
 
-    def _batch_step(self, states, size, into):
+    def _batch_step(self, states, size):
         vals = stream_window_floats(states, size)
         return vals[..., None], [(bits, offset + size) for bits, offset in states]
 
@@ -217,7 +215,7 @@ class ToralAutomorphism(_SystemBase):
     def _block_start(self, p, start):
         return self._jump(p.nums, p.den, start), p.den
 
-    def _batch_step(self, states, size, into):
+    def _batch_step(self, states, size):
         # 2x2 on a dyadic lattice of >= 53 bits: each coordinate's top 53
         # bits, the starts on one lattice in one kernel pass; else each
         # coordinate rounded to nearest, row by row
@@ -419,18 +417,15 @@ class CircleRotation(_SystemBase):
         return ((p.nums[0] * (den // p.den)
                  + start * self.alpha_numerator * (den >> self.precision_bits)) % den,), den
 
-    def _batch_step(self, states, size, into):
-        # Per block: exact rational anchor, then float offsets j * alpha; a
-        # step ``into`` a block recovers the block's anchor from its state.
-        # Within-block error <= block * 2^-53 ~ 7e-12, far below any radius.
-        alpha = self.alpha_numerator / (1 << self.precision_bits)  # = step / den, rounded
-        anchors, after = [], []
-        for (num,), den in states:
-            step = self.alpha_numerator * (den >> self.precision_bits)  # alpha = step / den
-            anchors.append((num - into * step) % den / den)
-            after.append((((num + size * step) % den,), den))
-        vals = (np.array(anchors)[:, None] + np.arange(into, into + size) * alpha) % 1.0
-        return vals[..., None], after
+    def _batch_step(self, states, size):
+        # each state's float, rounded to nearest, then float offsets j alpha;
+        # the states themselves step exactly
+        bits = self.precision_bits
+        alpha = self.alpha_numerator / (1 << bits)
+        vals = np.array([num / den for (num,), den in states])[:, None] + np.arange(size) * alpha
+        after = [(((num + size * self.alpha_numerator * (den >> bits)) % den,), den)
+                 for (num,), den in states]
+        return (vals % 1.0)[..., None], after
 
     def sample_invariant(self, seed, count, first=0):
         """Points first..first+count-1 of the draw under ``seed``."""
@@ -477,7 +472,7 @@ class MannevillePomeau(_SystemBase):
     def _block_start(self, p, start):
         return (self._orbit(p.coords[0], 1, start)[1],)
 
-    def _batch_step(self, states, size, into):
+    def _batch_step(self, states, size):
         coords, after = np.empty((len(states), size, 1)), []
         for i, (x,) in enumerate(states):
             coords[i, :, 0], x = self._orbit(x, size, 1)

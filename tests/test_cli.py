@@ -360,6 +360,23 @@ BAD_FIELDS = {
                                 "flow-analogue.points"),
     "flow-n-max-above-bound": (FLOW_CONFIG.replace("n_max = 100", f"n_max = {TYPO}"),
                                "flow-analogue.n_max"),
+    # scan caps, explicit or derived: a tau is an int64, and a cap of 10^25
+    # scans without end
+    "hitting-cap-above-bound": (HITTING_CONFIG + f"cap = {10 ** 20}\n", "hitting.cap"),
+    "return-cap-above-bound": (RETURN_OK + f"cap = {10 ** 20}\n", "return-stats.cap"),
+    "observed-cap-above-bound": (
+        OBSERVED_CONFIG.replace("points = 2", f"points = 2\ncap = {10 ** 20}"), "observed.cap"),
+    "hitting-derived-cap-above-bound": (HITTING_CONFIG.replace("stop_exp = 10", "stop_exp = 40"),
+                                        "hitting.cap"),
+    "return-derived-cap-above-bound": (
+        RETURN_OK.replace("system = doubling", "system = cat")
+        .replace("dist:0.375", "dist:0.3,0.7").replace("radius = 0.05", "radius = 1e-13"),
+        "return-stats.cap"),
+    # a chain of slacks deep enough to exhaust the parser's recursion
+    "slack-chain": (CONFIG.replace("dist:0.25,0.75", "slack:0:" * 400 + "dist:0.25,0.75"),
+                    "observable.rule"),
+    "obs-slack-chain": (CORRELATION_CONFIG.replace("cos:1", "obs:" + "slack:0:" * 400 + "dist:0.5"),
+                        "correlation.phi"),
 }
 
 

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from ergolab.errors import AllCensoredError, InvalidBetaError
 from ergolab.hitting import (
-    DEFAULT_SCAN_BLOCK,
-    BCCounter,
     SCAN_BATCH_ROWS,
+    SCAN_CHUNK,
+    BCCounter,
     HittingRecord,
     bc_counter_series,
     bc_targets,
     default_window,
     estimate_R,
     first_hits,
-    hitting_time,
     ladder_hitting_times,
     power_law_radii,
 )
@@ -69,24 +68,24 @@ class TestHittingTime:
     def test_doubling_exact_fraction_orbit(self):
         # oracle: 1/5 -> 2/5 -> 4/5; dist(2/5, 0) = 0.4, dist(4/5, 0) = 0.2
         sys = Doubling()
-        rec = hitting_time(sys, expansion_point(0x33), DistToPoint((0.0,)), 0.25, cap=100)
+        rec = ladder_hitting_times(sys, expansion_point(0x33), DistToPoint((0.0,)), [0.25], 100)[0]
         assert rec.tau == 2 and not rec.censored
 
     def test_periodic_orbit_censors(self):
         sys = Doubling()
-        rec = hitting_time(sys, expansion_point(0x55), DistToPoint((0.0,)), 0.05, cap=100)
+        rec = ladder_hitting_times(sys, expansion_point(0x55), DistToPoint((0.0,)), [0.05], 100)[0]
         assert rec.censored and rec.tau is None
 
     def test_rotation_quarter(self):
         # oracle: 0 -> 1/4 -> 1/2
         sys = CircleRotation.from_fraction("1/4")
-        rec = hitting_time(sys, frac_point(0), DistToPoint((0.5,)), 0.1, cap=100)
+        rec = ladder_hitting_times(sys, frac_point(0), DistToPoint((0.5,)), [0.1], cap=100)[0]
         assert rec.tau == 2
 
     def test_time_zero_never_counts(self):
         # start already inside the target; tau still counts from n = 1
         sys = CircleRotation.from_fraction("1/4")
-        rec = hitting_time(sys, frac_point("1/2"), DistToPoint((0.5,)), 0.1, cap=100)
+        rec = ladder_hitting_times(sys, frac_point("1/2"), DistToPoint((0.5,)), [0.1], cap=100)[0]
         assert rec.tau == 4
 
     def test_record_validation(self):
@@ -103,7 +102,7 @@ class TestLadderScan:
             x = sys.sample_invariant(seed=42, count=4)[idx]
             recs = ladder_hitting_times(sys, x, f, ladder, cap=200_000)
             for rec in recs:
-                single = hitting_time(sys, x, f, rec.radius, cap=200_000)
+                single = ladder_hitting_times(sys, x, f, [rec.radius], cap=200_000)[0]
                 assert single.tau == rec.tau
 
     def test_nesting_monotonicity(self):
@@ -148,14 +147,14 @@ def _scan_starts(case, seed, offsets):
     return system.sample_invariant(seed, len(offsets))  # FloatPoints on mp
 
 
-def reference_ladder_scan(system, x, f, radii, cap, block):
+def reference_ladder_scan(system, x, f, radii, cap, chunk):
     """First passages of one start below a non-increasing ladder, block by
-    block over ``orbit_blocks(x, 1, cap + 1, block)``: at each first dip below
+    block over ``orbit_blocks(x, 1, cap + 1, chunk)``: at each first dip below
     the deepest rung not yet hit, every rung down to the dip's value takes its
     time.  None marks a censored rung."""
     taus = [None] * len(radii)
     next_rung = 0
-    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=block):
+    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=chunk):
         vals = f.values(coords)
         while next_rung < len(radii):
             hits = np.flatnonzero(vals <= radii[next_rung])
@@ -179,18 +178,18 @@ class TestFirstHits:
            offsets=st.lists(st.integers(0, 100), min_size=1, max_size=6),
            radii=st.lists(st.sampled_from([0.3, 0.2, 0.05, 0.02, 0.01, 0.003]),
                           min_size=1, max_size=6),
-           cap=st.integers(1, 2_000), block=st.integers(1, 1_200),
+           cap=st.integers(1, 2_000), chunk=st.integers(1, 1_200),
            batch_rows=st.sampled_from([1, 200, 2_000, SCAN_BATCH_ROWS]))
-    def test_equals_per_start_scans(self, case, seed, offsets, radii, cap, block, batch_rows):
+    def test_equals_per_start_scans(self, case, seed, offsets, radii, cap, chunk, batch_rows):
         # repeated radii are equal neighbours; small batches make several groups
         system, f = SCAN_CASES[case]
         points = _scan_starts(case, seed, offsets)
         radii = sorted(radii, reverse=True)
         with mock.patch("ergolab.hitting.SCAN_BATCH_ROWS", batch_rows):
-            taus, censored = first_hits(system, points, f, radii, cap, block)
+            taus, censored = first_hits(system, points, f, radii, cap, chunk)
         assert taus.shape == censored.shape == (len(points), len(radii))
         for p, row, cuts in zip(points, taus.tolist(), censored.tolist()):
-            expect = reference_ladder_scan(system, p, f, radii, cap, block)
+            expect = reference_ladder_scan(system, p, f, radii, cap, chunk)
             assert row == [cap if t is None else t for t in expect]
             assert cuts == [t is None for t in expect]
 
@@ -200,7 +199,7 @@ class TestFirstHits:
         system, f = SCAN_CASES["golden"]
         points = system.sample_invariant(3, 50)
         radii = [0.05, 0.01, 0.002]
-        taus, censored = first_hits(system, points, f, radii, cap=300, block=70)
+        taus, censored = first_hits(system, points, f, radii, cap=300, chunk=70)
         for p, row, cuts in zip(points, taus.tolist(), censored.tolist()):
             expect = reference_ladder_scan(system, p, f, radii, 300, 70)
             assert (row, cuts) == ([300 if t is None else t for t in expect],
@@ -209,20 +208,20 @@ class TestFirstHits:
         assert (np.diff(taus, axis=1) >= 0).all()
 
     @pytest.mark.parametrize("case", ["golden", "liouville"])
-    def test_orbit_minimum_is_hit_where_the_blocks_put_it(self, case):
+    def test_orbit_minimum_is_hit_where_the_steps_put_it(self, case):
         # a radius equal to a start's smallest orbit value is hit only where
         # the scan sees that float bit for bit: the rotation's floats depend
-        # on where blocks start, and chunks must continue their block
+        # on where steps start, and the scan steps as orbit_blocks does
         system, f = SCAN_CASES[case]
         for p in system.sample_invariant(5, 30):
-            vals = np.concatenate([f.values(c) for _, c in system.orbit_blocks(p, 1, 601, 300)])
-            taus, censored = first_hits(system, [p], f, [vals.min()], 600, block=300)
+            vals = np.concatenate([f.values(c) for _, c in system.orbit_blocks(p, 1, 601, 70)])
+            taus, censored = first_hits(system, [p], f, [vals.min()], 600, chunk=70)
             assert (taus[0, 0], censored[0, 0]) == (vals.argmin() + 1, False)
 
     def test_small_caps_censor(self):
         system, f = SCAN_CASES["golden"]
         points = system.sample_invariant(3, 50)
-        taus, censored = first_hits(system, points, f, [0.01], cap=7, block=3)
+        taus, censored = first_hits(system, points, f, [0.01], cap=7, chunk=3)
         assert censored.any() and not censored.all()
         assert (taus[censored] == 7).all() and (taus[~censored] <= 7).all()
 
@@ -232,23 +231,20 @@ class TestFirstHits:
         ("cat", [0.1, 0.03]), ("mp", [0.05, 0.0012])])
     def test_retired_starts_are_not_stepped(self, monkeypatch, case, radii, batch_rows):
         # a start is stepped to the end of the chunk its deepest rung is hit
-        # in, or to the cap; at block 100 the 64-step chunks end at steps
-        # 64, 100, 164, 200, ...
+        # in, or to the cap; the 50-step chunks end at steps 50, 100, ...
         system, f = SCAN_CASES[case]
-        cap, block, chunk = 700, 100, 64
+        cap, chunk = 700, 50
         rows, step = [], type(system)._batch_step
 
-        def counting(self, states, size, into):
+        def counting(self, states, size):
             rows.append(len(states) * size)
-            return step(self, states, size, into)
+            return step(self, states, size)
 
         monkeypatch.setattr(type(system), "_batch_step", counting)
         monkeypatch.setattr("ergolab.hitting.SCAN_BATCH_ROWS", batch_rows)
-        taus, censored = first_hits(system, system.sample_invariant(11, 12), f, radii, cap, block)
-        ends = []
-        for last in taus[:, -1].tolist():  # the cap when censored
-            blocks, into = divmod(last - 1, block)
-            ends.append(min(blocks * block + (chunk if into < chunk else block), cap))
+        taus, censored = first_hits(system, system.sample_invariant(11, 12), f, radii, cap, chunk)
+        ends = [min(-(-last // chunk) * chunk, cap)  # last is the cap when censored
+                for last in taus[:, -1].tolist()]
         assert len(set(ends)) >= 3  # starts retire apart
         assert sum(rows) == sum(ends)
 
@@ -257,7 +253,7 @@ class TestFirstHits:
         x = system.sample_invariant(8, 1)[0]
         ladder = RadiusLadder.dyadic(2, 6)
         records = ladder_hitting_times(system, x, f, ladder, cap=3_000)
-        expect = reference_ladder_scan(system, x, f, list(ladder), 3_000, DEFAULT_SCAN_BLOCK)
+        expect = reference_ladder_scan(system, x, f, list(ladder), 3_000, SCAN_CHUNK)
         assert [rec.tau for rec in records] == expect
         assert [rec.radius for rec in records] == list(ladder)
 

@@ -200,9 +200,9 @@ class TestLagValidation:
 
 
 class TestWorkerCount:
-    """The reservoir path maps its lags over the workers, the orbit path its
-    groups of points; the bytes must not depend on how many workers share
-    them."""
+    """Every engine maps its covariances over the workers, one per lag, and
+    the orbit engines first their groups of points; the bytes must not
+    depend on how many workers share them."""
 
     LAGS = (1, 2, 3, 5, 8, 13)
 
@@ -217,18 +217,23 @@ class TestWorkerCount:
         assert all(s.values == runs[0].values for s in runs)
         assert all(s.half_widths == runs[0].half_widths for s in runs)
 
-    def test_reservoir_lags_reach_pmap_themselves(self, monkeypatch):
+    @pytest.mark.parametrize("system_id", ["doubling", "cat"])
+    def test_covariances_reach_pmap_one_task_per_lag(self, system_id, monkeypatch):
+        # the orbit engines first map their groups of points; the last call
+        # maps the covariances
         calls = []
 
         def serial_pmap(fn, items, workers):
-            calls.append((workers, tuple(items)))
+            items = list(items)
+            calls.append((workers, len(items)))
             return [fn(item) for item in items]
 
         monkeypatch.setattr(mixing, "pmap", serial_pmap)
         phi = cosine_wave(3)
         for workers in (1, 4, 9):
-            estimate_correlation(DOUBLING, phi, phi, self.LAGS, 4, 1000, workers=workers)
-        assert calls == [(1, self.LAGS), (4, self.LAGS), (9, self.LAGS)]
+            estimate_correlation(system_from_id(system_id), phi, phi, self.LAGS, 4, 1000,
+                                 workers=workers)
+            assert calls[-1] == (workers, len(self.LAGS))
 
 
 # lengths from 1000 up, odd ones, and n = 1 (mod 1024): a one-element tail

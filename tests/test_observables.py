@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ergolab.errors import DegenerateLadderError
 from ergolab.observables import (
+    MAX_SLACK_DEPTH,
     DistToPoint,
     DistToProjectedPoint,
     PushforwardDist,
@@ -148,6 +149,13 @@ class TestExactMeasure:
     def test_slack_fattening(self):
         f = Slack(DistToPoint((0.5,)), 0.05)
         assert exact_measure(CIRCLE, f, 0.1) == pytest.approx(2 * 0.1 + 0.1)
+
+    def test_slack_chains_nest_up_to_their_bound(self):
+        two = parse_observable("slack:0.01:slack:0.04:dist:0.5", 1)
+        assert exact_measure(CIRCLE, two, 0.1) == pytest.approx(2 * 0.1 + 0.1)
+        parse_observable("slack:0:" * MAX_SLACK_DEPTH + "dist:0.5", 1)
+        with pytest.raises(ValueError, match="deeper than"):
+            parse_observable("slack:0:" * (MAX_SLACK_DEPTH + 1) + "dist:0.5", 1)
 
     def test_clamps_at_full_measure(self):
         assert exact_measure(CIRCLE, DistToPoint((0.5,)), 0.7) == 1.0

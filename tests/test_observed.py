@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolab.hitting import hitting_time
+from ergolab.hitting import ladder_hitting_times
 from ergolab.observables import (
     MAX_FREQUENCY,
     DistToPoint,
@@ -77,7 +77,7 @@ class TestObservedHitting:
         f = DistToPoint((0.3, 0.7))
         for i, x in enumerate(CAT.sample_invariant(seed=6, count=10)):
             obs = observed_hitting_time(CAT, x, (0.3, 0.7), ident, 0.05, cap=5_000)
-            plain = hitting_time(CAT, x, f, 0.05, cap=5_000)
+            plain = ladder_hitting_times(CAT, x, f, [0.05], cap=5_000)[0]
             assert obs.tau == plain.tau
 
     def test_projection_equals_projected_distance_hitting(self):
@@ -86,7 +86,7 @@ class TestObservedHitting:
         f = DistToProjectedPoint((0,), (0.5,))
         for x in CAT.sample_invariant(seed=7, count=10):
             obs = observed_hitting_time(CAT, x, (0.5,), proj, 0.01, cap=5_000)
-            plain = hitting_time(CAT, x, f, 0.01, cap=5_000)
+            plain = ladder_hitting_times(CAT, x, f, [0.01], cap=5_000)[0]
             assert obs.tau == plain.tau
 
     @pytest.mark.parametrize("image_point, r", [((0.9,), 0.1), ((0.4,), -0.1)])
@@ -95,7 +95,7 @@ class TestObservedHitting:
         const = Constant((0.4,))
         x = CAT.sample_invariant(seed=13, count=1)[0]
         obs = observed_hitting_time(CAT, x, image_point, const, r, cap=50)
-        plain = hitting_time(CAT, x, PushforwardDist(const, image_point), r, cap=50)
+        plain = ladder_hitting_times(CAT, x, PushforwardDist(const, image_point), [r], cap=50)[0]
         assert obs.tau == plain.tau is None
 
     def test_censoring(self):

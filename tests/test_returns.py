@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergolab.errors import RejectionStallError
-from ergolab.hitting import hitting_time
+from ergolab.hitting import ladder_hitting_times
 from ergolab import returns
 from ergolab.observables import DistToPoint, Slack, evaluate
 from ergolab.points import ReservoirPoint
@@ -203,7 +203,7 @@ class TestReturnTimes:
         taus, _ = conditioned_return_times(DOUBLING, f, 0.02, seed=8,
                                            count=20, cap=100_000)
         for p, t in zip(pts, taus):
-            rec = hitting_time(DOUBLING, p, f, 0.02, cap=100_000)
+            rec = ladder_hitting_times(DOUBLING, p, f, [0.02], cap=100_000)[0]
             assert rec.tau == t
 
 
