@@ -56,7 +56,7 @@ def approach_series(system, projection, x, p, n_grid, tail_decades=DEFAULT_TAIL_
 
     ``projection`` is a CoordinateProjection; ``p`` the projected target
     coordinates.  d_n is the minimum over steps 1..n, computed in one orbit
-    pass with a running minimum.
+    pass; the running minimum is taken at the grid's marks only.
     """
     n_grid = np.asarray(n_grid, dtype=np.int64)
     if n_grid.size == 0 or n_grid[0] < 1 or np.any(np.diff(n_grid) <= 0):
@@ -67,20 +67,22 @@ def approach_series(system, projection, x, p, n_grid, tail_decades=DEFAULT_TAIL_
 
     d_at_grid = np.empty(n_grid.size)
     best = np.inf
-    next_mark = 0
+    lo = 0
     for n0, coords in system.orbit_blocks(x, 1, n_max + 1, block=1 << 14):
         # folded in place: fewer block-sized temporaries, whose churn can make
         # the heap trim and fault its pages in again every block
         deltas = coords[:, axes]  # a copy
         deltas -= target
         dist2 = squared_norms(wrap_deltas(deltas, out=deltas))
-        running = np.minimum.accumulate(dist2)
-        running = np.minimum(running, best)
-        best = running[-1]
-        hi = n0 + len(coords)  # covers steps n0 .. hi-1
-        while next_mark < n_grid.size and n_grid[next_mark] < hi:
-            d_at_grid[next_mark] = running[n_grid[next_mark] - n0]
-            next_mark += 1
+        # the running minimum at this block's marks only: each segment up to a
+        # mark reduced, then those minima carried forward
+        hi = np.searchsorted(n_grid, n0 + len(dist2))
+        if hi > lo:
+            marks = n_grid[lo:hi] - n0
+            seg = np.minimum.reduceat(dist2[:marks[-1] + 1], np.r_[0, marks[:-1] + 1])
+            d_at_grid[lo:hi] = np.minimum(np.minimum.accumulate(seg), best)
+            lo = hi
+        best = min(best, dist2.min())
     d_at_grid = np.sqrt(d_at_grid)
 
     tail_lo = n_max / 10.0 ** tail_decades

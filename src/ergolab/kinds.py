@@ -491,6 +491,9 @@ def _run_return_stats(config, workers):
     t_grid = tuple(round(k * p.grid_step, 10) for k in range(steps + 1))
 
     measure_est = estimate_measure(f, r, system, subseed(config.seed, "measure"), 200_000)
+    if measure_est.estimate <= 0:  # even with an explicit cap: no return time to rescale by
+        raise ConfigError("return-stats.radius", "the target's measure estimate is 0; "
+                          "use a larger radius")
     # 100 mean returns, as return_sample's default
     cap = p.cap or _derived_cap(config, 100.0, measure_est.estimate)
     sample = return_sample(system, f, r, config.seed, p.samples, cap=cap,

@@ -7,13 +7,16 @@ Engines
   an O(1) window read and orbits are unbounded.
 * Hyperbolic (or any unimodular) toral automorphisms: integer matrix action
   on B-bit dyadic fractions, exact and invertible.  A 2x2 matrix on a dyadic
-  lattice of at least 53 bits steps by exact anchors every m steps (one
-  Python-int jump A^m each; m = 30 for the cat map) and fills the rows
-  between them with uint64 offset arithmetic on each anchor's top 128
-  lattice bits, the carry from the bits below estimated in float64 with a
-  proven error bound and the rare undecided row (about 1 in 10^4 for cat)
-  recomputed exactly (``_AnchorKernel``), for any number of starts and rows
-  at once (``orbit_batch``, or a scan's batch); other points step row by row.
+  lattice of at least 53 bits runs through ``_AnchorKernel``, any number of
+  starts and rows at once (``orbit_batch``, or a scan's batch).  Exact
+  anchors every m steps (m = 30 for the cat map) follow the trace
+  recurrence x_(j+2) = T x_(j+1) - D x_j of A^m, on one Python int per start
+  that packs both coordinates.  The rows between them come from uint64
+  offset arithmetic on each anchor's top 128 lattice bits; the carry from
+  the bits below is estimated in float64 under a proven error bound, and the
+  rare undecided row (about 1 in 10^4 for cat) is recomputed exactly.  One
+  cat start at B = 512 costs about 37 ns/row on a 2-core machine.  Other
+  points step row by row.
 * Circle rotations by a B-bit fixed-point angle, exact and invertible.
 * Manneville-Pomeau x -> x + x^(1+s) mod 1: double-precision engine, kept
   for contrast with the rapidly mixing systems; results carry a
@@ -275,14 +278,22 @@ SLAB_ROWS = 1 << 12  # rows one kernel pass holds, whatever the start count
 class _AnchorKernel:
     """Rows of a 2x2 automorphism on the 2^-B lattice, B >= 53, as top-53-bit floats.
 
-    Anchors x_j, x_(j+m), ... are exact: one Python-int jump A^m mod 2^B each,
-    with m <= 64 the largest gap whose A^k, k < m, have entries below 2^40
-    (m = 30 for the cat map).  For k < m the top 64 lattice bits of x_(j+k)
-    are (A^k H + c) mod 2^64 in uint64, where H and L are the upper and lower
-    64 of the anchor's top 128 lattice bits (zero-padded below B = 128).  The
-    carry is c = floor((A^k L + delta) 2^-64), where delta, from the bits below
-    L, lies in [-N_k, P_k], the row sums of A^k's negative and positive
-    entries (0 when B <= 128).
+    Anchors x_0, x_m, x_2m, ... are exact, with m <= 64 the largest gap whose
+    A^k, k < m, have entries below 2^40 (m = 30 for the cat map).  P = A^m
+    satisfies P^2 = T P - D I, T its trace and D = det P = +-1, so each
+    coordinate of the anchors obeys x_(j+2) = T x_(j+1) - D x_j mod 2^B.  A
+    start's two coordinates are packed into one Python int (``_layout``):
+    after one jump A^m for the second anchor, each anchor costs three big-int
+    operations, and one ``to_bytes`` per anchor writes a pass's anchors into
+    one buffer, whose uint64 limbs hold the H and L below.  On a 2-core
+    machine this took one cat start at B = 512 from 56 to 37 ns/row.
+
+    For k < m the top 64 lattice bits of x_(j+k) are (A^k H + c) mod 2^64 in
+    uint64, where H and L are the upper and lower 64 of the anchor's top 128
+    lattice bits (zero-padded below B = 128).  The carry is
+    c = floor((A^k L + delta) 2^-64), where delta, from the bits below L, lies
+    in [-N_k, P_k], the row sums of A^k's negative and positive entries (0
+    when B <= 128).
 
     The carry is estimated in float64.  Let t be the dot product of a row
     (a_0, a_1) of A^k, exact in a float, with the rounded fl(L_i 2^-64):
@@ -307,6 +318,9 @@ class _AnchorKernel:
             nxt = _mat_mul(nxt, mat)
         self.gap = len(powers)
         self.powers = (*powers, nxt)  # A^0 .. A^m, exact
+        (p, q), (r, s) = nxt
+        self.trace, self.det = p + s, p * s - q * r  # of P = A^m; det is +-1
+        self._layouts = {}
         # [column, 2k + row]: x's coordinates times these are A^k x, k < m
         coef = np.array(powers, dtype=np.int64).transpose(2, 0, 1).reshape(2, -1)
         self.fcoef, self.ucoef = coef.astype(float), coef.view(np.uint64)
@@ -319,27 +333,55 @@ class _AnchorKernel:
         """Write ``size`` rows from each start's numerators into out[idx];
         return the numerators after them."""
         m, mask, bits = self.gap, modulus - 1, modulus.bit_length() - 1
+        shift, field, spare, keep = self._layout(bits)
+        trace, minus = self.trace, self.det == 1
         (p, q), (r, s) = self.powers[m]
-        anchors_per_start = -(-size // m)
+        count = -(-size // m)  # anchors per start
+        chains = []  # each start's anchors, packed
+        for a, b in starts:
+            y0 = (a | b << field) << shift
+            chain = [y0]
+            if count > 1:  # the second anchor by one jump, the rest by the recurrence
+                y1 = ((p * a + q * b) & mask | ((r * a + s * b) & mask) << field) << shift
+                chain.append(y1)
+                for _ in range(count - 2):
+                    y2 = trace * y1 + spare
+                    y0, y1 = y1, (y2 - y0 if minus else y2 + y0) & keep
+                    chain.append(y1)
+            chains.append(chain)
         width = max(1, SLAB_ROWS // (m * len(starts)))
-        cur = list(starts)
-        for j0 in range(0, anchors_per_start, width):
-            span = min(width, anchors_per_start - j0)
-            anchors = []
-            for i, (a, b) in enumerate(cur):
-                for _ in range(span):
-                    anchors.append((a, b))
-                    a, b = (p * a + q * b) & mask, (r * a + s * b) & mask
-                cur[i] = a, b
-            take = min(span * m, size - j0 * m)  # rows per start in this slab
+        for j0 in range(0, count, width):
+            take = min(width * m, size - j0 * m)  # rows per start in this slab
+            anchors = [y for chain in chains for y in chain[j0:j0 + width]]
             vals = self._floats(anchors, bits, min(take, m))  # take < m: one anchor a start
-            out[idx, j0 * m:j0 * m + take] = vals.reshape(len(cur), -1, 2)[:, :take]
-        last = size - (anchors_per_start - 1) * m  # steps from the last anchor
-        if last < m:
-            (p, q), (r, s) = self.powers[last]
-            cur = [((p * a + q * b) & mask, (r * a + s * b) & mask)
-                   for a, b in anchors[span - 1::span]]
-        return cur
+            out[idx, j0 * m:j0 * m + take] = vals.reshape(len(chains), -1, 2)[:, :take]
+        # each start's last anchor, unpacked, then the steps from it
+        (p, q), (r, s) = self.powers[size - (count - 1) * m]
+        after = []
+        for chain in chains:
+            a, b = (chain[-1] >> shift) & mask, chain[-1] >> (shift + field)
+            after.append(((p * a + q * b) & mask, (r * a + s * b) & mask))
+        return after
+
+    def _layout(self, bits):
+        """(shift, field, spare, keep): an anchor on the 2^-bits lattice packed
+        as one int, and the constants of its recurrence step.
+
+        Coordinate i, shifted up by ``shift`` so that its top bit ends a
+        uint64 limb at bit top = bits + shift >= 128, is field i of ``field``
+        >= top + bitlen|T| + 3 bits, a multiple of 64.  The next anchor is
+        T y1 + spare - D y0 masked by ``keep`` to each coordinate's bits:
+        ``spare`` adds 2^top to every field once per negative term, so each
+        field of the sum lies in [0, (|T| + 1) 2^top], below 2^field, and no
+        carry or borrow crosses fields.
+        """
+        if bits not in self._layouts:
+            top = max(128, -(-bits // 64) * 64)
+            field = -(-(top + abs(self.trace).bit_length() + 3) // 64) * 64
+            ones = 1 | 1 << field  # one in each field
+            spare = (max(-self.trace, 0) + (self.det == 1)) * ones << top
+            self._layouts[bits] = top - bits, field, spare, ((1 << top) - 1) * ones
+        return self._layouts[bits]
 
     def _exact(self, x, k, mask, bits):
         """A^k x, k < m, as a top-53-bit float pair, from Python ints."""
@@ -347,15 +389,17 @@ class _AnchorKernel:
         return [(((e * a + f * b) & mask) >> shift) * 2.0 ** -53 for e, f in self.powers[k]]
 
     def _floats(self, anchors, bits, rows):
-        """A^k x as top-53-bit floats for each anchor x and k < rows <= m: an
-        (n, rows, 2) array."""
-        words = b"".join([(v >> (bits - 128) if bits >= 128 else v << (128 - bits))
-                          .to_bytes(16, "big") for x in anchors for v in x])
-        words = np.frombuffer(words, dtype=">u8").astype(np.uint64).reshape(-1, 2, 2)
+        """A^k x as top-53-bit floats for each packed anchor x and k < rows <= m:
+        an (n, rows, 2) array."""
+        shift, field, _, _ = self._layout(bits)
+        hi = (bits + shift) // 64 - 1  # H's limb in each field; L's is the one below
+        words = b"".join([y.to_bytes(field // 4, "little") for y in anchors])
+        words = np.frombuffer(words, dtype="<u8").reshape(-1, 2, field // 64)
         cols = slice(2 * rows)
-        top = words[:, :, 0] @ self.ucoef[:, cols]  # A^k H, wrapping mod 2^64
+        top = words[:, :, hi] @ self.ucoef[:, cols]  # A^k H, wrapping mod 2^64
         if bits > 64:  # else L is 0 and so is every carry
-            t = (words[:, :, 1] * 2.0 ** -64) @ self.fcoef[:, cols]  # A^k L 2^-64, within e_k
+            # A^k L 2^-64, within e_k
+            t = (words[:, :, hi - 1] * 2.0 ** -64) @ self.fcoef[:, cols]
             carry = np.floor(t)
             top += carry.astype(np.int64).view(np.uint64)
             t -= carry
@@ -365,7 +409,9 @@ class _AnchorKernel:
         if bits > 64 and undecided.any():
             mask = (1 << bits) - 1
             for a, k in zip(*np.nonzero(undecided[:, 0::2] | undecided[:, 1::2])):
-                top[a, k] = self._exact(anchors[a], k, mask, bits)
+                y = anchors[a]
+                x = (y >> shift) & mask, y >> (shift + field)  # the anchor, unpacked
+                top[a, k] = self._exact(x, k, mask, bits)
         return top
 
 

@@ -264,6 +264,12 @@ BAD_FIELDS = {
         .replace("seed = 5\n", "seed = 5\nprecision_bits = 20\n")
         .replace("dist:0.375", "dist:0.3,0.7").replace("radius = 0.05", "radius = 1e-7"),
         "return-stats.radius"),
+    # a Monte Carlo measure estimate of 0, with an explicit cap
+    "radius-mp-measure-0": (
+        RETURN_OK.replace("system = doubling", "system = mp:0.5")
+        .replace("samples = 20", "samples = 5\ncap = 1000")
+        .replace("radius = 0.05", "radius = 1e-9"),
+        "return-stats.radius"),
     "bc-measures": (BC_CONFIG, "borel-cantelli.measures"),
     "bc-k-max-above-bound": (
         BC_CONFIG.replace("k_max = 100\n", "k_max = 10000000000000\n").replace(

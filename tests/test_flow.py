@@ -3,7 +3,7 @@ import pytest
 
 from ergolab.flow import ApproachSeries, approach_series, log_grid
 from ergolab.observed import CoordinateProjection
-from ergolab.points import torus_distance
+from ergolab.points import squared_norms, torus_distance, wrap_deltas
 from ergolab.systems import CAT_MATRIX, ToralAutomorphism
 
 CAT = ToralAutomorphism(CAT_MATRIX)
@@ -29,6 +29,19 @@ def test_running_minimum_matches_recompute():
     for n, d in zip(series.n_grid, series.d_values):
         byhand = min(torus_distance(orbit[i], p) for i in range(n))
         assert d == pytest.approx(byhand)
+
+
+@pytest.mark.parametrize("proj,p", [(IDENTITY_PROJ, (0.4, 0.1)), (FIRST_PROJ, (0.7,))])
+def test_minima_are_the_whole_orbit_running_minimum(proj, p):
+    # marks at step 1, on each side of the 16 384-row block edges, and at
+    # n_max; the reference takes the running minimum over every row
+    x = CAT.sample_invariant(seed=6, count=1)[0]
+    edges = [16_384 * k + e for k in (1, 2) for e in (-1, 0, 1)]
+    grid = sorted({1, 2, 100, *edges, 40_000, 50_000})
+    series = approach_series(CAT, proj, x, p, grid)
+    deltas = CAT.orbit_values(x, 1, grid[-1] + 1)[:, list(proj.axes)] - np.asarray(p)
+    running = np.minimum.accumulate(squared_norms(wrap_deltas(deltas)))
+    assert series.d_values == tuple(np.sqrt(running[np.array(grid) - 1]).tolist())
 
 
 def test_minima_non_increasing_and_exponent_positive():

@@ -266,6 +266,41 @@ class TestAnchorKernel:
         sys.orbit_values(p, 1, 100_001)
         assert len(calls) < 100  # fewer than 1 row in 1 000
 
+    # each branch of the trace recurrence x_(j+2) = T x_(j+1) - D x_j of the
+    # anchors, (sign of T = tr A^m, D = det A^m); no unimodular matrix has
+    # T = 0, since a period-4 matrix has A^64 = I
+    @pytest.mark.parametrize("matrix,branch", [
+        (((-3, -1), (1, 0)), (-1, 1)),  # T < 0
+        (((-1, 1), (1, 0)), (-1, -1)),  # T < 0, det -1
+        (((1, 1), (1, 0)), (1, -1)),  # det -1
+        (((0, -1), (1, 0)), (1, 1)),  # trace 0, period 4
+        (((1, 1), (0, 1)), (1, 1)),  # parabolic
+    ])
+    @pytest.mark.parametrize("bits", [53, 64, 65, 128, 129, 512])
+    def test_recurrence_branches_are_the_truncated_orbit(self, monkeypatch, matrix, branch,
+                                                         bits):
+        # 6 starts x 700 rows cross anchors and slabs; starts whose low bits
+        # are all ones leave carries undecided above 64 bits, so those rows
+        # unpack their anchor for the exact recomputation
+        sys = ToralAutomorphism(matrix, precision_bits=bits)
+        kernel, calls = sys._kernel, []
+        assert (np.sign(kernel.trace), kernel.det) == branch
+        exact = kernel._exact
+        monkeypatch.setattr(kernel, "_exact", lambda *args: calls.append(1) or exact(*args))
+        points = sys.sample_invariant(seed=17, count=3)
+        points += [FractionPoint.on_lattice([v | (1 << max(ones, 0)) - 1 for v in p.nums],
+                                            p.den)
+                   for p, ones in zip(points, (bits - 65, bits - 53, bits))]
+        start, rows = 5, 700
+        batch = sys.orbit_batch(points, start, start + rows)
+        for p, got in zip(points, batch):
+            q, expected = sys.orbit_window(p, start), []
+            for _ in range(rows):
+                expected.append([(v >> (bits - 53)) * 2.0 ** -53 for v in q.nums])
+                q = sys.step(q)
+            assert got.tolist() == expected
+        assert bool(calls) == (bits > 64)
+
     def test_anchor_gaps(self):
         assert ToralAutomorphism(CAT_MATRIX)._kernel.gap == 30
         for matrix in UNIMODULAR_2X2:
