@@ -174,7 +174,8 @@ def bc_targets(system, f, beta, k_max, d_upper, measures="exact", seed=0,
     beta must satisfy 0 < beta < 1/d_upper, d_upper the upper sublevel
     exponent (closed form or estimated).  The i = 0 rung uses r_0 = 1 with
     its measure clamped to the full space.  measures: "exact" (closed form
-    required) or "mc" (empirical sublevel law from one invariant sample).
+    required, else ValueError) or "mc" (empirical sublevel law from one
+    invariant sample).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -205,10 +206,8 @@ def _measures_for(system, f, radii, measures, seed, n_samples):
     if measures == "exact":
         mu = exact_measure(system, f, radii)
         if mu is None:
-            raise InvalidBetaError(
-                f"no closed-form measure for some r in [{radii.min()}, {radii.max()}]; "
-                "use measures='mc'"
-            )
+            raise ValueError(
+                f"no closed-form measure for some r in [{radii.min()}, {radii.max()}]")
         return mu
     if measures == "mc":
         return np.array(_mc_hits(f, radii, system, seed, n_samples)) / n_samples

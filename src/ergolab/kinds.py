@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSeriesError
+from .errors import ConfigError, DegenerateSeriesError, InvalidBetaError
 from .flow import approach_series, log_grid
 from .grammar import Rule, parse_numbers, parse_spec
 from .hitting import bc_counter_series, bc_targets, estimate_R, first_hits, ladder_hitting_times
@@ -378,8 +378,13 @@ def _run_borel_cantelli(config, workers):
             f, RadiusLadder.dyadic(3, 10), system,
             subseed(config.seed, "bc-dim"), 100_000,
         ).d_upper
-    radii, expected = bc_targets(system, f, p.beta, p.k_max, d_upper, p.measures,
-                                 subseed(config.seed, "bc-mc"), p.mc_samples)
+    try:
+        radii, expected = bc_targets(system, f, p.beta, p.k_max, d_upper, p.measures,
+                                     subseed(config.seed, "bc-mc"), p.mc_samples)
+    except InvalidBetaError as exc:
+        raise ConfigError("borel-cantelli.beta", str(exc)) from None
+    except ValueError as exc:  # the targets' measures have no closed form
+        raise ConfigError("borel-cantelli.measures", f"{exc}; set measures = mc") from None
     points = system.sample_invariant(config.seed, p.points)
     task = partial(bc_counter_series, system, f=f, radii=radii, expected=expected)
     results = pmap(task, points, workers)
@@ -494,7 +499,7 @@ def _run_return_stats(config, workers):
     if measure_est.estimate <= 0:  # even with an explicit cap: no return time to rescale by
         raise ConfigError("return-stats.radius", "the target's measure estimate is 0; "
                           "use a larger radius")
-    # 100 mean returns, as return_sample's default
+    # 100 mean returns
     cap = p.cap or _derived_cap(config, 100.0, measure_est.estimate)
     sample = return_sample(system, f, r, config.seed, p.samples, cap=cap,
                            measure=measure_est.estimate)

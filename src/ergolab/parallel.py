@@ -6,9 +6,10 @@ worker count produces identical downstream records.
 
 ``pmap`` forks all of its workers at once, at most one per item.  The task
 function and the items reach each child through the fork, so neither is
-pickled; only the results (or the task's exception) travel back, pickled
-through the child's own pipe.  Where ``os.fork`` does not exist, every run
-is serial, with the same bytes.
+pickled; only the results (or the task's exception) travel back, streamed
+through the child's own pipe by ``pickle.dump`` and ``pickle.load``, so
+neither side holds a whole payload.  Where ``os.fork`` does not exist, every
+run is serial, with the same bytes.
 """
 
 import os
@@ -43,32 +44,35 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
-def _pickled_outcome(fn, share):
-    """(True, results) or (False, (exception, traceback text)), pickled; an
-    exception that would not survive the trip is sent as a RuntimeError
+def _error_outcome(exc):
+    """(False, (exception, traceback text)) for the task error being handled;
+    an exception that would not survive the trip is sent as a RuntimeError
     carrying its text."""
+    text = traceback.format_exc()
     try:
-        return pickle.dumps((True, [fn(item) for item in share]))
-    except Exception as exc:
-        text = traceback.format_exc()
-        try:
-            payload = pickle.dumps((False, (exc, text)))
-            pickle.loads(payload)
-            return payload
-        except Exception:
-            error = RuntimeError(f"{type(exc).__name__}: {exc}")
-            return pickle.dumps((False, (error, text)))
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return False, (exc, text)
 
 
 def _run_child(fn, share, write_fd, parent_fds):
-    """The forked child's whole life: it never returns to its caller."""
+    """The forked child's whole life: it never returns to its caller.  A
+    result that cannot be pickled cuts the payload short, and the child
+    exits 1 with its traceback on stderr."""
     status = 1
     try:
         for fd in parent_fds:
             os.close(fd)
         with os.fdopen(write_fd, "wb") as out:
-            out.write(_pickled_outcome(fn, share))
+            try:
+                outcome = True, [fn(item) for item in share]
+            except Exception as exc:
+                outcome = _error_outcome(exc)
+            pickle.dump(outcome, out, protocol=5)
         status = 0
+    except Exception:  # the report must reach stderr before os._exit
+        os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
 
@@ -97,7 +101,10 @@ def pmap(fn, items, workers):
             pids.append(pid)
         results = [None] * len(items)
         for w, pipe in enumerate(pipes):
-            payload = pipe.read()
+            try:
+                outcome = pickle.load(pipe)
+            except Exception as exc:  # a cut payload, or one that does not load
+                outcome = exc
             _, status = os.waitpid(pids[w], 0)
             pids[w] = None
             # a child exits 0 only once its whole payload is written
@@ -105,7 +112,9 @@ def pmap(fn, items, workers):
             if code:
                 raise RuntimeError(
                     f"pmap worker {w} ended without a result, exit status {code}")
-            ok, value = pickle.loads(payload)
+            if isinstance(outcome, Exception):
+                raise outcome
+            ok, value = outcome
             if not ok:
                 error, text = value
                 raise error from _RemoteTraceback(text)

@@ -12,8 +12,9 @@ Conventions: curves use tau >= threshold, the long-return set uses a strict
 inequality, exactly as defined; the two differ only when the threshold is
 attained, which cannot happen for non-integer thresholds.  Returns censored
 at the cap stay in the numerator up to t = cap * mu and the curve is flagged
-beyond.  The default cap of 100 mean-return times truncates a mass of about
-exp(-100) under an exponential law.
+beyond.  The caller gives both mu(S_r) and the cap; a cap of 100 mean-return
+times, as the return-stats kind derives, truncates a mass of about exp(-100)
+under an exponential law.
 """
 
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import RejectionStallError
 from .hitting import SCAN_CHUNK, first_hits
-from .observables import DistToPoint, MeasureEstimate, estimate_measure
+from .observables import DistToPoint, MeasureEstimate
 from .points import FractionPoint, ReservoirPoint
 from .rand import master_rng, point_bytes, subseed
 from .reservoir import BitReservoir
@@ -35,11 +36,6 @@ REJECTION_CHUNK = 65_536  # candidates per rejection stream
 REJECTION_FIRST = 256  # candidates in a stream's first prefix; each next is 4 times larger
 _STALL_CHECK_AFTER = 2_000_000
 _EDGE_GUARD = 2.0 ** -50
-
-
-def default_cap(mu):
-    """Censoring cap: 100 mean return times."""
-    return int(math.ceil(100.0 / mu))
 
 
 def sample_conditioned(system, f, r, seed, count, max_attempts=20_000_000):
@@ -194,22 +190,14 @@ class ReturnSample:
     censored: np.ndarray  # bool, index-aligned with taus
 
 
-def return_sample(system, f, r, seed, count, cap=None, measure=None):
-    """Draw ``count`` starts conditioned on {f <= r} and scan their returns.
-
-    mu(S_r) defaults to estimate_measure (exact when available, else Monte
-    Carlo); the cap defaults to 100 mean return times.
-    """
-    mu = measure
-    if mu is None:
-        mu = estimate_measure(f, r, system, subseed(seed, "target-measure"),
-                              200_000).estimate
-    if mu <= 0:
+def return_sample(system, f, r, seed, count, cap, measure):
+    """Draw ``count`` starts conditioned on {f <= r} and scan their returns
+    up to ``cap`` steps; ``measure`` is mu(S_r), which rescales the times."""
+    if measure <= 0:
         raise ValueError("target has vanishing measure estimate")
-    cap = cap or default_cap(mu)
     taus, censored = conditioned_return_times(system, f, r, seed, count, cap,
-                                              chunk=_scan_chunk(1.0 / mu))
-    return ReturnSample(radius=float(r), measure=float(mu), cap=int(cap),
+                                              chunk=_scan_chunk(1.0 / measure))
+    return ReturnSample(radius=float(r), measure=float(measure), cap=int(cap),
                         taus=taus, censored=censored)
 
 

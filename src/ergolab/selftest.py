@@ -41,7 +41,7 @@ def _cat_blocks_are_truncated(cat):
 
 
 def _batched_scan_is_plain_orbit(rotation):
-    """first_hits over 40 starts and three rungs against each orbit_values.
+    """first_hits over 40 starts and three rungs against their plain orbits.
     The 64-row chunk does not divide cap 300, so the last chunk is short;
     taus fall in every chunk, most starts pass two rungs at once, one deepest
     rung is censored.  Past step 64 the rotation floats of a chunked scan and
@@ -49,8 +49,8 @@ def _batched_scan_is_plain_orbit(rotation):
     f, radii = DistToPoint((0.375,)), [0.03, 0.008, 0.002]
     points = rotation.sample_invariant(0, 40)
     taus, censored = first_hits(rotation, points, f, radii, 300, chunk=64)
-    hits = [[(f.values(rotation.orbit_values(p, 1, 301)) <= r).nonzero()[0] for r in radii]
-            for p in points]
+    hits = [[(f.values(orbit) <= r).nonzero()[0] for r in radii]
+            for orbit in rotation.orbit_batch(points, 1, 301)]
     return (taus.tolist() == [[int(h[0]) + 1 if h.size else 300 for h in row] for row in hits]
             and censored.tolist() == [[not h.size for h in row] for row in hits])
 
@@ -65,14 +65,14 @@ def _checks():
     radii = 0.6 - power_law_radii(0.5, 1000)  # from -0.4 up past the clamp at 1/2
 
     yield "doubling step 3/8 -> 3/4", lambda: (
-        doubling.step(three_eighths).float_coords()[0] == 0.75
+        doubling.orbit_window(three_eighths, 1).float_coords()[0] == 0.75
     )
     yield "cat map step (1/2,1/2) -> (1/2,0)", lambda: (
-        cat.step(FractionPoint(("1/2", "1/2"))).coords
+        cat.orbit_window(FractionPoint(("1/2", "1/2")), 1).coords
         == (Fraction(1, 2), Fraction(0))
     )
     yield "rotation step 7/8 + 1/4 -> 1/8", lambda: (
-        quarter.step(FractionPoint(("7/8",))).coords[0] == Fraction(1, 8)
+        quarter.orbit_window(FractionPoint(("7/8",)), 1).coords[0] == Fraction(1, 8)
     )
     yield "cat blocks at B = 512 are the exact orbit truncated to 53 bits", lambda: (
         _cat_blocks_are_truncated(cat)

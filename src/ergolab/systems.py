@@ -6,8 +6,8 @@ Engines
   random binary expansion and T is the one-bit shift, so orbit position n is
   an O(1) window read and orbits are unbounded.
 * Hyperbolic (or any unimodular) toral automorphisms: integer matrix action
-  on B-bit dyadic fractions, exact and invertible.  A 2x2 matrix on a dyadic
-  lattice of at least 53 bits runs through ``_AnchorKernel``, any number of
+  on B-bit dyadic fractions, exact and invertible.  A 2x2 matrix on any
+  dyadic lattice runs through ``_AnchorKernel``, any number of
   starts and rows at once (``orbit_batch``, or a scan's batch).  Exact
   anchors every m steps (m = 30 for the cat map) follow the trace
   recurrence x_(j+2) = T x_(j+1) - D x_j of A^m, on one Python int per start
@@ -28,16 +28,16 @@ An engine defines three things: ``_block_start(p, start)``, its state at
 ``start``; ``_batch_step(states, size)``, the next ``size`` rows of many
 states at once, computed from the states alone; and ``_point``, the point a
 state stands for.  ``_SystemBase._blocks`` is the one step loop over them,
-behind ``orbit_blocks``, ``orbit_values``, ``orbit_batch`` and
-``hitting.first_hits``, which retires starts between steps through the
-loop's live mask; ``orbit_window(p, n)`` is ``_point(*_block_start(p, n))``.
+behind ``orbit_blocks``, ``orbit_batch`` and ``hitting.first_hits``, which
+retires starts between steps through the loop's live mask;
+``orbit_window(p, n)`` is ``_point(*_block_start(p, n))``.
 A scan's state is a plain tuple, no point object, and ``_point(*state)``
 builds its point: an automorphism's or rotation's integer numerators over one
 denominator (2^B for sampled starts), ``(nums, den)``; the doubling map's
 ``(reservoir, offset)``; Manneville-Pomeau's ``(x,)``.  Floats, per engine:
 the reservoir's 64-bit window rounded to nearest (the top 2^10 read
-1 - 2^-53); 2-d automorphisms on a dyadic lattice of at least 53 bits
-truncate to 53 bits, other automorphisms round to nearest; a rotation step
+1 - 2^-53); 2-d automorphisms on a dyadic lattice truncate to 53 bits (the
+exact value below 53), other automorphisms round to nearest; a rotation step
 rounds its state to nearest and adds float offsets j alpha, so its floats
 depend on where steps start (at most 1.5e-13 from exact over a 1024-row
 golden step, 2.5e-12 over a 16 384-row one, measured over 8 starts);
@@ -80,10 +80,6 @@ class _SystemBase:
             return p
         return self._point(*self._block_start(p, n))
 
-    def step(self, p):
-        """One application of the map, exactly for the exact engines."""
-        return self.orbit_window(p, 1)
-
     # Every engine re-binds orbit_blocks and defines sample_invariant in its
     # own class body: perfbench/tracing.py wraps vars(cls)[name] per engine,
     # and without them the per-engine layer metrics are lost.
@@ -115,13 +111,9 @@ class _SystemBase:
             states = list(compress(states, live))
             n += coords.shape[1]
 
-    def orbit_values(self, p, start, stop):
-        """Float coordinates of T^n(p) for n in [start, stop) as one array."""
-        return self.orbit_batch([p], start, stop)[0]
-
     def orbit_batch(self, points, start, stop):
-        """``orbit_values(p, start, stop)`` of every point p, stepped together:
-        a (len(points), stop - start, d) array."""
+        """Float coordinates of T^n(p) for n in [start, stop) of every point
+        p, stepped together: a (len(points), stop - start, d) array."""
         parts = [coords for _, coords, _ in self._blocks(points, start, stop, DEFAULT_BLOCK)]
         if not parts:
             return np.empty((len(points), max(stop - start, 0), self.dim))
@@ -157,13 +149,17 @@ class Doubling(_SystemBase):
         return [ReservoirPoint(BitReservoir(seed, i)) for i in range(count)]
 
 
-def _dyadic_draw(seed, count, bits, first=0):
-    """Numerators over 2^B of uniform B-bit dyadic fractions, one from each
-    per-index stream of indices first..first+count-1: its first ceil(B / 8)
-    bytes, big-endian, top B bits."""
+def _lattice_points(self, seed, count, first=0):
+    """Points first..first+count-1 of the uniform draw on the 2^-B lattice
+    under ``seed``; coordinate j of point i is the top B bits of the first
+    ceil(B / 8) bytes, big-endian, of the stream of index i d + j."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    d, bits = self.dim, self.precision_bits
     nbytes = (bits + 7) // 8
-    return [int.from_bytes(raw, "big") >> (nbytes * 8 - bits)
-            for raw in point_bytes(seed, count, nbytes, first)]
+    nums = [int.from_bytes(raw, "big") >> (nbytes * 8 - bits)
+            for raw in point_bytes(seed, count * d, nbytes, first * d)]
+    return [FractionPoint.on_lattice(nums[i:i + d], 1 << bits) for i in range(0, len(nums), d)]
 
 
 def _int_matrix(rows):
@@ -219,13 +215,13 @@ class ToralAutomorphism(_SystemBase):
         return self._jump(p.nums, p.den, start), p.den
 
     def _batch_step(self, states, size):
-        # 2x2 on a dyadic lattice of >= 53 bits: each coordinate's top 53
-        # bits, the starts on one lattice in one kernel pass; else each
+        # 2x2 on a dyadic lattice: each coordinate's top 53 bits (exact
+        # below 53), the starts on one lattice in one kernel pass; else each
         # coordinate rounded to nearest, row by row
         coords, after = np.empty((len(states), size, self.dim)), list(states)
         lattices = {}
         for i, (nums, modulus) in enumerate(states):
-            if self._kernel and modulus >= 1 << 53 and modulus & (modulus - 1) == 0:
+            if self._kernel and modulus & (modulus - 1) == 0:
                 lattices.setdefault(modulus, []).append(i)
                 continue
             rows = []
@@ -239,14 +235,7 @@ class ToralAutomorphism(_SystemBase):
                 after[i] = v, modulus
         return coords, after
 
-    def sample_invariant(self, seed, count, first=0):
-        """Points first..first+count-1 of the draw under ``seed``; point i
-        reads the streams of indices i d .. i d + d - 1."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        nums = _dyadic_draw(seed, count * self.dim, self.precision_bits, first * self.dim)
-        return [FractionPoint.on_lattice(nums[i:i + self.dim], 1 << self.precision_bits)
-                for i in range(0, len(nums), self.dim)]
+    sample_invariant = _lattice_points
 
 
 def _matrix_power(mat, n, modulus):
@@ -276,7 +265,7 @@ SLAB_ROWS = 1 << 12  # rows one kernel pass holds, whatever the start count
 
 
 class _AnchorKernel:
-    """Rows of a 2x2 automorphism on the 2^-B lattice, B >= 53, as top-53-bit floats.
+    """Rows of a 2x2 automorphism on the 2^-B lattice as top-53-bit floats.
 
     Anchors x_0, x_m, x_2m, ... are exact, with m <= 64 the largest gap whose
     A^k, k < m, have entries below 2^40 (m = 30 for the cat map).  P = A^m
@@ -307,7 +296,8 @@ class _AnchorKernel:
     of frac(t) and of the bounds themselves.  Any other row, about 1 in 10^4
     for the cat map, is recomputed exactly from its anchor.  At B <= 64, L = 0
     and every carry is 0.
-    The floats are (top64 >> 11) * 2^-53, bit for bit x >> (B - 53).
+    The floats are (top64 >> 11) * 2^-53, bit for bit x >> (B - 53); below
+    B = 53 the top 64 bits are x 2^(64 - B), so the float is x 2^-B exactly.
     """
 
     def __init__(self, mat):
@@ -473,12 +463,7 @@ class CircleRotation(_SystemBase):
                  for (num,), den in states]
         return (vals % 1.0)[..., None], after
 
-    def sample_invariant(self, seed, count, first=0):
-        """Points first..first+count-1 of the draw under ``seed``."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return [FractionPoint.on_lattice((x,), 1 << self.precision_bits)
-                for x in _dyadic_draw(seed, count, self.precision_bits, first)]
+    sample_invariant = _lattice_points
 
 
 @dataclass(frozen=True)

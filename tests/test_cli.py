@@ -271,6 +271,13 @@ BAD_FIELDS = {
         .replace("radius = 0.05", "radius = 1e-9"),
         "return-stats.radius"),
     "bc-measures": (BC_CONFIG, "borel-cantelli.measures"),
+    # raised before any start is drawn: beta outside (0, 1/d_upper), and
+    # exact measures on a system with no closed form
+    "bc-beta-above-bound": (BC_CONFIG.replace("beta = 0.5", "beta = 2.0").replace(
+        "measures = foo\n", ""), "borel-cantelli.beta"),
+    "bc-measures-no-closed-form": (
+        BC_CONFIG.replace("system = doubling", "system = mp:0.3").replace(
+            "measures = foo\n", ""), "borel-cantelli.measures"),
     "bc-k-max-above-bound": (
         BC_CONFIG.replace("k_max = 100\n", "k_max = 10000000000000\n").replace(
             "measures = foo\n", ""),
@@ -452,7 +459,8 @@ def test_missing_closed_form_exits_2_before_any_pool(tmp_path, capsys, forks):
         .format(out=tmp_path / "o.json"))
     assert main(["run", str(cfg_path), "--workers", "2"]) == 2
     err = capsys.readouterr().err
-    assert "error[InvalidBetaError]: no closed-form measure" in err
+    assert "error[ConfigError]: borel-cantelli.measures: no closed-form measure" in err
+    assert "set measures = mc" in err
     assert "Traceback" not in err
     assert not forks and not list(tmp_path.glob("o.*"))
 

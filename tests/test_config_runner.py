@@ -5,7 +5,7 @@ import pytest
 
 from ergolab import hitting, kinds
 from ergolab.config import parse_config_text
-from ergolab.errors import ConfigError, InvalidBetaError, SchemaMismatchError
+from ergolab.errors import ConfigError, SchemaMismatchError
 from ergolab.kinds import MAX_K_MAX, MAX_N_MAX, MAX_POINTS, MAX_RETURN_SAMPLES, MAX_SAMPLES
 from ergolab.observables import PushforwardDist, estimate_dimension
 from ergolab.parallel import ENV_WORKERS, MAX_WORKERS
@@ -469,7 +469,7 @@ class TestRunner:
         text = bc_config_text(tmp_path / "r.json", beta="0.4", points="4", measures="exact")
         config = parse_config_text(text.replace("system = doubling", "system = cat")
                                    .replace("dist:0.375", "dist:0.3,0.7"))
-        with pytest.raises(InvalidBetaError, match="no closed-form measure"):
+        with pytest.raises(ConfigError, match="borel-cantelli.measures: no closed-form measure"):
             run(config, workers=2)
         assert not forks and not list(tmp_path.iterdir())
 

@@ -15,7 +15,7 @@ def test_single_step_minimum():
     x = CAT.sample_invariant(seed=1, count=1)[0]
     p = (0.2, 0.6)
     series = approach_series(CAT, IDENTITY_PROJ, x, p, [1])
-    want = torus_distance(CAT.step(x).float_coords(), p)
+    want = torus_distance(CAT.orbit_window(x, 1).float_coords(), p)
     assert series.d_values[0] == pytest.approx(want)
 
 
@@ -25,7 +25,7 @@ def test_running_minimum_matches_recompute():
     p = (0.4, 0.1)
     grid = [1, 2, 5, 17, 60, 200]
     series = approach_series(CAT, IDENTITY_PROJ, x, p, grid)
-    orbit = CAT.orbit_values(x, 1, 201)
+    orbit = CAT.orbit_batch([x], 1, 201)[0]
     for n, d in zip(series.n_grid, series.d_values):
         byhand = min(torus_distance(orbit[i], p) for i in range(n))
         assert d == pytest.approx(byhand)
@@ -39,7 +39,7 @@ def test_minima_are_the_whole_orbit_running_minimum(proj, p):
     edges = [16_384 * k + e for k in (1, 2) for e in (-1, 0, 1)]
     grid = sorted({1, 2, 100, *edges, 40_000, 50_000})
     series = approach_series(CAT, proj, x, p, grid)
-    deltas = CAT.orbit_values(x, 1, grid[-1] + 1)[:, list(proj.axes)] - np.asarray(p)
+    deltas = CAT.orbit_batch([x], 1, grid[-1] + 1)[0][:, list(proj.axes)] - np.asarray(p)
     running = np.minimum.accumulate(squared_norms(wrap_deltas(deltas)))
     assert series.d_values == tuple(np.sqrt(running[np.array(grid) - 1]).tolist())
 
@@ -56,7 +56,7 @@ def test_minima_non_increasing_and_exponent_positive():
 def test_projected_series_uses_projected_distance():
     x = CAT.sample_invariant(seed=4, count=1)[0]
     series = approach_series(CAT, FIRST_PROJ, x, (0.7,), [1, 2, 3])
-    orbit = CAT.orbit_values(x, 1, 4)
+    orbit = CAT.orbit_batch([x], 1, 4)[0]
     d1 = min(abs(orbit[0, 0] - 0.7), 1 - abs(orbit[0, 0] - 0.7))
     assert series.d_values[0] == pytest.approx(d1)
 

@@ -397,7 +397,7 @@ class TestBorelCantelliCounter:
         # cat's dist: rule has no closed form for r in (0.5, sqrt(2)/2), and
         # 3^-0.4 lies there
         cat = ToralAutomorphism(CAT_MATRIX)
-        with pytest.raises(InvalidBetaError, match="no closed-form measure"):
+        with pytest.raises(ValueError, match="no closed-form measure"):
             bc_targets(cat, DistToPoint((0.3, 0.7)), beta=0.4, k_max=100, d_upper=2.0)
 
     def test_mc_measures_close_to_exact(self):

@@ -325,7 +325,7 @@ def test_dyadic_mix_slabs_give_the_one_shot_bytes(rows):
 
 class TestSampledOrbitPath:
     """The lag loop off the doubling reservoir, bit for bit against a per-point
-    reference: sample_invariant, then one orbit_values call per point.  A
+    reference: sample_invariant, then one orbit_batch call per point.  A
     small chunk makes many groups of points, the last one short."""
 
     SYSTEMS = (ToralAutomorphism(CAT_MATRIX), CircleRotation.golden())
@@ -333,7 +333,7 @@ class TestSampledOrbitPath:
     @staticmethod
     def orbits(system, seed, n, stop):
         points = system.sample_invariant(seed, n)
-        return np.stack([system.orbit_values(p, 0, stop) for p in points])
+        return np.stack([system.orbit_batch([p], 0, stop)[0] for p in points])
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=("cat", "golden"))
     def test_correlation_is_the_per_point_estimate(self, system, monkeypatch):

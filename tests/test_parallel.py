@@ -1,6 +1,8 @@
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -134,3 +136,43 @@ def test_pmap_kills_and_reaps_its_workers_on_interrupt():
 def test_pmap_runs_serially_without_fork(monkeypatch):
     monkeypatch.delattr(parallel.os, "fork")
     assert pmap(lambda x: x + 1, range(4), workers=2) == [1, 2, 3, 4]
+
+
+def _unpicklable(x):
+    return lambda: x
+
+
+def test_a_result_that_cannot_be_pickled_ends_its_worker(capfd):
+    # the child pickles straight into its pipe, so the failure cuts the
+    # payload: the child prints why and exits 1, and pmap names it
+    with pytest.raises(RuntimeError, match="pmap worker 0 ended without a result, exit status 1"):
+        pmap(_unpicklable, range(4), workers=2)
+    assert "Traceback" in capfd.readouterr().err
+
+
+_PEAK_PROBE = """
+import sys
+import numpy as np
+from ergolab.parallel import pmap
+
+def peak_kb():
+    status = open("/proc/self/status").read()
+    return int(status.split("VmHWM:")[1].split()[0])
+
+before = peak_kb()
+pmap(lambda i: np.full(int(sys.argv[1]) // 8, float(i)), range(2), 2)
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_the_parent_holds_each_result_once():
+    # two tasks each return `size` bytes; loading each straight from its pipe
+    # grows the parent's peak by the two results, where a whole payload read
+    # first would add a third. A fresh interpreter reads its own VmHWM
+    size = 32 << 20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(parallel.__file__)), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(size)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) * 1024 < 2.5 * size

@@ -283,7 +283,8 @@ class TestGeneratorCount:
             return scan(system, points, *args)
 
         monkeypatch.setattr(returns, "first_hits", recording)
-        return_sample(system, DistToPoint(center), r, seed=3, count=200, measure=measure)
+        return_sample(system, DistToPoint(center), r, seed=3, count=200,
+                      cap=math.ceil(100 / measure), measure=measure)
         reservoirs = [p.bits for p in scanned if isinstance(p, ReservoirPoint)]
         past = sum(bits._gen is not None for bits in reservoirs)
         if reservoirs:  # one master stream draws the conditioned prefixes
@@ -323,7 +324,7 @@ class TestFractionCount:
     ], ids=["golden", "liouville", "cat"])
     def test_return_sample(self, built, system, center, r, measure):
         sample = return_sample(system, DistToPoint(center), r, seed=3, count=200,
-                               measure=measure)
+                               cap=math.ceil(100 / measure), measure=measure)
         assert len(sample.taus) == 200 and not sample.censored.all()
         assert built == []
 

@@ -6,14 +6,13 @@ import pytest
 from ergolab.errors import RejectionStallError
 from ergolab.hitting import ladder_hitting_times
 from ergolab import returns
-from ergolab.observables import DistToPoint, Slack, evaluate
+from ergolab.observables import DistToPoint, Slack, evaluate, exact_measure
 from ergolab.points import ReservoirPoint
 from ergolab.rand import subseed
 from ergolab.returns import (
     ReturnCurve,
     conditioned_return_times,
     count_jump_clusters,
-    default_cap,
     exp_law_distance,
     kac_statistic,
     return_curve,
@@ -31,6 +30,13 @@ from ergolab.systems import (
 
 DOUBLING = Doubling()
 GOLDEN = CircleRotation.golden()
+
+
+def exact_sample(system, f, r, seed, count, cap=None):
+    """return_sample at the target's closed-form measure, capped at 100 mean
+    returns unless ``cap`` is given."""
+    mu = exact_measure(system, f, r)
+    return return_sample(system, f, r, seed, count, cap or math.ceil(100 / mu), mu)
 
 
 class TestConditionedSampling:
@@ -179,7 +185,7 @@ class TestRejectionPrefixes:
 
 class TestReturnTimes:
     def test_matches_independent_stepwise_scan(self):
-        # oracle: exhaustive per-point tabulation through step()
+        # oracle: exhaustive per-point tabulation through orbit_window(q, 1)
         f = DistToPoint((0.375,))
         r = 0.03
         taus, censored = conditioned_return_times(GOLDEN, f, r, seed=7,
@@ -189,7 +195,7 @@ class TestReturnTimes:
             q = p
             tau = None
             for n in range(1, 10_001):
-                q = GOLDEN.step(q)
+                q = GOLDEN.orbit_window(q, 1)
                 if evaluate(f, q) <= r:
                     tau = n
                     break
@@ -208,35 +214,37 @@ class TestReturnTimes:
 
 
 class TestReturnSample:
-    def test_defaults_come_from_the_target_measure(self):
+    def test_the_caller_gives_the_cap_and_measure(self):
         f = DistToPoint((0.375,))
-        sample = return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=200)
-        assert sample.measure == 2.0 ** -5
-        assert sample.cap == default_cap(2.0 ** -5)
+        sample = return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=200, cap=3_200,
+                               measure=2.0 ** -5)
+        assert (sample.measure, sample.cap) == (2.0 ** -5, 3_200)
         assert len(sample.taus) == len(sample.censored) == 200
+        with pytest.raises(TypeError):  # no derived default, unbounded on a tiny target
+            return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=200)
 
     def test_vanishing_measure_rejected(self):
         f = DistToPoint((0.375,))
         with pytest.raises(ValueError):
-            return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=10, measure=0.0)
+            return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=10, cap=100, measure=0.0)
 
 
 class TestReturnCurve:
     def test_starts_at_one(self):
         f = DistToPoint((0.375,))
-        curve = return_curve(return_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=2_000))
+        curve = return_curve(exact_sample(DOUBLING, f, 2.0 ** -6, seed=9, count=2_000))
         assert curve.g_values[0] == 1.0
         assert curve.t_grid[0] == 0.0
 
     def test_doubling_is_near_exponential(self):
         f = DistToPoint((0.375,))
-        curve = return_curve(return_sample(DOUBLING, f, 2.0 ** -8, seed=10, count=4_000))
+        curve = return_curve(exact_sample(DOUBLING, f, 2.0 ** -8, seed=10, count=4_000))
         assert exp_law_distance(curve) <= 0.1
         assert curve.measure == pytest.approx(2.0 ** -7)
 
     def test_golden_rotation_is_step_function(self):
         f = DistToPoint((0.375,))
-        sample = return_sample(GOLDEN, f, 0.05, seed=11, count=4_000)
+        sample = exact_sample(GOLDEN, f, 0.05, seed=11, count=4_000)
         curve = return_curve(sample)
         assert count_jump_clusters(curve) <= 3
         # three-gap structure: at most three distinct return times
@@ -246,8 +254,8 @@ class TestReturnCurve:
     def test_censoring_flags(self):
         f = DistToPoint((0.375,))
         # cap of one step censors almost every return
-        curve = return_curve(return_sample(DOUBLING, f, 2.0 ** -6, seed=12,
-                                           count=500, cap=1))
+        curve = return_curve(exact_sample(DOUBLING, f, 2.0 ** -6, seed=12,
+                                          count=500, cap=1))
         assert curve.censored_count > 0
         assert curve.flagged[-1]
         assert not curve.flagged[0]
@@ -276,7 +284,7 @@ class TestTrivialityIndicator:
     def test_matches_curve_at_same_seed(self):
         f = DistToPoint((0.375,))
         r = 0.11  # 0.5 / (2 r) is not an integer
-        sample = return_sample(GOLDEN, f, r, seed=13, count=2_000)
+        sample = exact_sample(GOLDEN, f, r, seed=13, count=2_000)
         curve = return_curve(sample, t_grid=(0.0, 0.5, 1.0))
         ind = triviality_indicator(sample, 0.5)
         assert ind.estimate == curve.g_values[1]  # t = 0.5
@@ -284,13 +292,13 @@ class TestTrivialityIndicator:
     def test_small_l_catches_everything(self):
         f = DistToPoint((0.375,))
         ind = triviality_indicator(
-            return_sample(DOUBLING, f, 2.0 ** -6, seed=14, count=500), 1e-9)
+            exact_sample(DOUBLING, f, 2.0 ** -6, seed=14, count=500), 1e-9)
         assert ind.estimate == 1.0
 
     def test_markov_bound_at_twenty(self):
         f = DistToPoint((0.375,))
         ind = triviality_indicator(
-            return_sample(DOUBLING, f, 2.0 ** -7, seed=15, count=3_000), 20.0)
+            exact_sample(DOUBLING, f, 2.0 ** -7, seed=15, count=3_000), 20.0)
         assert ind.estimate <= 0.05 + 3.0 * ind.half_width
 
 
@@ -302,9 +310,5 @@ class TestKac:
     ])
     def test_mean_return_times_measure_is_one(self, system, r):
         f = DistToPoint((0.375,)) if system.dim == 1 else DistToPoint((0.3, 0.7))
-        product, stderr = kac_statistic(return_sample(system, f, r, seed=16, count=3_000))
+        product, stderr = kac_statistic(exact_sample(system, f, r, seed=16, count=3_000))
         assert abs(product - 1.0) <= 4.0 * max(stderr, 1e-9)
-
-
-def test_default_cap_rule():
-    assert default_cap(0.01) == 10_000

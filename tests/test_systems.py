@@ -29,17 +29,18 @@ def frac_point(*coords):
 class TestStepExamples:
     def test_doubling_step(self):
         sys = Doubling()
-        p = sys.step(ReservoirPoint(BitReservoir(0, 0, prefix=b"\x60" + bytes(8))))  # 3/8
+        p = ReservoirPoint(BitReservoir(0, 0, prefix=b"\x60" + bytes(8)))  # 3/8
+        p = sys.orbit_window(p, 1)
         assert p.float_coords()[0] == 0.75
 
     def test_cat_map_step(self):
         sys = ToralAutomorphism(CAT_MATRIX)
-        p = sys.step(frac_point("1/2", "1/2"))
+        p = sys.orbit_window(frac_point("1/2", "1/2"), 1)
         assert p.coords == (Fraction(1, 2), Fraction(0))
 
     def test_rotation_step(self):
         sys = CircleRotation.from_fraction("1/4")
-        p = sys.step(frac_point("7/8"))
+        p = sys.orbit_window(frac_point("7/8"), 1)
         assert p.coords[0] == Fraction(1, 8)
 
 
@@ -62,8 +63,8 @@ class TestOrbitWindow:
         # oracle: direct two-step enumeration
         sys = ToralAutomorphism(CAT_MATRIX)
         p = frac_point("1/2", "1/2")
-        one = sys.step(p)
-        two = sys.step(one)
+        one = sys.orbit_window(p, 1)
+        two = sys.orbit_window(one, 1)
         assert one.coords == (Fraction(1, 2), Fraction(0))
         assert two.coords == (Fraction(0), Fraction(1, 2))
         assert sys.orbit_window(p, 2).coords == two.coords
@@ -78,7 +79,7 @@ class TestOrbitWindow:
             p = sys.sample_invariant(seed=8, count=1)[0]
             q = p
             for _ in range(7):
-                q = sys.step(q)
+                q = sys.orbit_window(q, 1)
             w = sys.orbit_window(p, 7)
             assert np.allclose(w.float_coords(), q.float_coords())
 
@@ -90,9 +91,9 @@ class TestExactness:
         p = sys.sample_invariant(seed=3, count=1)[0]
         q = p
         for _ in range(200):
-            q = sys.step(q)
+            q = sys.orbit_window(q, 1)
         for _ in range(200):
-            q = inv.step(q)
+            q = inv.orbit_window(q, 1)
         assert q.coords == p.coords
 
     def test_rotation_round_trip(self):
@@ -100,7 +101,7 @@ class TestExactness:
         p = sys.sample_invariant(seed=3, count=1)[0]
         q = p
         for _ in range(200):
-            q = sys.step(q)
+            q = sys.orbit_window(q, 1)
         for _ in range(200):
             q = FractionPoint(((q.coords[0] - sys.alpha) % 1,))  # one step back
         assert q.coords == p.coords
@@ -111,17 +112,17 @@ class TestOrbitBlocks:
     def test_blocks_match_stepping(self, sys_id):
         sys = system_from_id(sys_id)
         p = sys.sample_invariant(seed=21, count=1)[0]
-        vals = sys.orbit_values(p, 0, 40)
+        vals = sys.orbit_batch([p], 0, 40)[0]
         q = p
         for n in range(40):
             assert np.allclose(vals[n], q.float_coords(), atol=1e-9), (sys_id, n)
-            q = sys.step(q)
+            q = sys.orbit_window(q, 1)
 
     def test_blocks_with_offset_start(self):
         sys = system_from_id("cat")
         p = sys.sample_invariant(seed=2, count=1)[0]
-        whole = sys.orbit_values(p, 0, 50)
-        tail = sys.orbit_values(p, 17, 50)
+        whole = sys.orbit_batch([p], 0, 50)[0]
+        tail = sys.orbit_batch([p], 17, 50)[0]
         assert np.allclose(whole[17:], tail)
 
     def test_cat_start_at_zero_raises_no_matrix_power(self, monkeypatch):
@@ -139,7 +140,7 @@ class TestOrbitBlocks:
         # block anchors are exact; within-block float drift stays tiny
         sys = CircleRotation.golden()
         p = sys.sample_invariant(seed=5, count=1)[0]
-        vals = sys.orbit_values(p, 0, 3000)
+        vals = sys.orbit_batch([p], 0, 3000)[0]
         exact = sys.orbit_window(p, 2999).float_coords()
         assert abs(vals[2999, 0] - exact[0]) < 1e-10
 
@@ -148,16 +149,21 @@ def _rounded(q):
     return [float(c) for c in q.coords]
 
 
+def _top53(v, bits):
+    # the top 53 of a numerator's B lattice bits as a float; below 53 bits,
+    # its exact value v 2^-B
+    return (v >> max(bits - 53, 0)) * 2.0 ** -min(bits, 53)
+
+
 def _truncated(bits):
-    # the top 53 of the coordinate's B lattice bits
-    return lambda q: [(int(c * (1 << bits)) >> (bits - 53)) * 2.0 ** -53 for c in q.coords]
+    return lambda q: [_top53(int(c * (1 << bits)), bits) for c in q.coords]
 
 
 # engine, start point (None: sample_invariant), float rule on the exact point T^n p
 BIT_FOR_BIT = {
     "cat-512": (ToralAutomorphism(CAT_MATRIX), None, _truncated(512)),
     "cat-inverse-512": (ToralAutomorphism(((1, -1), (-1, 2))), None, _truncated(512)),
-    "cat-32": (ToralAutomorphism(CAT_MATRIX, precision_bits=32), None, _rounded),
+    "cat-32": (ToralAutomorphism(CAT_MATRIX, precision_bits=32), None, _truncated(32)),
     "torus-3d": (ToralAutomorphism(((2, 1, 0), (1, 1, 0), (0, 0, 1))), None, _rounded),
     # a conditioned start's fixed leading bytes: windows cross into the stream
     "doubling-prefix": (Doubling(), ReservoirPoint(BitReservoir(13, 0, prefix=b"\x33" * 8)),
@@ -173,11 +179,12 @@ UNIMODULAR_2X2 = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-5,
 
 
 class TestBitForBit:
-    """orbit_values against each engine's float rule on the exact orbit_window."""
+    """orbit_blocks and orbit_batch against each engine's float rule on the
+    exact orbit_window."""
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(matrix=st.just(CAT_MATRIX) | st.sampled_from(UNIMODULAR_2X2),
-           bits=st.sampled_from([53, 64, 65, 128, 129, 512]) | st.integers(53, 1024),
+           bits=st.sampled_from([1, 8, 52, 53, 64, 65, 128, 129, 512]) | st.integers(1, 1024),
            start=st.integers(0, 40), rows=st.integers(1, 300), block=st.integers(1, 150),
            data=st.data())
     def test_2x2_lattice_blocks_are_the_truncated_orbit(self, matrix, bits, start, rows,
@@ -197,7 +204,7 @@ class TestBitForBit:
         assert [n0 for n0, _ in blocks] == list(range(start, stop, block))
         expected = [_truncated(bits)(sys.orbit_window(p, n)) for n in range(start, stop)]
         assert np.concatenate([blk for _, blk in blocks]).tolist() == expected
-        assert sys.orbit_values(p, start, stop).tolist() == expected
+        assert sys.orbit_batch([p], start, stop)[0].tolist() == expected
 
     @pytest.mark.parametrize("case", sorted(BIT_FOR_BIT))
     @pytest.mark.parametrize("block", [1, 7, None])
@@ -207,7 +214,7 @@ class TestBitForBit:
         p = p or sys.sample_invariant(seed=13, count=1)[0]
         stop = start + 40
         if block is None:
-            vals = sys.orbit_values(p, start, stop)
+            vals = sys.orbit_batch([p], start, stop)[0]
         else:
             blocks = list(sys.orbit_blocks(p, start, stop, block=block))
             assert [n0 for n0, _ in blocks] == list(range(start, stop, block))
@@ -216,7 +223,7 @@ class TestBitForBit:
         assert vals.tolist() == expected
 
     @pytest.mark.parametrize("case", sorted(BIT_FOR_BIT) + ["golden"])
-    def test_orbit_batch_is_orbit_values_of_each_point(self, case):
+    def test_orbit_batch_is_each_point_batched_alone(self, case):
         # the rotation's float offsets restart at each DEFAULT_BLOCK, so its
         # batch crosses one; the other engines' rows do not depend on blocks
         if case == "golden":
@@ -226,7 +233,7 @@ class TestBitForBit:
         points = [p, p] if p else sys.sample_invariant(seed=21, count=5)
         batch = sys.orbit_batch(points, start, stop)
         assert batch.shape == (len(points), stop - start, sys.dim)
-        assert batch.tolist() == [sys.orbit_values(p, start, stop).tolist() for p in points]
+        assert batch.tolist() == [sys.orbit_batch([p], start, stop)[0].tolist() for p in points]
 
     @pytest.mark.parametrize("name", ["golden", "liouville"])
     @pytest.mark.parametrize("block", [1, 7, None])
@@ -255,7 +262,7 @@ class TestAnchorKernel:
         slow = ToralAutomorphism(matrix, precision_bits=bits)
         slow._kernel.low = np.ones_like(slow._kernel.low)
         p = fast.sample_invariant(seed=11, count=1)[0]
-        assert fast.orbit_values(p, 5, 2_000).tolist() == slow.orbit_values(p, 5, 2_000).tolist()
+        assert fast.orbit_batch([p], 5, 2_000).tolist() == slow.orbit_batch([p], 5, 2_000).tolist()
 
     def test_few_rows_fall_back_to_the_exact_carry(self, monkeypatch):
         sys = ToralAutomorphism(CAT_MATRIX)
@@ -263,7 +270,7 @@ class TestAnchorKernel:
         exact = kernel._exact
         monkeypatch.setattr(kernel, "_exact", lambda *args: calls.append(1) or exact(*args))
         p = sys.sample_invariant(seed=12, count=1)[0]
-        sys.orbit_values(p, 1, 100_001)
+        sys.orbit_batch([p], 1, 100_001)
         assert len(calls) < 100  # fewer than 1 row in 1 000
 
     # each branch of the trace recurrence x_(j+2) = T x_(j+1) - D x_j of the
@@ -276,17 +283,19 @@ class TestAnchorKernel:
         (((0, -1), (1, 0)), (1, 1)),  # trace 0, period 4
         (((1, 1), (0, 1)), (1, 1)),  # parabolic
     ])
-    @pytest.mark.parametrize("bits", [53, 64, 65, 128, 129, 512])
+    @pytest.mark.parametrize("bits", [1, 8, 32, 52, 53, 64, 65, 128, 129, 512])
     def test_recurrence_branches_are_the_truncated_orbit(self, monkeypatch, matrix, branch,
                                                          bits):
         # 6 starts x 700 rows cross anchors and slabs; starts whose low bits
         # are all ones leave carries undecided above 64 bits, so those rows
-        # unpack their anchor for the exact recomputation
+        # unpack their anchor for the exact recomputation.  Every dyadic
+        # lattice, below 53 bits too, steps through the kernel
         sys = ToralAutomorphism(matrix, precision_bits=bits)
-        kernel, calls = sys._kernel, []
+        kernel, calls, passes = sys._kernel, [], []
         assert (np.sign(kernel.trace), kernel.det) == branch
-        exact = kernel._exact
+        exact, rows_of = kernel._exact, kernel.rows
         monkeypatch.setattr(kernel, "_exact", lambda *args: calls.append(1) or exact(*args))
+        monkeypatch.setattr(kernel, "rows", lambda *args: passes.append(1) or rows_of(*args))
         points = sys.sample_invariant(seed=17, count=3)
         points += [FractionPoint.on_lattice([v | (1 << max(ones, 0)) - 1 for v in p.nums],
                                             p.den)
@@ -296,10 +305,10 @@ class TestAnchorKernel:
         for p, got in zip(points, batch):
             q, expected = sys.orbit_window(p, start), []
             for _ in range(rows):
-                expected.append([(v >> (bits - 53)) * 2.0 ** -53 for v in q.nums])
-                q = sys.step(q)
+                expected.append([_top53(v, bits) for v in q.nums])
+                q = sys.orbit_window(q, 1)
             assert got.tolist() == expected
-        assert bool(calls) == (bits > 64)
+        assert passes and bool(calls) == (bits > 64)
 
     def test_anchor_gaps(self):
         assert ToralAutomorphism(CAT_MATRIX)._kernel.gap == 30
@@ -362,11 +371,11 @@ class TestSampling:
 
             if sys.dim == 1:
                 pts = sys.sample_invariant(seed=56, count=n)
-                imgs = np.array([sys.step(p).float_coords()[0] for p in pts])
+                imgs = np.array([sys.orbit_window(p, 1).float_coords()[0] for p in pts])
                 pre = np.mean((lo <= imgs) & (imgs < hi))
             else:
                 pts = sys.sample_invariant(seed=56, count=n)
-                imgs = np.array([sys.step(p).float_coords()[0] for p in pts])
+                imgs = np.array([sys.orbit_window(p, 1).float_coords()[0] for p in pts])
                 pre = np.mean((lo <= imgs) & (imgs < hi))
             se = np.sqrt(mass * (1 - mass) / n)
             assert abs(pre - mass) <= 3 * se, sys_id
@@ -434,7 +443,7 @@ def test_negative_start_is_refused_and_no_points_give_no_rows(system_id, point):
     sys = system_from_id(system_id)
     p = frac_point(*point) if point else sys.sample_invariant(seed=3, count=1)[0]
     for call in (lambda: sys.orbit_window(p, -1), lambda: next(sys.orbit_blocks(p, -1, 5)),
-                 lambda: sys.orbit_values(p, -5, -4), lambda: sys.orbit_batch([p], -1, 3)):
+                 lambda: sys.orbit_batch([p], -1, 3)):
         with pytest.raises(ValueError, match="non-negative"):
             call()
     assert sys.orbit_batch([], 0, 10).shape == (0, 10, sys.dim)
