@@ -581,10 +581,10 @@ def _run_observed_equality(config, workers):
     cap = config.params.cap or 4_000
     rng = master_rng(subseed(config.seed, "equality"))
     points = system.sample_invariant(config.seed, n_cases)
+    bases = system.sample_per_seed([subseed(config.seed, f"base{i}") for i in range(n_cases)])
     rows = []
     n_equal = 0
-    for i, x in enumerate(points):
-        base = system.sample_invariant(subseed(config.seed, f"base{i}"), 1)[0]
+    for i, (x, base) in enumerate(zip(points, bases)):
         y0 = tuple(image_map.apply(base.float_coords().reshape(1, -1))[0])
         r = float(2.0 ** -rng.integers(2, 8))
         obs = observed_hitting_time(system, x, y0, image_map, r, cap)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grammar import Rule, parse_axes, parse_numbers, parse_spec
-from .hitting import HittingRecord
+from .hitting import SCAN_CHUNK, HittingRecord
 from .observables import MAX_FREQUENCY, PushforwardDist, _ball_measure, estimate_dimension
 from .points import squared_norms, wrap_deltas
 
@@ -102,7 +102,9 @@ class LinearMap(_ObservationMap):
         return math.sqrt(self.codomain_dim) / 2.0
 
     def apply(self, coords):
-        return (np.asarray(coords, dtype=float) @ np.array(self.matrix, dtype=float).T) % 1.0
+        y = np.asarray(coords, dtype=float) @ np.array(self.matrix, dtype=float).T
+        y -= np.floor(y)
+        return y
 
 
 @dataclass(frozen=True)
@@ -207,12 +209,15 @@ def observed_hitting_time(system, x, x0_image, image_map, r, cap):
     """First k in [1, cap] with dist(F(T^k x), y0) <= r.
 
     ``x0_image`` is the target's image y0 = F(x0).  Scans the orbit applying
-    the observation map directly.
+    the observation map directly, in the ``SCAN_CHUNK``-row steps of
+    ``first_hits``: a small tau steps one chunk, and every engine's floats
+    here are the ones ``first_hits`` sees, rotations' included (their floats
+    depend on where a step starts).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     y0 = np.asarray(x0_image, dtype=float)
-    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=1 << 12):
+    for n0, coords in system.orbit_blocks(x, 1, cap + 1, block=SCAN_CHUNK):
         dists = image_map.image_distances(coords, y0)
         hits = np.flatnonzero(dists <= r)
         if hits.size:

@@ -9,7 +9,8 @@ Stream layout: the stream of point ``index`` under ``seed`` is Philox4x64-10
 with the 128-bit key (index << 64) | seed, its counter running from 1, four
 uint64 words per counter value.  A byte string drawn from it is the
 little-endian view of the words, and a double is (w >> 11) * 2^-53.
-``point_words`` computes the first words of many streams at once in numpy
+``point_words`` computes the first words of many streams at once in numpy,
+under one seed or under one seed per stream, since the key is per element
 (``point_bytes`` gives them as byte strings); ``point_rng`` is numpy's
 ``Generator`` on the same stream, for the few readers that go far past their
 first words.
@@ -80,30 +81,38 @@ def _philox_blocks(seed, index, counter):
     return np.stack([even[0], odd[0], even[1], odd[1]])
 
 
-def point_words(seed: int, indices, n: int) -> np.ndarray:
-    """First ``n`` words of the stream of every index under ``seed``: a
-    (len(indices), n) uint64 array whose row i equals the words of
-    ``point_rng(seed, indices[i])``."""
+def point_words(seed, indices, n: int) -> np.ndarray:
+    """First ``n`` words of the stream of every index: a (len(indices), n)
+    uint64 array whose row i equals the words of ``point_rng(seed,
+    indices[i])``.  ``seed`` is one seed for every index, or a sequence of
+    one seed per index, row i then keyed by ``seed[i]``."""
     indices = [int(i) for i in indices]
     if indices:
         _check_index(min(indices))
         _check_index(max(indices))
     idx = np.array(indices, dtype=np.uint64)
+    keys = None
+    if np.ndim(seed):
+        keys = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+        if keys.size != idx.size:
+            raise ValueError(f"{keys.size} seeds for {idx.size} indices")
     per = -(-n // 4)  # counter values per index
     out = np.empty((idx.size, 4 * per), dtype=np.uint64)
     rows = max(1, _SLAB_BLOCKS // max(per, 1))
     counters = np.arange(1, per + 1, dtype=np.uint64)
     for lo in range(0, idx.size, rows):
         part = idx[lo:lo + rows]
-        x = _philox_blocks(seed & _MASK64, np.repeat(part, per), np.tile(counters, part.size))
+        key = seed & _MASK64 if keys is None else np.repeat(keys[lo:lo + rows], per)
+        x = _philox_blocks(key, np.repeat(part, per), np.tile(counters, part.size))
         out[lo:lo + part.size] = x.T.reshape(part.size, 4 * per)
     return out[:, :n]
 
 
-def point_bytes(seed: int, count: int, nbytes: int, first: int = 0) -> list:
-    """``point_rng(seed, i).bytes(nbytes)`` for the ``count`` indices i from
-    ``first`` on: the first ``nbytes`` of each stream's little-endian words."""
-    words = point_words(seed, range(first, first + count), -(-nbytes // 8))
+def point_bytes(seed, indices, nbytes: int) -> list:
+    """``point_rng(seed, i).bytes(nbytes)`` for every index i: the first
+    ``nbytes`` of each stream's little-endian words; ``seed`` as in
+    ``point_words``."""
+    words = point_words(seed, indices, -(-nbytes // 8))
     data = words.astype("<u8", copy=False).tobytes()
     return [data[k:k + nbytes] for k in range(0, len(data), 8 * words.shape[1])]
 

@@ -10,9 +10,9 @@ cached, and re-reads return identical bits.
 
 A reservoir's first read appends the stream's first FIRST_WORDS words.
 ``stream_window_floats`` draws them for every reservoir of its batch at once,
-one ``point_words`` call per seed.  Only a reservoir read past them builds a
-numpy ``Generator``, with its Philox counter set to the next block, and
-extends in chunks of whole words.
+in one ``point_words`` call keyed by each reservoir's own seed.  Only a
+reservoir read past them builds a numpy ``Generator``, with its Philox
+counter set to the next block, and extends in chunks of whole words.
 """
 
 import numpy as np
@@ -101,17 +101,16 @@ class BitReservoir:
 
 def _first_fill(reservoirs):
     """Append the first FIRST_WORDS stream words to every reservoir that has
-    none yet, drawn in one ``point_words`` call per seed."""
-    by_seed = {}
-    for bits in reservoirs:
-        if bits._buf.size == bits._prefix_len:
-            by_seed.setdefault(bits.seed, {})[id(bits)] = bits
-    for seed, group in by_seed.items():
-        group = list(group.values())
-        words = point_words(seed, [bits.index for bits in group], FIRST_WORDS)
-        rows = words.astype("<u8", copy=False).view(np.uint8)
-        for bits, row in zip(group, rows):
-            bits._buf = np.concatenate([bits._buf, row])
+    none yet, drawn in one ``point_words`` call under their own seeds; a
+    reservoir listed twice is filled once."""
+    todo = list({id(bits): bits for bits in reservoirs
+                 if bits._buf.size == bits._prefix_len}.values())
+    if not todo:
+        return
+    words = point_words([bits.seed for bits in todo], [bits.index for bits in todo], FIRST_WORDS)
+    rows = words.astype("<u8", copy=False).view(np.uint8)
+    for bits, row in zip(todo, rows):
+        bits._buf = np.concatenate([bits._buf, row])
 
 
 def stream_window_floats(starts, count):

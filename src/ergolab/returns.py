@@ -95,7 +95,7 @@ def _interval_reservoir_points(lo, hi, seed, count):
 def _interval_dyadic_points(lo, hi, bits, seed, count):
     scale, span = 1 << bits, hi - lo + 1
     return [FractionPoint.on_lattice(((lo + int.from_bytes(raw, "big") % span) % scale,), scale)
-            for raw in point_bytes(subseed(seed, "conditioned"), count, (bits + 7) // 8 + 8)]
+            for raw in point_bytes(subseed(seed, "conditioned"), range(count), (bits + 7) // 8 + 8)]
 
 
 def _disc_dyadic_points(center, reach, bits, seed, count):
@@ -112,7 +112,7 @@ def _disc_dyadic_points(center, reach, bits, seed, count):
     second = 16 + 4 * -(-tail // 4)
     drop = tail * 8 - low_bits
     points = []
-    for raw in point_bytes(subseed(seed, "conditioned"), count, second + tail):
+    for raw in point_bytes(subseed(seed, "conditioned"), range(count), second + tail):
         u, v = [(int.from_bytes(raw[k:k + 8], "little") >> 11) * 2.0 ** -53 for k in (0, 8)]
         rho = reach * math.sqrt(u)
         theta = 2.0 * math.pi * v

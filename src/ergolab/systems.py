@@ -119,6 +119,11 @@ class _SystemBase:
             return np.empty((len(points), max(stop - start, 0), self.dim))
         return np.concatenate(parts, axis=1)
 
+    def sample_per_seed(self, seeds):
+        """``sample_invariant(s, 1)[0]`` for every seed s; the lattice
+        engines draw them all in one pass."""
+        return [self.sample_invariant(s, 1)[0] for s in seeds]
+
     def sample_invariant_floats(self, seed, count):
         """Invariant samples as a float array (count, d); fast path for
         estimators.  Lebesgue systems draw uniforms from the master stream."""
@@ -151,15 +156,24 @@ class Doubling(_SystemBase):
 
 def _lattice_points(self, seed, count, first=0):
     """Points first..first+count-1 of the uniform draw on the 2^-B lattice
-    under ``seed``; coordinate j of point i is the top B bits of the first
-    ceil(B / 8) bytes, big-endian, of the stream of index i d + j."""
+    under ``seed``, or, given a list of ``count`` seeds, point ``first`` of
+    the draw under each; coordinate j of point i is the top B bits of the
+    first ceil(B / 8) bytes, big-endian, of the stream of index i d + j."""
     if count < 1:
         raise ValueError("count must be >= 1")
     d, bits = self.dim, self.precision_bits
     nbytes = (bits + 7) // 8
+    indices = range(first * d, (first + count) * d)
+    if isinstance(seed, list):  # one seed per point: d streams under each
+        seed, indices = [s for s in seed for _ in range(d)], [*indices[:d]] * count
     nums = [int.from_bytes(raw, "big") >> (nbytes * 8 - bits)
-            for raw in point_bytes(seed, count * d, nbytes, first * d)]
+            for raw in point_bytes(seed, indices, nbytes)]
     return [FractionPoint.on_lattice(nums[i:i + d], 1 << bits) for i in range(0, len(nums), d)]
+
+
+def _lattice_per_seed(self, seeds):
+    """Point 0 of the lattice draw under every seed, in one pass."""
+    return _lattice_points(self, list(seeds), len(seeds))
 
 
 def _int_matrix(rows):
@@ -236,6 +250,7 @@ class ToralAutomorphism(_SystemBase):
         return coords, after
 
     sample_invariant = _lattice_points
+    sample_per_seed = _lattice_per_seed
 
 
 def _matrix_power(mat, n, modulus):
@@ -461,9 +476,11 @@ class CircleRotation(_SystemBase):
         vals = np.array([num / den for (num,), den in states])[:, None] + np.arange(size) * alpha
         after = [(((num + size * self.alpha_numerator * (den >> bits)) % den,), den)
                  for (num,), den in states]
-        return (vals % 1.0)[..., None], after
+        vals -= np.floor(vals)
+        return vals[..., None], after
 
     sample_invariant = _lattice_points
+    sample_per_seed = _lattice_per_seed
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,6 @@ class IdentitySystem:
     exact = True
     lebesgue = True  # the identity map preserves Lebesgue measure
 
-    def step(self, p):
-        return p
-
     def orbit_window(self, p, n):
         return p
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergolab.hitting import ladder_hitting_times
+from ergolab.hitting import SCAN_CHUNK, first_hits, ladder_hitting_times
 from ergolab.observables import (
     MAX_FREQUENCY,
     DistToPoint,
@@ -21,9 +23,18 @@ from ergolab.observed import (
     pushforward_dimension,
 )
 from ergolab.points import FloatPoint
-from ergolab.systems import CAT_MATRIX, ToralAutomorphism
+from ergolab.systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
 
 CAT = ToralAutomorphism(CAT_MATRIX)
+GOLDEN = CircleRotation.golden()
+
+# the wrap rule's edge cases: signed zeros, subnormals, integers, tiny and
+# huge magnitudes, and values one ulp either side of a wrap
+WRAP_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 3.0, -7.0, 2.0 ** 52, -(2.0 ** 53),
+    3 - 2.0 ** -51, -(3 - 2.0 ** -51), 1 - 2.0 ** -53, -(1 - 2.0 ** -53), 0.5, -0.5,
+    1e-20, -1e-20, 1e15 + 0.5, -1e15 - 0.25, 1e300, -1e300,
+])
 
 
 class TestObservationMaps:
@@ -37,6 +48,20 @@ class TestObservationMaps:
         lin = LinearMap(((1, 0), (2, 0)))
         out = lin.apply(np.array([[0.6, 0.3]]))
         assert np.allclose(out, [[0.6, 0.2]])
+
+    def test_linear_wrap_is_bitwise_remainder(self):
+        # y - floor(y) is one rounding of the exact value y mod 1, as is y % 1.0
+        want = (WRAP_EDGES % 1.0).tobytes()
+        assert (WRAP_EDGES - np.floor(WRAP_EDGES)).tobytes() == want
+        assert LinearMap(((1,),)).apply(WRAP_EDGES[:, None]).tobytes() == want
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(y=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_wrap_rule_on_any_finite_float(self, y):
+        y = np.array(y)
+        want = (y % 1.0).tobytes()
+        assert (y - np.floor(y)).tobytes() == want
+        assert LinearMap(((1,),)).apply(y[:, None]).tobytes() == want
 
     def test_wave_is_unit_circle_embedding(self):
         wave = CircleWave(2)
@@ -103,6 +128,35 @@ class TestObservedHitting:
         x = CAT.sample_invariant(seed=8, count=1)[0]
         rec = observed_hitting_time(CAT, x, (0.5,), proj, 1e-9, cap=50)
         assert rec.censored
+
+
+class TestObservedScanSteps:
+    """The observed path steps the orbit as ``first_hits`` does."""
+
+    def test_golden_taus_past_one_chunk_are_first_hits_taus(self):
+        # a rotation's floats depend on where a step starts: past row
+        # SCAN_CHUNK both paths must start their steps at the same rows
+        ident, y0, r, cap = CoordinateProjection((0,), 1), (0.3,), 1e-4, 50_000
+        points = GOLDEN.sample_invariant(seed=4, count=20)
+        taus, censored = first_hits(GOLDEN, points, PushforwardDist(ident, y0), [r], cap)
+        assert not censored.any() and (taus > SCAN_CHUNK).sum() >= 10
+        for x, tau in zip(points, taus[:, 0]):
+            assert observed_hitting_time(GOLDEN, x, y0, ident, r, cap).tau == tau
+
+    @pytest.mark.parametrize("system", [CAT, GOLDEN, Doubling()], ids=["cat", "golden", "doubling"])
+    def test_a_short_tau_steps_one_chunk(self, monkeypatch, system):
+        rows, step = [], type(system)._batch_step
+
+        def counting(self, states, size):
+            rows.append(size)
+            return step(self, states, size)
+
+        monkeypatch.setattr(type(system), "_batch_step", counting)
+        x = system.sample_invariant(seed=2, count=1)[0]
+        y0 = system.orbit_window(x, 40).float_coords()
+        ident = CoordinateProjection(tuple(range(system.dim)), system.dim)
+        rec = observed_hitting_time(system, x, y0, ident, 1e-9, cap=10 ** 6)
+        assert rec.tau <= 64 and sum(rows) <= SCAN_CHUNK
 
 
 class TestPushforwardDimension:

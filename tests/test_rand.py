@@ -14,7 +14,7 @@ from ergolab import returns
 from ergolab.observables import DistToPoint
 from ergolab.points import FractionPoint, ReservoirPoint
 from ergolab.rand import master_rng, point_bytes, point_rng, point_words, subseed
-from ergolab.reservoir import FIRST_WORDS, BitReservoir, stream_window_floats
+from ergolab.reservoir import FIRST_WORDS, BitReservoir, _first_fill, stream_window_floats
 from ergolab.returns import return_sample, sample_conditioned
 from ergolab.systems import CAT_MATRIX, CircleRotation, Doubling, ToralAutomorphism
 
@@ -41,9 +41,27 @@ class TestPointWords:
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @given(seed=U64, index=U64, nbytes=st.integers(1, 700))
     def test_point_bytes_are_generator_bytes(self, seed, index, nbytes):
-        assert point_bytes(seed, 3, nbytes) == [point_rng(seed, i).bytes(nbytes) for i in range(3)]
+        assert point_bytes(seed, range(3), nbytes) == [point_rng(seed, i).bytes(nbytes)
+                                                       for i in range(3)]
         assert point_words(seed, [index], 1)[0, 0] == philox(seed, index).integers(
             0, 1 << 64, dtype=np.uint64, endpoint=False)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(keys=st.lists(st.tuples(U64, U64), min_size=1, max_size=6), n=st.integers(0, 40))
+    def test_one_seed_per_index(self, keys, n):
+        seeds, indices = zip(*keys)
+        words = point_words(list(seeds), indices, n)
+        assert words.shape == (len(keys), n)
+        for row, (seed, index) in zip(words, keys):
+            assert row.astype("<u8").tobytes() == philox(seed, index).bytes(8 * n)
+
+    def test_one_seed_per_index_across_the_slab_edges(self):
+        seeds = [(1 << 64) - 1 - 3 * k for k in range(1500)]  # 682 indices a slab
+        words = point_words(seeds, range(1500), 9)
+        for row in (0, 681, 682, 1363, 1364, 1499):
+            assert words[row].astype("<u8").tobytes() == philox(seeds[row], row).bytes(72)
+        with pytest.raises(ValueError, match="2 seeds for 3 indices"):
+            point_words([1, 2], [0, 1, 2], 4)
 
     def test_each_bytes_call_takes_whole_uint32s(self):
         # bytes(58) takes 15 uint32 halves: the second call starts at byte 60
@@ -245,6 +263,12 @@ class TestReservoirStreams:
             assert row.tolist() == ReferenceReservoir(seed, index).window_floats(off, 50)
         assert a.window_floats(EDGE - 20, 50).tolist() == ReferenceReservoir(1, 0).window_floats(
             EDGE - 20, 50)
+
+    def test_a_reservoir_listed_twice_is_filled_once(self):
+        a, b = BitReservoir(1, 0), BitReservoir(2, 7, b"\x01" * 8)
+        _first_fill([a, b, a])
+        assert a._buf.tobytes() == point_rng(1, 0).bytes(8 * FIRST_WORDS)
+        assert b._buf.tobytes() == b"\x01" * 8 + point_rng(2, 7).bytes(8 * FIRST_WORDS)
 
     def test_first_fill_holds_only_the_prefix_words(self):
         res = BitReservoir(3, 3, b"\x01" * 8)

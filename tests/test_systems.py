@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.points import FractionPoint, ReservoirPoint, torus_distance
+from ergolab.rand import subseed
 from ergolab.reservoir import BitReservoir
 from ergolab.systems import (
     ANCHOR_ENTRY_BOUND,
@@ -391,6 +392,19 @@ class TestSampling:
         whole = sys.sample_invariant(seed=31, count=40)
         for first, count in ((0, 40), (0, 1), (13, 9), (39, 1)):
             assert sys.sample_invariant(31, count, first) == whole[first:first + count]
+
+
+    @pytest.mark.parametrize("system_id", ["cat", "rotation:golden", "doubling", "mp:0.3"])
+    def test_per_seed_draw_is_the_one_point_loop(self, system_id):
+        # the equality run's base points: point 0 of the draw under each case's seed
+        sys = system_from_id(system_id)
+        seeds = [subseed(5, f"base{i}") for i in range(6)] + [0, (1 << 64) - 1, 0]
+
+        def key(p):
+            return (p.bits.seed, p.bits.index, p.offset) if isinstance(p, ReservoirPoint) else p
+
+        got = [key(p) for p in sys.sample_per_seed(seeds)]
+        assert got == [key(sys.sample_invariant(s, 1)[0]) for s in seeds]
 
 
 class TestCatalog:
